@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .corpus import RegionCorpus, Vocabulary
 from .errors import EmptyCorpusError
@@ -75,6 +74,21 @@ def sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)
     return z / (1.0 + z)
+
+
+def _logistic(values: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + e^-v) through libm exp, 0.0 where e^-v overflows.
+
+    numpy's vectorized exp can differ from libm in the last bit, which would
+    change trained models; this form equals scipy.special.expit bit for bit.
+    """
+    out = np.empty(values.shape)
+    for i, v in enumerate(values.tolist()):
+        try:
+            out[i] = 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:
+            out[i] = 0.0
+    return out
 
 
 def _softplus(x: float) -> float:
@@ -236,7 +250,7 @@ def pair_gradients(
     grad_negs  = sigmoid(w_k.r) r   (row per negative)
     """
     sig_o = sigmoid(float(w_o @ r))
-    sig_k = expit(negatives @ r)
+    sig_k = _logistic(negatives @ r)
     grad_r = (sig_o - 1.0) * w_o + sig_k @ negatives
     grad_wo = (sig_o - 1.0) * r
     grad_negs = np.outer(sig_k, r)
@@ -310,7 +324,7 @@ def train(
             s_o = float(w @ r)
             s_k = neg_rows @ r
             sig_o = sigmoid(s_o)
-            sig_k = expit(s_k)
+            sig_k = _logistic(s_k)
             loss_sum += _softplus(-s_o) + float(np.sum(np.logaddexp(0.0, s_k)))
 
             lr = lr0 + lr_slope * step

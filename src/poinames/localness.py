@@ -211,6 +211,15 @@ def _check_distribution(p: Sequence[float], label: str) -> None:
         raise ValueError(f"{label} sums to {total!r}, expected 1")
 
 
+def _kld_to_mixture(p: Sequence[float], q: Sequence[float]) -> float:
+    """KL(p || M) with M = (p + q) / 2, each term as p * ln(2p / (p + q)).
+
+    M is never formed, so a subnormal p cannot round it to zero; for normal
+    floats 2p and (p + q) / 2 are exact and the terms equal p * ln(p / M).
+    """
+    return math.fsum(pi * math.log(2.0 * pi / (pi + qi)) for pi, qi in zip(p, q) if pi != 0.0)
+
+
 def jsd(p: Sequence[float], q: Sequence[float], base: float = math.e) -> float:
     """Jensen-Shannon divergence of two probability vectors.
 
@@ -221,8 +230,7 @@ def jsd(p: Sequence[float], q: Sequence[float], base: float = math.e) -> float:
         raise ValueError("distributions must have the same support size")
     _check_distribution(p, "p")
     _check_distribution(q, "q")
-    m = [(pi + qi) / 2.0 for pi, qi in zip(p, q)]
-    value = 0.5 * kld(p, m) + 0.5 * kld(q, m)
+    value = 0.5 * _kld_to_mixture(p, q) + 0.5 * _kld_to_mixture(q, p)
     if base != math.e:
         value /= math.log(base)
     return value

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from poinames import analysis
 from poinames.analysis import (
     PairObservation,
     fit_distance_decay,
@@ -111,6 +112,20 @@ class TestPearson:
         result = pearson(x, y, permutations=20000, seed=1)
         assert result.p_value < 0.001
 
+    def test_permutation_blocks_match_whole_matrix(self):
+        rng = np.random.default_rng(45)
+        x = rng.normal(size=30)
+        y = 0.1 * x + rng.normal(size=30)
+        permutations = 2 * analysis.PERMUTATION_BLOCK + 357
+        result = pearson(x, y, permutations=permutations, seed=9)
+        # reference: every permutation drawn at once as one matrix
+        xc, yc = x - x.mean(), y - y.mean()
+        whole = np.random.default_rng(9).permuted(np.tile(yc, (permutations, 1)), axis=1)
+        r_perm = (whole @ xc) / math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
+        hits = int(np.count_nonzero(np.abs(r_perm) >= abs(result.coefficient) - 1e-12))
+        assert 0 < hits < permutations
+        assert result.p_value == (1 + hits) / (1 + permutations)
+
     def test_degenerate_variance(self):
         with pytest.raises(ValueError, match="degenerate"):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], p_method="t_approx")
@@ -118,6 +133,26 @@ class TestPearson:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0, 2.0])
+
+
+class TestStudentTTail:
+    def test_matches_reference_tail(self):
+        tiny = np.finfo(float).tiny
+        for df in [*range(1, 60), 100, 500, 1223, 5000, 10**5, 10**6]:
+            for t in np.linspace(0.0, 60.0, 241):
+                got = analysis._t_two_sided_p(float(t), df)
+                ref = 2.0 * float(stats.t.sf(t, df))
+                assert 0.0 <= got <= 1.0
+                if ref >= tiny:
+                    assert abs(got - ref) <= 1e-10 * ref, (df, t, got, ref)
+                else:
+                    assert got < 1e-290, (df, t, got)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-12, 0.3, -0.7, 0.999999, 1.0 - 1e-15, 1.0, -1.0])
+    @pytest.mark.parametrize("n", [3, 4, 25, 1225, 100_000])
+    def test_p_in_unit_interval(self, r, n):
+        p = analysis._t_approx_p(r, n)
+        assert 0.0 < p <= 1.0
 
 
 class TestSpearman:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poinames
 from poinames.cli import main
 
 
@@ -27,6 +31,17 @@ def read_kv(path: Path) -> dict[str, str]:
         key, _, value = line.partition("=")
         out[key] = value
     return out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: a fresh interpreter importing the CLI
+    # must not load it
+    code = ("import sys, poinames.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(poinames.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestIngest:

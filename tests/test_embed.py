@@ -3,10 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from poinames.corpus import build_vocabulary
 from poinames.embed import (
     EmbeddingConfig,
+    _logistic,
     NoiseDistribution,
     build_training_pairs,
     load_model,
@@ -51,6 +53,15 @@ class TestSigmoid:
         assert sigmoid(710.0) == 1.0
         assert sigmoid(-710.0) == pytest.approx(0.0, abs=1e-300)
         assert 0.0 <= sigmoid(-1e6) <= sigmoid(1e6) <= 1.0
+
+    def test_logistic_equals_expit_bit_for_bit(self):
+        # training uses _logistic; any last-bit difference would change model.txt
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                 1.0, -1.0, 709.0, -709.0, 710.0, -710.0, 1e4, -1e4]
+        values = np.concatenate([edges, np.random.default_rng(22).standard_normal(100_000)])
+        got = _logistic(values)
+        assert got.dtype == np.float64 and got.shape == values.shape
+        assert np.array_equal(got.view(np.int64), expit(values).view(np.int64))
 
 
 class TestBuildTrainingPairs:

@@ -224,6 +224,12 @@ class TestJsd:
         with pytest.raises(ValueError):
             jsd([0.9, 0.0], [0.5, 0.5])
 
+    def test_subnormal_mass_does_not_underflow_mixture(self):
+        # (p + q) / 2 rounds 5e-324 to zero; the divergence must stay finite
+        p, q = [0.0, 1.0, 5e-324], [0.0, 1.0, 0.0]
+        assert 0.0 <= jsd(p, q) <= 1e-300
+        assert jsd(q, p) == jsd(p, q)
+
 
 class TestMeanPairwiseJsd:
     def _dists(self, rows):
