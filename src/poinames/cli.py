@@ -117,14 +117,31 @@ def _matrix_lines(regions: tuple[str, ...], values: np.ndarray) -> list[str]:
 
 
 def _read_matrix(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a square matrix written by _matrix_lines, rejecting any other shape."""
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
-        raise ValueError(f"empty matrix file {path}")
+        raise IngestError(f"{path}: empty matrix file")
     regions = tuple(lines[0].split("\t")[1:])
-    values = np.zeros((len(regions), len(regions)), dtype=np.float64)
-    for i, line in enumerate(lines[1 : len(regions) + 1]):
-        cells = line.split("\t")
-        values[i] = [float(c) for c in cells[1:]]
+    rows = lines[1:]
+    if len(rows) != len(regions):
+        raise IngestError(
+            f"{path}: header names {len(regions)} regions but the file has {len(rows)} rows"
+        )
+    values = np.empty((len(regions), len(regions)), dtype=np.float64)
+    for i, line in enumerate(rows):
+        label, *cells = line.split("\t")
+        if label != regions[i]:
+            raise IngestError(
+                f"{path}:{i + 2}: row label {label!r} differs from header label {regions[i]!r}"
+            )
+        if len(cells) != len(regions):
+            raise IngestError(
+                f"{path}:{i + 2}: expected {len(regions)} values, got {len(cells)}"
+            )
+        try:
+            values[i] = [float(c) for c in cells]
+        except ValueError as exc:
+            raise IngestError(f"{path}:{i + 2}: {exc}") from exc
     return regions, values
 
 
@@ -416,7 +433,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
             "epochs": config.epochs,
             "learning_rate": _fmt(config.learning_rate),
             "seed": config.seed,
-            "threads": args.threads,
             "out": args.out,
         },
     )
@@ -532,7 +548,6 @@ def cmd_decay(args: argparse.Namespace) -> int:
             "p_method": p_method,
             "permutations": args.permutations,
             "seed": args.seed,
-            "threads": args.threads,
             "out": args.out,
         },
     )
@@ -594,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--epochs", type=int, default=20)
     p_embed.add_argument("--learning-rate", type=float, default=0.025)
     p_embed.add_argument("--seed", type=int, default=0)
-    p_embed.add_argument("--threads", type=int, default=1,
-                         help="1 guarantees determinism (current builds are always sequential)")
     p_embed.set_defaults(func=cmd_embed)
 
     p_sim = sub.add_parser("similarity", help="pairwise collective similarity and distances")
@@ -612,8 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_decay.add_argument("--p-method", choices=("permutation", "t"), default="permutation")
     p_decay.add_argument("--permutations", type=int, default=DEFAULT_PERMUTATIONS)
     p_decay.add_argument("--seed", type=int, default=0)
-    p_decay.add_argument("--threads", type=int, default=1,
-                         help="1 guarantees determinism (current builds are always sequential)")
     p_decay.set_defaults(func=cmd_decay)
 
     return parser

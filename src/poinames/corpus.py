@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -21,6 +22,11 @@ log = logging.getLogger(__name__)
 
 LAT_MIN, LAT_MAX = -90.0, 90.0
 LON_MIN, LON_MAX = -180.0, 180.0
+
+# Characters a region label may not hold: Unicode Cc (tab, newline and the
+# other C0/C1 controls) plus the line and paragraph separators. Labels are
+# written into tab-separated, line-oriented artifacts.
+_LABEL_FORBIDDEN = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 # Canonical field -> source field. Defaults match the common open POI export.
 DEFAULT_SCHEMA = {
@@ -112,24 +118,18 @@ class LoadResult:
         return len(self.rejections)
 
 
-class _SeparatorTable:
+class _SeparatorTable(dict):
     """str.translate table that turns punctuation and symbols into spaces.
 
-    Decisions are cached per code point; anything in Unicode categories P*
-    or S* separates, everything else (letters, digits, marks) is kept.
+    Anything in Unicode categories P* or S* separates, everything else
+    (letters, digits, marks) is kept. Each code point's outcome is stored
+    on first sight, so later lookups are plain dict hits inside translate.
     """
 
-    def __init__(self) -> None:
-        self._known: dict[int, bool] = {}
-
-    def __getitem__(self, codepoint: int) -> str:
-        is_sep = self._known.get(codepoint)
-        if is_sep is None:
-            is_sep = unicodedata.category(chr(codepoint))[0] in ("P", "S")
-            self._known[codepoint] = is_sep
-        if is_sep:
-            return " "
-        raise LookupError  # keep the character unchanged
+    def __missing__(self, codepoint: int) -> str | int:
+        value = " " if unicodedata.category(chr(codepoint))[0] in "PS" else codepoint
+        self[codepoint] = value
+        return value
 
 
 _SEPARATORS = _SeparatorTable()
@@ -227,8 +227,9 @@ def load_pois(
 ) -> LoadResult:
     """Read newline-delimited JSON records into PoiRecords.
 
-    Invalid records are rejected with a reason, never silently dropped;
-    an unreadable source raises IngestError.
+    Invalid records are rejected with a reason, never silently dropped.
+    An unreadable source, or a region label (from the record or the
+    mapping) holding a control character, raises IngestError.
     """
     sch = dict(DEFAULT_SCHEMA)
     if schema:
@@ -292,6 +293,10 @@ def _load_one(
     region, reason = _resolve_region(raw, schema, mapping)
     if region is None:
         return reason
+    if _LABEL_FORBIDDEN.search(region):
+        raise IngestError(
+            f"input line {lineno}: region label {region!r} contains a control character"
+        )
 
     out.append(
         PoiRecord(

@@ -5,9 +5,11 @@ words high and score sampled unused words low. The objective per pair is
 
     J = -ln sigmoid(w_o . r) - sum_k ln sigmoid(-w_k . r)
 
-minimized by plain SGD with a linearly decaying learning rate. Negatives
-are drawn from the unigram^power distribution restricted to terms the
-region does not use. Single-threaded training with a fixed seed is
+minimized by minibatch SGD over BATCH_PAIRS pairs at a time, with a
+linearly decaying learning rate. One kernel, sgns_batch, gives the loss
+and gradients for a batch; pair_loss and pair_gradients are its one-pair
+case. Negatives are drawn from the unigram^power distribution restricted
+to terms the region does not use. Training with a fixed seed is
 bit-reproducible.
 """
 
@@ -28,6 +30,9 @@ from .errors import EmptyCorpusError
 log = logging.getLogger(__name__)
 
 MODEL_VARIANT = "sgns"
+
+# Pairs per SGD step. Fixed, so that a seed always names one model.
+BATCH_PAIRS = 128
 
 
 @dataclass(frozen=True)
@@ -68,34 +73,14 @@ class EmbeddingModel:
     epoch_losses: tuple[float, ...] = ()
 
 
-def sigmoid(x: float) -> float:
-    """Numerically stable logistic function, safe for |x| well beyond 700."""
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
+def sigmoid(x):
+    """Logistic function 1 / (1 + e^-x), elementwise on arrays.
 
-
-def _logistic(values: np.ndarray) -> np.ndarray:
-    """Elementwise 1 / (1 + e^-v) through libm exp, 0.0 where e^-v overflows.
-
-    numpy's vectorized exp can differ from libm in the last bit, which would
-    change trained models; this form equals scipy.special.expit bit for bit.
+    Where e^-x overflows (x below about -709) the result is 0.0, as with
+    scipy.special.expit.
     """
-    out = np.empty(values.shape)
-    for i, v in enumerate(values.tolist()):
-        try:
-            out[i] = 1.0 / (1.0 + math.exp(-v))
-        except OverflowError:
-            out[i] = 0.0
-    return out
-
-
-def _softplus(x: float) -> float:
-    """ln(1 + e^x) without overflow."""
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def build_training_pairs(corpora: Mapping[str, RegionCorpus]) -> list[TrainingPair]:
@@ -136,8 +121,7 @@ class NoiseDistribution:
             dtype=np.float64,
         )
         self._region_terms = {r: frozenset(ts) for r, ts in region_terms.items()}
-        self._tables: dict[str, tuple[np.ndarray, np.ndarray, bool]] = {}
-        self._full_table: tuple[np.ndarray, np.ndarray] | None = None
+        self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_corpora(
@@ -156,44 +140,73 @@ class NoiseDistribution:
             region_terms[region] = used
         return cls(vocab, counts, region_terms, power=power)
 
-    def _full(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._full_table is None:
-            idx = np.nonzero(self._weights > 0.0)[0]
-            if idx.size == 0:
-                raise ValueError("noise distribution has no probability mass")
-            cum = np.cumsum(self._weights[idx])
-            cum /= cum[-1]
-            self._full_table = (idx, cum)
-        return self._full_table
-
-    def table(self, region_id: str) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(candidate indices, cumulative probabilities, needs_positive_check)."""
+    def table(self, region_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """(candidate indices, cumulative probabilities) for one region."""
         cached = self._tables.get(region_id)
         if cached is not None:
             return cached
         used = self._region_terms.get(region_id)
         if used is None:
             raise KeyError(f"unknown region {region_id!r}")
+        has_mass = self._weights > 0.0
+        if not has_mass.any():
+            raise ValueError("noise distribution has no probability mass")
+        candidates = has_mass.copy()
         index = self.vocab.index
-        used_idx = {index[t] for t in used if t in index}
-        idx = np.array(
-            [i for i in np.nonzero(self._weights > 0.0)[0] if int(i) not in used_idx],
-            dtype=np.int64,
-        )
-        if idx.size == 0:
+        candidates[[index[t] for t in used if t in index]] = False
+        if not candidates.any():
             log.warning(
                 "region %r uses the entire vocabulary; sampling negatives from "
                 "the full vocabulary instead",
                 region_id,
             )
-            full_idx, full_cum = self._full()
-            table = (full_idx, full_cum, True)
-        else:
-            cum = np.cumsum(self._weights[idx])
-            cum /= cum[-1]
-            table = (idx, cum, False)
-        self._tables[region_id] = table
-        return table
+            candidates = has_mass
+        idx = np.flatnonzero(candidates)
+        cum = np.cumsum(self._weights[idx])
+        cum /= cum[-1]
+        self._tables[region_id] = (idx, cum)
+        return idx, cum
+
+    def sample_rows(
+        self,
+        regions: Sequence[str],
+        region_of: np.ndarray,
+        k: int,
+        rng: np.random.Generator,
+        positives: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """k negative indices for each of n rows, shape (n, k).
+
+        Row i is drawn for region ``regions[region_of[i]]``. All n*k
+        uniforms come from one ``rng.random((n, k))``; each region maps its
+        rows through its table with one searchsorted. Entries equal to
+        ``positives[i]`` are redrawn from the row's table, all at once per
+        round, until none is left. In training that happens only in regions
+        whose table is the whole vocabulary, as a region's own terms are
+        never its candidates.
+        """
+        out = np.empty((region_of.size, k), dtype=np.int64)
+        uniforms = rng.random(out.shape)
+        tables = [self.table(region) for region in regions]
+        for r, (idx, cum) in enumerate(tables):
+            rows = np.flatnonzero(region_of == r)
+            out[rows] = idx[np.searchsorted(cum, uniforms[rows], side="right")]
+        if positives is None:
+            return out
+        rows, cols = np.nonzero(out == positives[:, None])
+        while rows.size:
+            fresh = rng.random(rows.size)
+            for r in np.unique(region_of[rows]).tolist():
+                idx, cum = tables[r]
+                if idx.size == 1:
+                    raise ValueError(
+                        "cannot sample negatives: only the positive term has probability mass"
+                    )
+                sel = region_of[rows] == r
+                out[rows[sel], cols[sel]] = idx[np.searchsorted(cum, fresh[sel], side="right")]
+            still = out[rows, cols] == positives[rows]
+            rows, cols = rows[still], cols[still]
+        return out
 
     def sample_indices(
         self,
@@ -202,19 +215,8 @@ class NoiseDistribution:
         rng: np.random.Generator,
         exclude: int | None = None,
     ) -> np.ndarray:
-        idx, cum, _ = self.table(region_id)
-        out = idx[np.searchsorted(cum, rng.random(k), side="right")]
-        if exclude is not None and (out == exclude).any():
-            if idx.size == 1:
-                raise ValueError(
-                    "cannot sample negatives: only the positive term has probability mass"
-                )
-            bad = out == exclude
-            while bad.any():
-                redraw = idx[np.searchsorted(cum, rng.random(int(bad.sum())), side="right")]
-                out[bad] = redraw
-                bad = out == exclude
-        return out
+        positives = None if exclude is None else np.array([exclude])
+        return self.sample_rows([region_id], np.zeros(1, dtype=np.int64), k, rng, positives)[0]
 
 
 def sample_negatives(
@@ -233,28 +235,76 @@ def sample_negatives(
     return [terms[int(i)] for i in indices]
 
 
+def sgns_batch(
+    r_rows: np.ndarray, w_pos: np.ndarray, w_negs: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Summed objective and per-pair gradients for a batch of B pairs.
+
+    r_rows (B, d), w_pos (B, d) and w_negs (B, k, d) hold each pair's
+    region vector, positive word vector and negative word vectors.
+
+    grad_r      = -(1 - sigmoid(w_o.r)) w_o + sum_k sigmoid(w_k.r) w_k   (B, d)
+    grad_w_pos  = -(1 - sigmoid(w_o.r)) r                                (B, d)
+    grad_w_negs = sigmoid(w_k.r) r   (row per negative)                  (B, k, d)
+    """
+    s_pos = np.einsum("bd,bd->b", w_pos, r_rows)
+    s_neg = (w_negs @ r_rows[:, :, None])[:, :, 0]
+    loss = float(np.logaddexp(0.0, -s_pos).sum() + np.logaddexp(0.0, s_neg).sum())
+    coef_pos = sigmoid(s_pos) - 1.0
+    coef_neg = sigmoid(s_neg)
+    grad_r = coef_pos[:, None] * w_pos + (coef_neg[:, None, :] @ w_negs)[:, 0, :]
+    grad_w_pos = coef_pos[:, None] * r_rows
+    grad_w_negs = coef_neg[:, :, None] * r_rows[:, None, :]
+    return loss, grad_r, grad_w_pos, grad_w_negs
+
+
 def pair_loss(r: np.ndarray, w_o: np.ndarray, negatives: np.ndarray) -> float:
     """Objective value for one training pair (always positive and finite)."""
-    s_o = float(w_o @ r)
-    s_k = negatives @ r
-    return _softplus(-s_o) + float(np.sum(np.logaddexp(0.0, s_k)))
+    return sgns_batch(r[None], w_o[None], negatives[None])[0]
 
 
 def pair_gradients(
     r: np.ndarray, w_o: np.ndarray, negatives: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the pair objective w.r.t. r, w_o, and each negative.
+    """Gradients of the pair objective w.r.t. r, w_o, and each negative."""
+    _, grad_r, grad_wo, grad_negs = sgns_batch(r[None], w_o[None], negatives[None])
+    return grad_r[0], grad_wo[0], grad_negs[0]
 
-    grad_r     = -(1 - sigmoid(w_o.r)) w_o + sum_k sigmoid(w_k.r) w_k
-    grad_w_o   = -(1 - sigmoid(w_o.r)) r
-    grad_negs  = sigmoid(w_k.r) r   (row per negative)
+
+def _subtract_rows(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """matrix[rows[i]] -= values[i] for every i, accumulating repeated rows."""
+    d = matrix.shape[1]
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    np.subtract.at(matrix.reshape(-1), flat, values.ravel())
+
+
+def _sgd_step(
+    region_vecs: np.ndarray,
+    word_vecs: np.ndarray,
+    region_rows: np.ndarray,
+    word_rows: np.ndarray,
+    neg_rows: np.ndarray,
+    lr: float,
+) -> float:
+    """One SGD step over a batch of B pairs, in place; returns the summed loss.
+
+    Pair i is (region_rows[i], word_rows[i]) with negatives neg_rows[i]
+    (shape (B, k)). Every gradient is taken at the parameters from before
+    the step, and the updates of rows that repeat are summed.
     """
-    sig_o = sigmoid(float(w_o @ r))
-    sig_k = _logistic(negatives @ r)
-    grad_r = (sig_o - 1.0) * w_o + sig_k @ negatives
-    grad_wo = (sig_o - 1.0) * r
-    grad_negs = np.outer(sig_k, r)
-    return grad_r, grad_wo, grad_negs
+    b, k = neg_rows.shape
+    d = word_vecs.shape[1]
+    negs = neg_rows.ravel()
+    loss, grad_r, grad_w, grad_negs = sgns_batch(
+        region_vecs[region_rows], word_vecs[word_rows], word_vecs[negs].reshape(b, k, d)
+    )
+    grad_r *= lr
+    _subtract_rows(region_vecs, region_rows, grad_r)
+    grad_w *= lr
+    _subtract_rows(word_vecs, word_rows, grad_w)
+    grad_negs *= lr
+    _subtract_rows(word_vecs, negs, grad_negs.reshape(b * k, d))
+    return loss
 
 
 def train(
@@ -262,11 +312,14 @@ def train(
     vocab: Vocabulary,
     config: EmbeddingConfig,
 ) -> EmbeddingModel:
-    """SGD over shuffled pairs for the configured number of epochs.
+    """Minibatch SGD over shuffled pairs for the configured number of epochs.
 
-    All randomness (initialization, shuffling, negative draws) comes from
-    one generator seeded with config.seed, so identical inputs produce an
-    identical model.
+    Each epoch draws one permutation and the negatives of every pair, then
+    steps through BATCH_PAIRS pairs at a time. A batch takes its gradients
+    at the parameters from before the batch, sums the updates of repeated
+    rows, and uses the learning rate of its midpoint step. All randomness
+    (initialization, shuffling, negative draws) comes from one generator
+    seeded with config.seed, so identical inputs produce an identical model.
     """
     if not pairs:
         raise EmptyCorpusError("no training pairs")
@@ -285,7 +338,6 @@ def train(
     for p in pairs:
         region_terms[p.region_id].add(p.word)
     noise = NoiseDistribution(vocab, counts, region_terms, power=config.noise_power)
-    tables = [noise.table(region) for region in regions]
 
     d = config.dimension
     k = config.negatives
@@ -303,40 +355,22 @@ def train(
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n_pairs)
+        epoch_regions = region_ids[order]
+        epoch_words = word_ids[order]
+        epoch_negs = noise.sample_rows(regions, epoch_regions, k, rng, positives=epoch_words)
         loss_sum = 0.0
-        for j in order:
-            ri = int(region_ids[j])
-            wi = int(word_ids[j])
-            idx_tab, cum_tab, check_pos = tables[ri]
-            negs = idx_tab[np.searchsorted(cum_tab, rng.random(k), side="right")]
-            if check_pos and (negs == wi).any():
-                bad = negs == wi
-                while bad.any():
-                    redraw = idx_tab[
-                        np.searchsorted(cum_tab, rng.random(int(bad.sum())), side="right")
-                    ]
-                    negs[bad] = redraw
-                    bad = negs == wi
-
-            r = region_vecs[ri]
-            w = word_vecs[wi]
-            neg_rows = word_vecs[negs]  # copy of the old rows
-            s_o = float(w @ r)
-            s_k = neg_rows @ r
-            sig_o = sigmoid(s_o)
-            sig_k = _logistic(s_k)
-            loss_sum += _softplus(-s_o) + float(np.sum(np.logaddexp(0.0, s_k)))
-
-            lr = lr0 + lr_slope * step
-            # gradients use pre-update values: w/neg_rows are read before any write,
-            # and r is written last
-            grad_r = (sig_o - 1.0) * w + sig_k @ neg_rows
-            word_vecs[wi] += (lr * (1.0 - sig_o)) * r
-            neg_coef = lr * sig_k
-            for t in range(k):
-                word_vecs[negs[t]] -= neg_coef[t] * r
-            region_vecs[ri] -= lr * grad_r
-            step += 1
+        for start in range(0, n_pairs, BATCH_PAIRS):
+            stop = min(start + BATCH_PAIRS, n_pairs)
+            lr = lr0 + lr_slope * (step + (stop - start - 1) / 2)
+            loss_sum += _sgd_step(
+                region_vecs,
+                word_vecs,
+                epoch_regions[start:stop],
+                epoch_words[start:stop],
+                epoch_negs[start:stop],
+                lr,
+            )
+            step += stop - start
 
         mean_loss = loss_sum / n_pairs
         if not math.isfinite(mean_loss):
@@ -358,58 +392,61 @@ def train(
     )
 
 
+def _vector_text(vec: np.ndarray) -> str:
+    return " ".join(map("%.17g".__mod__, vec.tolist()))
+
+
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
     """Write the model as text: a header line, then one vector per line.
 
     Values carry 17 significant digits so save/load round-trips are
-    bit-exact.
+    bit-exact. Lines are written one at a time.
     """
     d = model.config.dimension
-    lines = [
-        "dim=%d\twords=%d\tregions=%d\tseed=%d\tvariant=%s"
-        % (d, len(model.word_vectors), len(model.region_vectors), model.config.seed, MODEL_VARIANT)
-    ]
-    for region in sorted(model.region_vectors):
-        vec = model.region_vectors[region]
-        lines.append("r\t%s\t%s" % (region, " ".join("%.17g" % v for v in vec)))
-    for term in sorted(model.word_vectors):
-        vec = model.word_vectors[term]
-        lines.append("w\t%s\t%s" % (term, " ".join("%.17g" % v for v in vec)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(
+            "dim=%d\twords=%d\tregions=%d\tseed=%d\tvariant=%s\n"
+            % (d, len(model.word_vectors), len(model.region_vectors), model.config.seed,
+               MODEL_VARIANT)
+        )
+        for region in sorted(model.region_vectors):
+            fh.write("r\t%s\t%s\n" % (region, _vector_text(model.region_vectors[region])))
+        for term in sorted(model.word_vectors):
+            fh.write("w\t%s\t%s\n" % (term, _vector_text(model.word_vectors[term])))
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
-    """Read a model written by save_model."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError(f"empty model file {path}")
-    header: dict[str, str] = {}
-    for part in lines[0].split("\t"):
-        key, _, value = part.partition("=")
-        header[key] = value
-    try:
-        dim = int(header["dim"])
-        n_words = int(header["words"])
-        n_regions = int(header["regions"])
-        seed = int(header["seed"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed model header in {path}: {lines[0]!r}") from exc
-
+    """Read a model written by save_model, one line at a time."""
     region_vectors: dict[str, np.ndarray] = {}
     word_vectors: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        kind, _, rest = line.partition("\t")
-        name, _, values = rest.partition("\t")
-        vec = np.array([float(v) for v in values.split(" ")], dtype=np.float64)
-        if vec.shape != (dim,):
-            raise ValueError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
-        if kind == "r":
-            region_vectors[name] = vec
-        elif kind == "w":
-            word_vectors[name] = vec
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown vector kind {kind!r}")
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline().rstrip("\n")
+        if not first:
+            raise ValueError(f"empty model file {path}")
+        header: dict[str, str] = {}
+        for part in first.split("\t"):
+            key, _, value = part.partition("=")
+            header[key] = value
+        try:
+            dim = int(header["dim"])
+            n_words = int(header["words"])
+            n_regions = int(header["regions"])
+            seed = int(header["seed"])
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"malformed model header in {path}: {first!r}") from exc
+
+        for lineno, line in enumerate(fh, start=2):
+            kind, _, rest = line.rstrip("\n").partition("\t")
+            name, _, values = rest.partition("\t")
+            vec = np.fromiter(map(float, values.split(" ")), dtype=np.float64)
+            if vec.shape != (dim,):
+                raise ValueError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
+            if kind == "r":
+                region_vectors[name] = vec
+            elif kind == "w":
+                word_vectors[name] = vec
+            else:
+                raise ValueError(f"{path}:{lineno}: unknown vector kind {kind!r}")
     if len(region_vectors) != n_regions or len(word_vectors) != n_words:
         raise ValueError(
             f"{path}: header promises {n_regions} regions / {n_words} words, "

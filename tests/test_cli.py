@@ -11,6 +11,8 @@ import pytest
 import poinames
 from poinames.cli import main
 
+from conftest import write_dataset
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -71,6 +73,27 @@ class TestIngest:
         empty.write_text("")
         assert run("ingest", "--input", empty, "--out", tmp_path / "o") == 2
         assert "empty corpus" in capsys.readouterr().err
+
+    def test_region_label_with_tab_exits_2_before_writing(self, tmp_path, capsys):
+        input_path = tmp_path / "in.ndjson"
+        input_path.write_text(
+            json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a"}) + "\n"
+            + json.dumps({"name": "y", "latitude": 1.0, "longitude": 2.0, "region": "a\tb"}) + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert run("ingest", "--input", input_path, "--out", out) == 2
+        assert "input line 2" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_mapped_region_label_with_control_character_exits_2(self, tmp_path, capsys):
+        input_path, mapping_path = write_dataset(tmp_path)
+        mapping_path.write_text("*,DZ\tdesert\x01ville\n*,LK\tlakecity\n*,HL\thillton\n",
+                                encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out) == 2
+        assert "input line 1: region label 'desert\\x01ville'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_pois_artifact_is_normalized(self, pipeline_dir):
         first = json.loads((pipeline_dir / "pois.ndjson").read_text().splitlines()[0])
@@ -201,6 +224,30 @@ class TestSimilarityAndDecay:
         out = capsys.readouterr().out
         assert "distances_km" in out
         assert (pipeline_dir / "distances.tsv").read_bytes() == meters  # files stay meters
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda lines: lines[:-1],
+            lambda lines: lines + [lines[-1]],
+            lambda lines: [lines[0], lines[2], lines[1], lines[3]],
+            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0]],
+            lambda lines: lines[:-1] + [lines[-1] + "\t0.5"],
+            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tabc"],
+            lambda lines: [],
+        ],
+        ids=["row-missing", "row-extra", "rows-out-of-order", "cell-missing", "cell-extra",
+             "not-a-number", "empty"],
+    )
+    def test_decay_rejects_malformed_matrix(self, pipeline_dir, capsys, damage):
+        run("similarity", "--out", pipeline_dir, "--method", "count")
+        path = pipeline_dir / "similarity_count.tsv"
+        lines = damage(path.read_text().splitlines())
+        path.write_text("".join(line + "\n" for line in lines))
+        assert run("decay", "--out", pipeline_dir, "--method", "count",
+                   "--permutations", "100") == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (pipeline_dir / "decay_results_count.txt").exists()
 
     def test_decay_t_approximation(self, pipeline_dir):
         run("similarity", "--out", pipeline_dir, "--method", "count")

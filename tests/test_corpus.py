@@ -1,4 +1,5 @@
 import json
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,6 +48,16 @@ class TestTokenize:
     def test_idempotent_over_its_own_output(self, text):
         tokens = tokenize(text).tokens
         assert tokenize(" ".join(tokens)).tokens == tokens
+
+    @given(st.text(max_size=60))
+    def test_matches_per_character_rule(self, text):
+        def reference(s):
+            kept = (" " if unicodedata.category(c)[0] in "PS" else c for c in s.lower())
+            return tuple("".join(kept).split())
+
+        # the second call runs on the warm per-code-point cache
+        assert tokenize(text).tokens == reference(text)
+        assert tokenize(text).tokens == reference(text)
 
     @given(st.text(min_size=1, max_size=60))
     def test_tokens_are_clean(self, text):
@@ -115,6 +126,21 @@ class TestLoadPois:
         result = load_pois(lines, region_mapping=mapping)
         assert [r.region_id for r in result.records] == ["desertville", "lakecity"]
         assert "no region mapping for ghost,XX" in result.rejections[0].reason
+
+    @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\rb", "a\x00b", "a\x1fb", "a\x7fb",
+                                       "a\x85b", "a\u2028b"])
+    def test_control_character_in_region_label_is_fatal(self, label):
+        good = json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a"})
+        bad = json.dumps({"name": "y", "latitude": 1.0, "longitude": 2.0, "region": label})
+        with pytest.raises(IngestError, match="input line 2: region label"):
+            load_pois([good, bad])
+
+    def test_control_character_in_mapped_label_is_fatal(self):
+        mapping = {("dunecity", "dz"): "desert\x01ville"}
+        line = json.dumps({"name": "a", "latitude": 1.0, "longitude": 2.0,
+                           "city": "Dunecity", "state": "DZ"})
+        with pytest.raises(IngestError, match="input line 1: region label"):
+            load_pois([line], region_mapping=mapping)
 
     def test_unreadable_source_is_fatal(self, tmp_path):
         with pytest.raises(IngestError):

@@ -1,21 +1,26 @@
 import math
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import expit
+from scipy.stats import spearmanr
 
 from poinames.corpus import build_vocabulary
 from poinames.embed import (
+    BATCH_PAIRS,
     EmbeddingConfig,
-    _logistic,
+    EmbeddingModel,
     NoiseDistribution,
+    _sgd_step,
     build_training_pairs,
     load_model,
     pair_gradients,
     pair_loss,
     sample_negatives,
     save_model,
+    sgns_batch,
     sigmoid,
     train,
 )
@@ -54,14 +59,14 @@ class TestSigmoid:
         assert sigmoid(-710.0) == pytest.approx(0.0, abs=1e-300)
         assert 0.0 <= sigmoid(-1e6) <= sigmoid(1e6) <= 1.0
 
-    def test_logistic_equals_expit_bit_for_bit(self):
-        # training uses _logistic; any last-bit difference would change model.txt
+    def test_sigmoid_matches_expit(self):
+        # the kernel's vectorized logistic, including where e^-x overflows
         edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
-                 1.0, -1.0, 709.0, -709.0, 710.0, -710.0, 1e4, -1e4]
-        values = np.concatenate([edges, np.random.default_rng(22).standard_normal(100_000)])
-        got = _logistic(values)
+                 1.0, -1.0, 36.0, -36.0, 709.0, -709.0, 800.0, -800.0, 1e4, -1e4]
+        values = np.concatenate([edges, np.random.default_rng(22).standard_normal(100_000) * 20])
+        got = sigmoid(values)
         assert got.dtype == np.float64 and got.shape == values.shape
-        assert np.array_equal(got.view(np.int64), expit(values).view(np.int64))
+        np.testing.assert_allclose(got, expit(values), rtol=1e-15, atol=0)
 
 
 class TestBuildTrainingPairs:
@@ -116,6 +121,44 @@ class TestNegativeSampling:
         assert "entire vocabulary" in caplog.text
         assert "aa" not in drawn
         assert set(drawn) <= {"bb", "cc"}
+
+    def test_positive_outside_the_region_is_still_excluded(self):
+        corpora = corpora_from({"a": ["aa"], "b": ["cc dd"]})
+        vocab = build_vocabulary(corpora.values())
+        noise = NoiseDistribution.from_corpora(corpora, vocab)
+        drawn = sample_negatives("a", "cc", 50, noise, np.random.default_rng(4))
+        assert set(drawn) == {"dd"}
+
+    def test_only_the_positive_has_mass(self):
+        corpora = corpora_from({"a": ["aa"]})
+        vocab = build_vocabulary(corpora.values())
+        noise = NoiseDistribution.from_corpora(corpora, vocab)
+        with pytest.raises(ValueError, match="only the positive"):
+            sample_negatives("a", "aa", 3, noise, np.random.default_rng(5))
+
+    def test_sample_indices_is_the_one_row_case(self):
+        corpora = corpora_from({"a": ["aa bb"], "b": ["cc dd ee ff"]})
+        vocab = build_vocabulary(corpora.values())
+        noise = NoiseDistribution.from_corpora(corpora, vocab)
+        one = noise.sample_indices("a", 7, np.random.default_rng(6), exclude=0)
+        rows = noise.sample_rows(["a"], np.zeros(1, dtype=np.int64), 7,
+                                 np.random.default_rng(6), positives=np.array([0]))
+        assert np.array_equal(one, rows[0])
+
+    def test_rows_never_hold_their_positive_and_are_deterministic(self):
+        # "a" uses the whole vocabulary, so its rows draw from all of it and redraw
+        corpora = corpora_from({"a": ["aa bb cc"], "b": ["aa bb"]})
+        vocab = build_vocabulary(corpora.values())
+        noise = NoiseDistribution.from_corpora(corpora, vocab)
+        region_of = np.arange(400) % 2
+        positives = np.where(region_of == 0, np.arange(400) % 3, vocab.index["aa"])
+        draw = lambda: noise.sample_rows(["a", "b"], region_of, 5, np.random.default_rng(7),
+                                         positives=positives)
+        out = draw()
+        assert out.shape == (400, 5)
+        assert not (out == positives[:, None]).any()
+        assert (out[region_of == 1] == vocab.index["cc"]).all()
+        assert np.array_equal(out, draw())
 
     def test_empirical_frequencies_match_powered_unigram(self):
         # region "a" leaves {cc (count 8), dd (count 1)} as candidates
@@ -217,7 +260,106 @@ class TestPairGradients:
         assert after < before
 
 
+class TestSgnsBatch:
+    def test_rows_are_the_one_pair_case(self):
+        rng = np.random.default_rng(36)
+        b, d, k = 9, 5, 3
+        r, w, negs = rng.normal(size=(b, d)), rng.normal(size=(b, d)), rng.normal(size=(b, k, d))
+        loss, grad_r, grad_w, grad_negs = sgns_batch(r, w, negs)
+        assert loss == pytest.approx(sum(pair_loss(r[i], w[i], negs[i]) for i in range(b)),
+                                     rel=1e-12)
+        for i in range(b):
+            for got, want in zip((grad_r[i], grad_w[i], grad_negs[i]),
+                                 pair_gradients(r[i], w[i], negs[i])):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_step_sums_pair_gradients_at_pre_batch_parameters(self):
+        rng = np.random.default_rng(37)
+        d, lr = 6, 0.3
+        region_vecs = rng.normal(scale=0.5, size=(3, d))
+        word_vecs = rng.normal(scale=0.5, size=(7, d))
+        # region 0 and word 4 repeat; word 1 is both a positive and a negative
+        region_rows = np.array([0, 2, 0, 1, 0])
+        word_rows = np.array([4, 4, 1, 4, 6])
+        neg_rows = np.array([[1, 1, 5], [0, 3, 1], [2, 5, 5], [6, 0, 1], [3, 3, 3]])
+
+        expected_r, expected_w, expected_loss = region_vecs.copy(), word_vecs.copy(), 0.0
+        for ri, wi, negs in zip(region_rows, word_rows, neg_rows):
+            args = (region_vecs[ri], word_vecs[wi], word_vecs[negs])
+            expected_loss += pair_loss(*args)
+            grad_r, grad_w, grad_negs = pair_gradients(*args)
+            expected_r[ri] -= lr * grad_r
+            expected_w[wi] -= lr * grad_w
+            for n, g in zip(negs, grad_negs):
+                expected_w[n] -= lr * g
+
+        loss = _sgd_step(region_vecs, word_vecs, region_rows, word_rows, neg_rows, lr)
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
+        np.testing.assert_allclose(region_vecs, expected_r, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(word_vecs, expected_w, rtol=1e-12, atol=1e-14)
+
+
+def reference_train(pairs, vocab, config):
+    """The per-pair SGD trainer of poinames 0.1.0: one pair per update."""
+    regions = sorted({p.region_id for p in pairs})
+    region_index = {r: i for i, r in enumerate(regions)}
+    region_terms = {r: set() for r in regions}
+    for p in pairs:
+        region_terms[p.region_id].add(p.word)
+    noise = NoiseDistribution(vocab, Counter(p.word for p in pairs), region_terms,
+                              power=config.noise_power)
+    d, k = config.dimension, config.negatives
+    rng = np.random.default_rng(config.seed)
+    region_vecs = rng.uniform(-0.5 / d, 0.5 / d, size=(len(regions), d))
+    word_vecs = rng.uniform(-0.5 / d, 0.5 / d, size=(len(vocab), d))
+    slope = (config.final_learning_rate - config.learning_rate) / (config.epochs * len(pairs) - 1)
+    step = 0
+    for _ in range(config.epochs):
+        for j in rng.permutation(len(pairs)):
+            ri, wi = region_index[pairs[j].region_id], vocab.index[pairs[j].word]
+            negs = noise.sample_indices(regions[ri], k, rng, exclude=wi)
+            grad_r, grad_w, grad_negs = pair_gradients(region_vecs[ri], word_vecs[wi],
+                                                       word_vecs[negs])
+            lr = config.learning_rate + slope * step
+            word_vecs[wi] -= lr * grad_w
+            for n, g in zip(negs, grad_negs):
+                word_vecs[n] -= lr * g
+            region_vecs[ri] -= lr * grad_r
+            step += 1
+    return {r: region_vecs[i] for r, i in region_index.items()}
+
+
+def line_of_regions(seed, n_regions=10, n_terms=60, names=40):
+    """Regions on a line; each term is used most near its home position."""
+    rnd = random.Random(seed)
+    terms = [f"t{j:02d}" for j in range(n_terms)]
+    home = {t: rnd.uniform(0, n_regions - 1) for t in terms}
+    out = {}
+    for i in range(n_regions):
+        weights = [math.exp(-abs(i - home[t]) / 1.5) for t in terms]
+        out[f"r{i:02d}"] = [" ".join(rnd.choices(terms, weights, k=2)) for _ in range(names)]
+    return out
+
+
+def upper_cosines(vectors):
+    m = np.array([vectors[r] for r in sorted(vectors)])
+    m = m / np.linalg.norm(m, axis=1, keepdims=True)
+    return (m @ m.T)[np.triu_indices(len(m), 1)]
+
+
 class TestTrain:
+    def test_agrees_with_per_pair_reference(self):
+        corpora = corpora_from(line_of_regions(seed=0))
+        vocab = build_vocabulary(corpora.values())
+        pairs = build_training_pairs(corpora)
+        assert len(pairs) > 5 * BATCH_PAIRS
+        config = EmbeddingConfig(dimension=16, epochs=10, seed=0)
+        reference = reference_train(pairs, vocab, config)
+        batched = train(pairs, vocab, config).region_vectors
+        rho = spearmanr(upper_cosines(reference), upper_cosines(batched))[0]
+        assert rho >= 0.95, rho
+
+
     def test_bit_reproducible(self, tmp_path):
         _, vocab, pairs = toy_setup()
         config = EmbeddingConfig(dimension=8, epochs=5, seed=123)
@@ -311,6 +453,22 @@ class TestModelPersistence:
         resaved = tmp_path / "resaved.txt"
         save_model(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
+
+    def test_writer_matches_whole_file_format(self, tmp_path):
+        edges = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1, -1 / 3, 123456789.0]
+        model = EmbeddingModel(
+            region_vectors={"b": np.array(edges[:4]), "a": np.array(edges[4:])},
+            word_vectors={"zz": np.array(edges[::2]), "yy": np.array(edges[1::2])},
+            config=EmbeddingConfig(dimension=4, seed=3),
+            final_loss=0.0,
+        )
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        fmt = lambda v: " ".join("%.17g" % x for x in v)
+        expected = ["dim=4\twords=2\tregions=2\tseed=3\tvariant=sgns"]
+        expected += [f"r\t{r}\t{fmt(model.region_vectors[r])}" for r in ("a", "b")]
+        expected += [f"w\t{t}\t{fmt(model.word_vectors[t])}" for t in ("yy", "zz")]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "model.txt"
