@@ -80,9 +80,22 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(outdir: Path, stage: str, entries: dict[str, object]) -> None:
-    lines = [f"tool=poinames", f"version={__version__}", f"stage={stage}"]
-    lines.extend(f"{key}={value}" for key, value in entries.items())
+def _write_manifest(
+    outdir: Path, stage: str, args: argparse.Namespace, read: dict[str, Path]
+) -> None:
+    """Record what produced a stage's outputs in manifest_<stage>.txt.
+
+    One <name>_sha256 line per file the stage read, then every option as
+    the parser left it (None written as empty), so the parser stays the
+    only code that knows a stage's options.
+    """
+    lines = ["tool=poinames", f"version={__version__}", f"stage={stage}"]
+    lines.extend(f"{name}_sha256={_sha256(path)}" for name, path in read.items())
+    lines.extend(
+        f"{key}={'' if value is None else value}"
+        for key, value in vars(args).items()
+        if key not in ("command", "func")
+    )
     _write_text(outdir / f"manifest_{stage}.txt", lines)
 
 
@@ -118,7 +131,12 @@ def _matrix_lines(regions: tuple[str, ...], values: np.ndarray) -> list[str]:
 
 def _read_matrix(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a square matrix written by _matrix_lines, rejecting any other shape."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: {exc}") from exc
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise IngestError(f"{path}: empty matrix file")
     regions = tuple(lines[0].split("\t")[1:])
@@ -154,14 +172,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     input_path = Path(args.input)
     if not input_path.is_file():
         raise FileNotFoundError(f"input file not found: {input_path}")
+    read = {"input": input_path}
     mapping = None
-    mapping_sha = ""
     if args.mapping:
         mapping_path = Path(args.mapping)
         if not mapping_path.is_file():
             raise FileNotFoundError(f"mapping file not found: {mapping_path}")
         mapping = read_region_mapping(mapping_path)
-        mapping_sha = _sha256(mapping_path)
+        read["mapping"] = mapping_path
 
     result: LoadResult = load_pois(input_path, region_mapping=mapping)
     if not result.records:
@@ -202,17 +220,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     summary.extend(f"region.{r}={per_region[r]}" for r in sorted(per_region))
     _write_text(outdir / "ingest_summary.txt", summary)
 
-    _write_manifest(
-        outdir,
-        "ingest",
-        {
-            "input": args.input,
-            "input_sha256": _sha256(input_path),
-            "mapping": args.mapping or "",
-            "mapping_sha256": mapping_sha,
-            "out": args.out,
-        },
-    )
+    _write_manifest(outdir, "ingest", args, read)
     for line in summary:
         print(line)
     return 0
@@ -235,11 +243,7 @@ def cmd_zipf(args: argparse.Namespace) -> int:
         f"n_terms={len(ranked)}",
     ]
     _write_text(outdir / "zipf_fit.txt", fit_lines)
-    _write_manifest(
-        outdir,
-        "zipf",
-        {"pois_sha256": _sha256(outdir / POIS_ARTIFACT), "out": args.out},
-    )
+    _write_manifest(outdir, "zipf", args, {"pois": outdir / POIS_ARTIFACT})
     for line in fit_lines:
         print(line)
     return 0
@@ -270,16 +274,7 @@ def cmd_local_terms(args: argparse.Namespace) -> int:
         _write_text(terms_dir / f"{slug}.tsv", lines)
         print(f"{region}: {len(term_set.terms)} local terms -> local_terms/{slug}.tsv")
 
-    _write_manifest(
-        outdir,
-        "local_terms",
-        {
-            "pois_sha256": _sha256(outdir / POIS_ARTIFACT),
-            "idf_variant": variant,
-            "top": args.top,
-            "out": args.out,
-        },
-    )
+    _write_manifest(outdir, "local_terms", args, {"pois": outdir / POIS_ARTIFACT})
     return 0
 
 
@@ -339,18 +334,7 @@ def cmd_type_usage(args: argparse.Namespace) -> int:
         f"mean_jsd_bits={_fmt(mean_bits)}",
     ]
     _write_text(outdir / "jsd_summary.txt", jsd_lines)
-    _write_manifest(
-        outdir,
-        "type_usage",
-        {
-            "pois_sha256": _sha256(outdir / POIS_ARTIFACT),
-            "idf_variant": variant,
-            "top": args.top,
-            "min_count": args.min_count,
-            "count_dedup": args.count_dedup,
-            "out": args.out,
-        },
-    )
+    _write_manifest(outdir, "type_usage", args, {"pois": outdir / POIS_ARTIFACT})
     for line in jsd_lines:
         print(line)
     return 0
@@ -382,16 +366,7 @@ def cmd_vectors(args: argparse.Namespace) -> int:
             cells = [_fmt(v.values[slot]) for v in vectors]
         lines.append(term + "\t" + "\t".join(cells))
     _write_text(outdir / f"vectors_{args.mode}.tsv", lines)
-    _write_manifest(
-        outdir,
-        f"vectors_{args.mode}",
-        {
-            "pois_sha256": _sha256(outdir / POIS_ARTIFACT),
-            "mode": args.mode,
-            "idf_variant": variant if args.mode == "tfidf" else "",
-            "out": args.out,
-        },
-    )
+    _write_manifest(outdir, f"vectors_{args.mode}", args, {"pois": outdir / POIS_ARTIFACT})
     print(f"wrote vectors_{args.mode}.tsv ({len(vocab)} terms x {len(regions)} regions)")
     return 0
 
@@ -423,19 +398,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         "epoch_losses=" + ",".join(_fmt(l) for l in model.epoch_losses),
     ]
     _write_text(outdir / "embed_summary.txt", summary)
-    _write_manifest(
-        outdir,
-        "embed",
-        {
-            "pois_sha256": _sha256(outdir / POIS_ARTIFACT),
-            "dim": config.dimension,
-            "negatives": config.negatives,
-            "epochs": config.epochs,
-            "learning_rate": _fmt(config.learning_rate),
-            "seed": config.seed,
-            "out": args.out,
-        },
-    )
+    _write_manifest(outdir, "embed", args, {"pois": outdir / POIS_ARTIFACT})
     for line in summary[:7]:
         print(line)
     return 0
@@ -445,9 +408,14 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     records = _read_pois(outdir)
     variant = args.idf_variant.replace("-", "_")
+    read = {"pois": outdir / POIS_ARTIFACT}
 
     if args.method == "embedding":
-        model = load_model(_require(outdir / MODEL_ARTIFACT, "embed"))
+        model_path = read["model"] = _require(outdir / MODEL_ARTIFACT, "embed")
+        try:
+            model = load_model(model_path)
+        except ValueError as exc:  # includes UnicodeDecodeError
+            raise IngestError(f"malformed model {model_path}: {exc}") from exc
         vectors = [
             RegionVector(region_id=r, values=model.region_vectors[r])
             for r in sorted(model.region_vectors)
@@ -470,16 +438,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     dist = distance_matrix(centroids)
     _write_text(outdir / DISTANCES_ARTIFACT, _matrix_lines(dist.regions, dist.values))
 
-    _write_manifest(
-        outdir,
-        f"similarity_{args.method}",
-        {
-            "pois_sha256": _sha256(outdir / POIS_ARTIFACT),
-            "method": args.method,
-            "idf_variant": variant if args.method == "tfidf" else "",
-            "out": args.out,
-        },
-    )
+    _write_manifest(outdir, f"similarity_{args.method}", args, read)
     print(f"wrote similarity_{args.method}.tsv and {DISTANCES_ARTIFACT} ({len(sim.regions)} regions)")
     if args.km:
         # display-only conversion; files always carry meters
@@ -539,17 +498,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
     ]
     _write_text(outdir / f"decay_results_{args.method}.txt", result_lines)
     _write_manifest(
-        outdir,
-        f"decay_{args.method}",
-        {
-            "similarity_sha256": _sha256(sim_path),
-            "distances_sha256": _sha256(dist_path),
-            "method": args.method,
-            "p_method": p_method,
-            "permutations": args.permutations,
-            "seed": args.seed,
-            "out": args.out,
-        },
+        outdir, f"decay_{args.method}", args, {"similarity": sim_path, "distances": dist_path}
     )
     for line in result_lines:
         print(line)

@@ -28,17 +28,6 @@ LON_MIN, LON_MAX = -180.0, 180.0
 # written into tab-separated, line-oriented artifacts.
 _LABEL_FORBIDDEN = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
-# Canonical field -> source field. Defaults match the common open POI export.
-DEFAULT_SCHEMA = {
-    "name": "name",
-    "latitude": "latitude",
-    "longitude": "longitude",
-    "region": "region",
-    "city": "city",
-    "state": "state",
-    "categories": "categories",
-}
-
 
 @dataclass(frozen=True)
 class PoiRecord:
@@ -56,7 +45,6 @@ class TokenizedName:
     """Normalized token sequence for one POI name."""
 
     tokens: tuple[str, ...]
-    source: PoiRecord | None = None
 
     @property
     def empty(self) -> bool:
@@ -135,14 +123,14 @@ class _SeparatorTable(dict):
 _SEPARATORS = _SeparatorTable()
 
 
-def tokenize(name: str, source: PoiRecord | None = None) -> TokenizedName:
+def tokenize(name: str) -> TokenizedName:
     """Lowercase a name, replace punctuation/symbols with spaces, and split.
 
     Stop words and digits are kept. A name made entirely of punctuation
     yields an empty token tuple (see TokenizedName.empty).
     """
     cleaned = name.lower().translate(_SEPARATORS)
-    return TokenizedName(tokens=tuple(cleaned.split()), source=source)
+    return TokenizedName(tokens=tuple(cleaned.split()))
 
 
 def read_region_mapping(path: str | Path) -> dict[tuple[str, str], str]:
@@ -151,14 +139,16 @@ def read_region_mapping(path: str | Path) -> dict[tuple[str, str], str]:
     Two tab-separated columns per line: "city,state" and the region label.
     A city of "*" matches every city in that state. Keys are matched
     case-insensitively; blank lines and lines starting with # are skipped.
+    Lines end at "\n" only, so any other separator str.splitlines knows
+    stays inside its label, where the region-label rule rejects it.
     """
     mapping: dict[tuple[str, str], str] = {}
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read region mapping {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -200,15 +190,14 @@ def _categories(value: object) -> frozenset[str]:
 
 def _resolve_region(
     raw: Mapping[str, object],
-    schema: Mapping[str, str],
     mapping: Mapping[tuple[str, str], str] | None,
 ) -> tuple[str | None, str | None]:
     """Return (region, rejection_reason); exactly one is set."""
-    region = raw.get(schema["region"])
+    region = raw.get("region")
     if isinstance(region, str) and region.strip():
         return region.strip(), None
-    city = raw.get(schema["city"])
-    state = raw.get(schema["state"])
+    city = raw.get("city")
+    state = raw.get("state")
     if not isinstance(city, str) or not isinstance(state, str):
         return None, "missing region and city/state"
     if mapping is None:
@@ -222,41 +211,35 @@ def _resolve_region(
 
 def load_pois(
     source: str | Path | Iterable[str],
-    schema: Mapping[str, str] | None = None,
     region_mapping: Mapping[tuple[str, str], str] | None = None,
 ) -> LoadResult:
     """Read newline-delimited JSON records into PoiRecords.
 
     Invalid records are rejected with a reason, never silently dropped.
-    An unreadable source, or a region label (from the record or the
-    mapping) holding a control character, raises IngestError.
+    An unreadable or non-UTF-8 source, or a region label (from the record
+    or the mapping) holding a control character, raises IngestError.
     """
-    sch = dict(DEFAULT_SCHEMA)
-    if schema:
-        sch.update(schema)
-
     result = LoadResult(records=[])
     if isinstance(source, (str, Path)):
         try:
             with open(source, encoding="utf-8") as lines:
-                _load_lines(lines, sch, region_mapping, result)
-        except OSError as exc:
+                _load_lines(lines, region_mapping, result)
+        except (OSError, UnicodeDecodeError) as exc:
             raise IngestError(f"cannot read POI source {source}: {exc}") from exc
     else:
-        _load_lines(source, sch, region_mapping, result)
+        _load_lines(source, region_mapping, result)
     return result
 
 
 def _load_lines(
     lines: Iterable[str],
-    schema: Mapping[str, str],
     mapping: Mapping[tuple[str, str], str] | None,
     result: LoadResult,
 ) -> None:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        reason = _load_one(line, lineno, schema, mapping, result.records)
+        reason = _load_one(line, lineno, mapping, result.records)
         if reason is not None:
             result.rejections.append(RejectedRecord(line=lineno, reason=reason))
 
@@ -264,7 +247,6 @@ def _load_lines(
 def _load_one(
     line: str,
     lineno: int,
-    schema: Mapping[str, str],
     mapping: Mapping[tuple[str, str], str] | None,
     out: list[PoiRecord],
 ) -> str | None:
@@ -275,12 +257,12 @@ def _load_one(
     if not isinstance(raw, dict):
         return "record is not an object"
 
-    name = raw.get(schema["name"])
+    name = raw.get("name")
     if not isinstance(name, str) or not name.strip():
         return "missing or empty name"
 
-    lat = _as_float(raw.get(schema["latitude"]))
-    lon = _as_float(raw.get(schema["longitude"]))
+    lat = _as_float(raw.get("latitude"))
+    lon = _as_float(raw.get("longitude"))
     if lat is None:
         return "missing or invalid latitude"
     if lon is None:
@@ -290,7 +272,7 @@ def _load_one(
     if not LON_MIN <= lon <= LON_MAX:
         return "longitude out of range"
 
-    region, reason = _resolve_region(raw, schema, mapping)
+    region, reason = _resolve_region(raw, mapping)
     if region is None:
         return reason
     if _LABEL_FORBIDDEN.search(region):
@@ -304,7 +286,7 @@ def _load_one(
             region_id=region,
             latitude=lat,
             longitude=lon,
-            categories=_categories(raw.get(schema["categories"])),
+            categories=_categories(raw.get("categories")),
         )
     )
     return None
@@ -324,7 +306,7 @@ def partition_by_region(
     by_region: dict[str, list[TokenizedName]] = defaultdict(list)
     seen: dict[str, set[tuple[str, ...]]] = defaultdict(set)
     for record in records:
-        doc = tokenize(record.name, source=record)
+        doc = tokenize(record.name)
         if dedup:
             if doc.tokens in seen[record.region_id]:
                 continue
@@ -385,7 +367,7 @@ def typed_subsets(
     for record in records:
         if record.region_id not in region_set:
             continue
-        doc = tokenize(record.name, source=record)
+        doc = tokenize(record.name)
         for category in record.categories:
             if category not in kept_set:
                 continue

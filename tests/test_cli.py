@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 import poinames
-from poinames.cli import main
+from poinames.cli import build_parser, main
 
 from conftest import write_dataset
+from test_acceptance import STAGES, _run_pipeline
 
 
 def run(*argv):
@@ -86,13 +88,32 @@ class TestIngest:
         assert "input line 2" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    def test_mapped_region_label_with_control_character_exits_2(self, tmp_path, capsys):
+    # \x01 is a plain control character; the others are line boundaries to
+    # str.splitlines, so they also check that the mapping reader keeps them
+    # inside the label for the label rule to reject
+    @pytest.mark.parametrize(
+        "char",
+        ["\x01", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["x01", "x0b", "x0c", "x1c", "x1d", "x1e", "x85", "u2028", "u2029"],
+    )
+    def test_mapped_region_label_with_control_character_exits_2(self, tmp_path, capsys, char):
         input_path, mapping_path = write_dataset(tmp_path)
-        mapping_path.write_text("*,DZ\tdesert\x01ville\n*,LK\tlakecity\n*,HL\thillton\n",
+        label = f"desert{char}ville"
+        mapping_path.write_text(f"*,DZ\t{label}\n*,LK\tlakecity\n*,HL\thillton\n",
                                 encoding="utf-8")
         out = tmp_path / "o"
         assert run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out) == 2
-        assert "input line 1: region label 'desert\\x01ville'" in capsys.readouterr().err
+        assert f"input line 1: region label {label!r}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("damaged", ["input", "mapping"])
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys, damaged):
+        input_path, mapping_path = write_dataset(tmp_path)
+        path = {"input": input_path, "mapping": mapping_path}[damaged]
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        out = tmp_path / "o"
+        assert run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out) == 2
+        assert str(path) in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_pois_artifact_is_normalized(self, pipeline_dir):
@@ -235,15 +256,18 @@ class TestSimilarityAndDecay:
             lambda lines: lines[:-1] + [lines[-1] + "\t0.5"],
             lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tabc"],
             lambda lines: [],
+            lambda lines: lines[:-1] + [lines[-1] + "\udcff"],
         ],
         ids=["row-missing", "row-extra", "rows-out-of-order", "cell-missing", "cell-extra",
-             "not-a-number", "empty"],
+             "not-a-number", "empty", "not-utf8"],
     )
     def test_decay_rejects_malformed_matrix(self, pipeline_dir, capsys, damage):
         run("similarity", "--out", pipeline_dir, "--method", "count")
         path = pipeline_dir / "similarity_count.tsv"
         lines = damage(path.read_text().splitlines())
-        path.write_text("".join(line + "\n" for line in lines))
+        # surrogateescape writes "\udcff" as the byte 0xff, which is not UTF-8
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8",
+                        errors="surrogateescape")
         assert run("decay", "--out", pipeline_dir, "--method", "count",
                    "--permutations", "100") == 2
         assert str(path) in capsys.readouterr().err
@@ -254,6 +278,20 @@ class TestSimilarityAndDecay:
         assert run("decay", "--out", pipeline_dir, "--method", "count", "--p-method", "t") == 0
         results = read_kv(pipeline_dir / "decay_results_count.txt")
         assert results["p_method"] == "t_approx"
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda text: text[: text.index("\nw\t") + 1], lambda text: text[: text.rindex(" ")] + "\n"],
+        ids=["words-missing", "line-cut"],
+    )
+    def test_similarity_rejects_truncated_model(self, pipeline_dir, capsys, damage):
+        assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "3", "--seed", "7") == 0
+        path = pipeline_dir / "model.txt"
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        before = sorted(pipeline_dir.iterdir())
+        assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 2
+        assert str(path) in capsys.readouterr().err
+        assert sorted(pipeline_dir.iterdir()) == before
 
     def test_embedding_similarity(self, pipeline_dir):
         assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "5", "--seed", "7") == 0
@@ -291,3 +329,34 @@ class TestDeterminism:
         run("zipf", "--out", pipeline_dir)
         after = {a: (pipeline_dir / a).read_bytes() for a in artifacts}
         assert before == after
+
+
+def test_every_manifest_hashes_what_its_stage_read_and_records_its_options(tmp_path):
+    input_path, mapping_path = write_dataset(tmp_path)
+    out = tmp_path / "artifacts"
+    _run_pipeline(input_path, mapping_path, out)
+
+    ingest = ["ingest", "--input", str(input_path), "--mapping", str(mapping_path)]
+    for stage in [ingest] + STAGES:
+        args = build_parser().parse_args(stage + ["--out", str(out)])
+        if args.command == "ingest":
+            read = {"input": input_path, "mapping": mapping_path}
+        elif args.command == "decay":
+            read = {"similarity": out / f"similarity_{args.method}.tsv",
+                    "distances": out / "distances.tsv"}
+        else:
+            read = {"pois": out / "pois.ndjson"}
+            if getattr(args, "method", None) == "embedding":
+                read["model"] = out / "model.txt"
+        suffix = getattr(args, "mode", None) or getattr(args, "method", None)
+        name = args.command.replace("-", "_") + (f"_{suffix}" if suffix else "")
+        lines = (out / f"manifest_{name}.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[:3] == ["tool=poinames", f"version={poinames.__version__}", f"stage={name}"]
+        entries = [line.partition("=")[::2] for line in lines[3:]]
+        keys = [key for key, _ in entries]
+        assert len(keys) == len(set(keys)), name
+        hashes = {f"{key}_sha256": hashlib.sha256(path.read_bytes()).hexdigest()
+                  for key, path in read.items()}
+        options = {key: "" if value is None else str(value)
+                   for key, value in vars(args).items() if key not in ("command", "func")}
+        assert dict(entries) == {**hashes, **options}, name

@@ -154,6 +154,12 @@ class TestRegionMappingFile:
         mapping = read_region_mapping(path)
         assert mapping == {("dunecity", "dz"): "desertville", ("*", "lk"): "lakecity"}
 
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_bytes(b"# comment\r\ndunecity,DZ\tdesertville\r\n*,LK\tlakecity\r\n")
+        mapping = read_region_mapping(path)
+        assert mapping == {("dunecity", "dz"): "desertville", ("*", "lk"): "lakecity"}
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "map.tsv"
         path.write_text("no-comma-or-tab\n")
