@@ -8,58 +8,3 @@ name similarity to geodesic distance (geo, analysis).
 """
 
 __version__ = "0.1.0"
-
-from .corpus import (
-    PoiRecord,
-    RegionCorpus,
-    TokenizedName,
-    TypedSubset,
-    Vocabulary,
-    build_vocabulary,
-    load_pois,
-    partition_by_region,
-    read_region_mapping,
-    tokenize,
-    typed_subsets,
-)
-from .termstats import FrequencyTable, LogLogFit, RankedTerms, fit_zipf, rank_terms, term_frequencies
-from .localness import (
-    GeoTfidfTable,
-    LocalTermSet,
-    UsageDistribution,
-    UsageMatrix,
-    geo_tfidf,
-    jsd,
-    kld,
-    mean_pairwise_jsd,
-    normalize_distribution,
-    top_local_terms,
-    usage_distributions,
-    usage_percentages,
-)
-from .regionvec import RegionVector, SimilarityMatrix, cosine, count_vector, similarity_matrix, tfidf_vector
-from .embed import (
-    EmbeddingConfig,
-    EmbeddingModel,
-    NoiseDistribution,
-    TrainingPair,
-    build_training_pairs,
-    load_model,
-    pair_gradients,
-    pair_loss,
-    sample_negatives,
-    save_model,
-    sigmoid,
-    train,
-)
-from .geo import DistanceMatrix, GeoPoint, distance_matrix, region_centroid, vincenty_distance
-from .analysis import (
-    CorrelationResult,
-    DecayFit,
-    PairObservation,
-    fit_distance_decay,
-    pair_observations,
-    pearson,
-    spearman,
-)
-from .errors import EmptyCorpusError, IngestError, PoiNamesError

@@ -212,6 +212,8 @@ def _correlate(
         ya = _average_ranks(ya)
     r = _pearson_r(xa, ya)
     if p_method == "permutation":
+        if permutations < 1:
+            raise ValueError(f"permutations must be at least 1, got {permutations}")
         p = _permutation_p(xa, ya, r, permutations, seed)
         return CorrelationResult(
             coefficient=r, p_value=p, method=method, p_method=p_method,

@@ -13,10 +13,16 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+# numpy's OpenBLAS starts one worker thread per core at import. Every BLAS
+# call the CLI makes is small or memory-bound and stages run one at a time,
+# so the pool only burns CPU. Run BLAS on one thread unless the user set it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -508,6 +514,16 @@ def cmd_decay(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poinames",
@@ -572,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p_decay)
     p_decay.add_argument("--method", choices=VECTOR_METHODS, default="count")
     p_decay.add_argument("--p-method", choices=("permutation", "t"), default="permutation")
-    p_decay.add_argument("--permutations", type=int, default=DEFAULT_PERMUTATIONS)
+    p_decay.add_argument("--permutations", type=_positive_int, default=DEFAULT_PERMUTATIONS)
     p_decay.add_argument("--seed", type=int, default=0)
     p_decay.set_defaults(func=cmd_decay)
 

@@ -224,11 +224,30 @@ def load_pois(
         try:
             with open(source, encoding="utf-8") as lines:
                 _load_lines(lines, region_mapping, result)
-        except (OSError, UnicodeDecodeError) as exc:
+        except UnicodeDecodeError as exc:
+            where = _locate_bad_byte(source)
+            raise IngestError(f"cannot read POI source {source}: {where}") from exc
+        except OSError as exc:
             raise IngestError(f"cannot read POI source {source}: {exc}") from exc
     else:
         _load_lines(source, region_mapping, result)
     return result
+
+
+def _locate_bad_byte(path: str | Path) -> str:
+    """Name the line and in-line byte offset of a file's first non-UTF-8 byte.
+
+    The decoder reports positions within its read chunk, so the file is
+    read again with each undecodable byte escaped to U+DC80..U+DCFF.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            bad = re.search("[\udc80-\udcff]", line)
+            if bad:
+                offset = len(line[: bad.start()].encode("utf-8"))
+                byte = ord(bad.group()) - 0xDC00
+                return f"line {lineno}, byte offset {offset}: 0x{byte:02x} is not valid UTF-8"
+    return "not valid UTF-8"
 
 
 def _load_lines(

@@ -130,6 +130,15 @@ class TestPearson:
         with pytest.raises(ValueError, match="degenerate"):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], p_method="t_approx")
 
+    @pytest.mark.parametrize("correlate", [pearson, spearman])
+    @pytest.mark.parametrize("permutations", [-5, -1, 0])
+    def test_permutations_below_one_rejected(self, correlate, permutations):
+        x, y = [1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0]
+        with pytest.raises(ValueError, match="permutations must be at least 1"):
+            correlate(x, y, permutations=permutations)
+        # the t approximation draws no permutations
+        assert 0.0 < correlate(x, y, p_method="t_approx", permutations=permutations).p_value <= 1.0
+
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0, 2.0])

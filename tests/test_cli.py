@@ -37,15 +37,41 @@ def read_kv(path: Path) -> dict[str, str]:
     return out
 
 
+def fresh_python(code, **env):
+    """stdout of `code` run in a new interpreter, OPENBLAS_NUM_THREADS unset unless given.
+
+    Importing poinames.cli here sets the variable in this process, so the
+    child's environment is built without it.
+    """
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env["PYTHONPATH"] = str(Path(poinames.__file__).resolve().parents[1])
+    child_env.update(env)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.strip()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency: a fresh interpreter importing the CLI
     # must not load it
     code = ("import sys, poinames.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": str(Path(poinames.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
+
+
+def test_package_import_loads_no_numpy():
+    assert fresh_python("import sys, poinames; print('numpy' in sys.modules)") == "False"
+
+
+def test_cli_import_runs_blas_on_one_thread():
+    code = ("import os, poinames.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+            "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)")
+    assert fresh_python(code).split() == ["1", "1"]
+
+
+def test_cli_import_keeps_a_preset_blas_thread_count():
+    code = "import os, poinames.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2"
 
 
 class TestIngest:
@@ -272,6 +298,17 @@ class TestSimilarityAndDecay:
                    "--permutations", "100") == 2
         assert str(path) in capsys.readouterr().err
         assert not (pipeline_dir / "decay_results_count.txt").exists()
+
+    @pytest.mark.parametrize("permutations", ["-5", "-1", "0"])
+    def test_decay_rejects_permutations_below_one(self, pipeline_dir, capsys, permutations):
+        run("similarity", "--out", pipeline_dir, "--method", "count")
+        before = sorted(pipeline_dir.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            run("decay", "--out", pipeline_dir, "--method", "count",
+                "--permutations", permutations)
+        assert exc.value.code == 2
+        assert "--permutations" in capsys.readouterr().err
+        assert sorted(pipeline_dir.iterdir()) == before
 
     def test_decay_t_approximation(self, pipeline_dir):
         run("similarity", "--out", pipeline_dir, "--method", "count")

@@ -146,6 +146,19 @@ class TestLoadPois:
         with pytest.raises(IngestError):
             load_pois(tmp_path / "does_not_exist.ndjson")
 
+    def test_non_utf8_byte_named_by_line_and_offset(self, tmp_path):
+        # far past the decoder's first 8 KiB read, whose position is chunk-relative
+        line = json.dumps({"name": "café", "latitude": 1.0, "longitude": 2.0, "region": "r"})
+        path = tmp_path / "pois.ndjson"
+        # the offset counts bytes: "é" before the bad byte takes two
+        path.write_bytes(((line + "\n") * 400 + '{"name": "éb').encode("utf-8") + b'\xff"}\n')
+        assert path.stat().st_size > 2 * 8192
+        with pytest.raises(IngestError) as exc:
+            load_pois(path)
+        message = str(exc.value)
+        assert str(path) in message
+        assert "line 401, byte offset 13: 0xff is not valid UTF-8" in message
+
 
 class TestRegionMappingFile:
     def test_round_trip(self, tmp_path):
