@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .geo import DistanceMatrix
-from .linfit import line_fit
+from .linfit import LineFit, line_fit
 from .regionvec import SimilarityMatrix
 
 DEFAULT_PERMUTATIONS = 100_000
@@ -46,20 +46,6 @@ class PairObservation:
 class CorrelationResult:
     coefficient: float
     p_value: float
-    method: str
-    p_method: str
-    n: int
-    seed: int | None = None
-    permutations: int | None = None
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """ln(similarity) = intercept + slope * ln(distance)."""
-
-    intercept: float
-    slope: float
-    r_squared: float
 
 
 def pair_observations(
@@ -214,16 +200,9 @@ def _correlate(
     if p_method == "permutation":
         if permutations < 1:
             raise ValueError(f"permutations must be at least 1, got {permutations}")
-        p = _permutation_p(xa, ya, r, permutations, seed)
-        return CorrelationResult(
-            coefficient=r, p_value=p, method=method, p_method=p_method,
-            n=n, seed=seed, permutations=permutations,
-        )
+        return CorrelationResult(r, _permutation_p(xa, ya, r, permutations, seed))
     if p_method == "t_approx":
-        return CorrelationResult(
-            coefficient=r, p_value=_t_approx_p(r, n), method=method,
-            p_method=p_method, n=n,
-        )
+        return CorrelationResult(r, _t_approx_p(r, n))
     raise ValueError(f"unknown p_method {p_method!r}")
 
 
@@ -264,7 +243,7 @@ def spearman(
     return _correlate(x, y, "spearman", p_method, permutations, seed)
 
 
-def fit_distance_decay(observations: Sequence[PairObservation]) -> DecayFit:
+def fit_distance_decay(observations: Sequence[PairObservation]) -> LineFit:
     """OLS of ln(similarity) on ln(distance) over the region pairs."""
     offenders = [
         (o.region_a, o.region_b)
@@ -279,5 +258,4 @@ def fit_distance_decay(observations: Sequence[PairObservation]) -> DecayFit:
         raise ValueError(f"need at least 3 observations, got {len(observations)}")
     ln_d = [math.log(o.distance_m) for o in observations]
     ln_s = [math.log(o.similarity) for o in observations]
-    intercept, slope, r_squared = line_fit(ln_d, ln_s)
-    return DecayFit(intercept=intercept, slope=slope, r_squared=r_squared)
+    return line_fit(ln_d, ln_s)

@@ -48,6 +48,7 @@ from .embed import EmbeddingConfig, build_training_pairs, load_model, save_model
 from .errors import EmptyCorpusError, IngestError
 from .geo import DistanceMatrix, distance_matrix, region_centroid
 from .localness import (
+    IDF_VARIANTS,
     geo_tfidf,
     mean_pairwise_jsd,
     top_local_terms,
@@ -124,7 +125,7 @@ def _read_pois(outdir: Path) -> list[PoiRecord]:
 
 
 def _slug(label: str) -> str:
-    cleaned = re.sub(r"[^A-Za-z0-9._-]+", "_", label).strip("_")
+    cleaned = re.sub(r"[^\w.-]+", "_", label).strip("_")
     return cleaned or "region"
 
 
@@ -215,7 +216,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     empty_names = 0
     for record in result.records:
         per_region[record.region_id] += 1
-        if tokenize(record.name).empty:
+        if not tokenize(record.name):
             empty_names += 1
     summary = [
         f"accepted={result.accepted}",
@@ -258,19 +259,23 @@ def cmd_zipf(args: argparse.Namespace) -> int:
 def cmd_local_terms(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     records = _read_pois(outdir)
-    variant = args.idf_variant.replace("-", "_")
     corpora = partition_by_region(records, dedup=True)
-    table = geo_tfidf(corpora, variant=variant)
+    table = geo_tfidf(corpora, variant=args.idf_variant)
     tops = top_local_terms(table, k=args.top)
+
+    owners: dict[str, str] = {}
+    for region in sorted(tops):
+        slug = _slug(region)
+        if slug in owners:
+            raise IngestError(
+                f"region labels {owners[slug]!r} and {region!r} both map to "
+                f"local_terms/{slug}.tsv"
+            )
+        owners[slug] = region
 
     terms_dir = outdir / "local_terms"
     terms_dir.mkdir(exist_ok=True)
-    slugs: dict[str, str] = {}
-    for region in sorted(tops):
-        slug = _slug(region)
-        if slug in slugs.values():
-            raise ValueError(f"region ids {region!r} and another collide on slug {slug!r}")
-        slugs[region] = slug
+    for slug, region in owners.items():
         term_set = tops[region]
         lines = ["rank\tterm\tweight"]
         lines.extend(
@@ -287,9 +292,8 @@ def cmd_local_terms(args: argparse.Namespace) -> int:
 def cmd_type_usage(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     records = _read_pois(outdir)
-    variant = args.idf_variant.replace("-", "_")
     corpora = partition_by_region(records, dedup=True)
-    table = geo_tfidf(corpora, variant=variant)
+    table = geo_tfidf(corpora, variant=args.idf_variant)
     tops = top_local_terms(table, k=args.top)
     subsets = typed_subsets(
         records,
@@ -361,8 +365,7 @@ def _region_vectors(records: list[PoiRecord], method: str, variant: str):
 def cmd_vectors(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     records = _read_pois(outdir)
-    variant = args.idf_variant.replace("-", "_")
-    vocab, regions, vectors = _region_vectors(records, args.mode, variant)
+    vocab, regions, vectors = _region_vectors(records, args.mode, args.idf_variant)
 
     lines = ["term\t" + "\t".join(regions)]
     for slot, term in enumerate(vocab.terms):
@@ -413,7 +416,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_similarity(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     records = _read_pois(outdir)
-    variant = args.idf_variant.replace("-", "_")
     read = {"pois": outdir / POIS_ARTIFACT}
 
     if args.method == "embedding":
@@ -427,7 +429,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
             for r in sorted(model.region_vectors)
         ]
     else:
-        _, _, vectors = _region_vectors(records, args.method, variant)
+        _, _, vectors = _region_vectors(records, args.method, args.idf_variant)
     sim = similarity_matrix(vectors)
     _write_text(outdir / f"similarity_{args.method}.tsv", _matrix_lines(sim.regions, sim.values))
 
@@ -547,15 +549,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_local = sub.add_parser("local-terms", help="top local terms per region")
     add_out(p_local)
-    p_local.add_argument("--idf-variant", choices=("pure", "plus-one"), default="pure")
-    p_local.add_argument("--top", type=int, default=30, help="terms per region")
+    p_local.add_argument("--idf-variant", choices=IDF_VARIANTS, default="pure")
+    p_local.add_argument("--top", type=_positive_int, default=30, help="terms per region")
     p_local.set_defaults(func=cmd_local_terms)
 
     p_usage = sub.add_parser("type-usage", help="local-term usage across POI types")
     add_out(p_usage)
-    p_usage.add_argument("--idf-variant", choices=("pure", "plus-one"), default="pure")
-    p_usage.add_argument("--top", type=int, default=100, help="local terms per region")
-    p_usage.add_argument("--min-count", type=int, default=100,
+    p_usage.add_argument("--idf-variant", choices=IDF_VARIANTS, default="pure")
+    p_usage.add_argument("--top", type=_positive_int, default=100, help="local terms per region")
+    p_usage.add_argument("--min-count", type=_positive_int, default=100,
                          help="minimum POIs per category in every region")
     p_usage.add_argument("--count-dedup", action="store_true",
                          help="count deduplicated names instead of raw POIs")
@@ -564,14 +566,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_vectors = sub.add_parser("vectors", help="write per-region term vectors")
     add_out(p_vectors)
     p_vectors.add_argument("--mode", choices=("count", "tfidf"), default="count")
-    p_vectors.add_argument("--idf-variant", choices=("pure", "plus-one"), default="pure")
+    p_vectors.add_argument("--idf-variant", choices=IDF_VARIANTS, default="pure")
     p_vectors.set_defaults(func=cmd_vectors)
 
     p_embed = sub.add_parser("embed", help="train region/word embeddings")
     add_out(p_embed)
-    p_embed.add_argument("--dim", type=int, default=300)
-    p_embed.add_argument("--negatives", type=int, default=5)
-    p_embed.add_argument("--epochs", type=int, default=20)
+    p_embed.add_argument("--dim", type=_positive_int, default=300)
+    p_embed.add_argument("--negatives", type=_positive_int, default=5)
+    p_embed.add_argument("--epochs", type=_positive_int, default=20)
     p_embed.add_argument("--learning-rate", type=float, default=0.025)
     p_embed.add_argument("--seed", type=int, default=0)
     p_embed.set_defaults(func=cmd_embed)
@@ -579,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("similarity", help="pairwise collective similarity and distances")
     add_out(p_sim)
     p_sim.add_argument("--method", choices=VECTOR_METHODS, default="count")
-    p_sim.add_argument("--idf-variant", choices=("pure", "plus-one"), default="pure")
+    p_sim.add_argument("--idf-variant", choices=IDF_VARIANTS, default="pure")
     p_sim.add_argument("--km", action="store_true",
                        help="also print the distance matrix in kilometers (files stay in meters)")
     p_sim.set_defaults(func=cmd_similarity)

@@ -40,25 +40,12 @@ class PoiRecord:
     categories: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class TokenizedName:
-    """Normalized token sequence for one POI name."""
-
-    tokens: tuple[str, ...]
-
-    @property
-    def empty(self) -> bool:
-        """True when the name consisted solely of punctuation/whitespace."""
-        return not self.tokens
-
-
 @dataclass
 class RegionCorpus:
-    """Tokenized POI-name documents for one region."""
+    """Tokenized POI-name documents for one region, one token tuple per name."""
 
     region_id: str
-    documents: list[TokenizedName]
-    dedup_applied: bool
+    documents: list[tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -81,7 +68,7 @@ class TypedSubset:
 
     region_id: str
     category: str
-    documents: list[TokenizedName]
+    documents: list[tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -123,14 +110,13 @@ class _SeparatorTable(dict):
 _SEPARATORS = _SeparatorTable()
 
 
-def tokenize(name: str) -> TokenizedName:
+def tokenize(name: str) -> tuple[str, ...]:
     """Lowercase a name, replace punctuation/symbols with spaces, and split.
 
     Stop words and digits are kept. A name made entirely of punctuation
-    yields an empty token tuple (see TokenizedName.empty).
+    yields the empty tuple.
     """
-    cleaned = name.lower().translate(_SEPARATORS)
-    return TokenizedName(tokens=tuple(cleaned.split()))
+    return tuple(name.lower().translate(_SEPARATORS).split())
 
 
 def read_region_mapping(path: str | Path) -> dict[tuple[str, str], str]:
@@ -182,7 +168,7 @@ def _categories(value: object) -> frozenset[str]:
     if isinstance(value, str):
         parts = value.split(",")
     elif isinstance(value, (list, tuple)):
-        parts = [str(p) for p in value]
+        parts = [p for p in value if isinstance(p, str)]
     else:
         return frozenset()
     return frozenset(p.strip() for p in parts if p and p.strip())
@@ -322,17 +308,17 @@ def partition_by_region(
     """
     if not records:
         raise EmptyCorpusError("no records to partition")
-    by_region: dict[str, list[TokenizedName]] = defaultdict(list)
+    by_region: dict[str, list[tuple[str, ...]]] = defaultdict(list)
     seen: dict[str, set[tuple[str, ...]]] = defaultdict(set)
     for record in records:
         doc = tokenize(record.name)
         if dedup:
-            if doc.tokens in seen[record.region_id]:
+            if doc in seen[record.region_id]:
                 continue
-            seen[record.region_id].add(doc.tokens)
+            seen[record.region_id].add(doc)
         by_region[record.region_id].append(doc)
     return {
-        region: RegionCorpus(region_id=region, documents=by_region[region], dedup_applied=dedup)
+        region: RegionCorpus(region_id=region, documents=by_region[region])
         for region in sorted(by_region)
     }
 
@@ -378,7 +364,7 @@ def typed_subsets(
         )
         return []
 
-    docs: dict[tuple[str, str], list[TokenizedName]] = {
+    docs: dict[tuple[str, str], list[tuple[str, ...]]] = {
         (region, cat): [] for cat in kept for region in regions
     }
     seen: dict[tuple[str, str], set[tuple[str, ...]]] = defaultdict(set)
@@ -392,9 +378,9 @@ def typed_subsets(
                 continue
             key = (record.region_id, category)
             if dedup:
-                if doc.tokens in seen[key]:
+                if doc in seen[key]:
                     continue
-                seen[key].add(doc.tokens)
+                seen[key].add(doc)
             docs[key].append(doc)
 
     return [
@@ -411,7 +397,7 @@ def build_vocabulary(corpora: Iterable[RegionCorpus]) -> Vocabulary:
     for corpus in corpora:
         n_docs += len(corpus.documents)
         for doc in corpus.documents:
-            terms.update(doc.tokens)
+            terms.update(doc)
     if n_docs == 0:
         raise EmptyCorpusError("empty corpus")
     ordered = tuple(sorted(terms))

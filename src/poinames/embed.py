@@ -8,8 +8,8 @@ words high and score sampled unused words low. The objective per pair is
 minimized by minibatch SGD over BATCH_PAIRS pairs at a time, with a
 linearly decaying learning rate. One kernel, sgns_batch, gives the loss
 and gradients for a batch; pair_loss and pair_gradients are its one-pair
-case. Negatives are drawn from the unigram^power distribution restricted
-to terms the region does not use. Training with a fixed seed is
+case. Negatives are drawn from the unigram^NOISE_POWER distribution
+restricted to terms the region does not use. Training with a fixed seed is
 bit-reproducible.
 """
 
@@ -33,6 +33,10 @@ MODEL_VARIANT = "sgns"
 
 # Pairs per SGD step. Fixed, so that a seed always names one model.
 BATCH_PAIRS = 128
+# The learning rate decays linearly to this value at the last step.
+FINAL_LEARNING_RATE = 1e-4
+# Negatives are drawn in proportion to count ** NOISE_POWER (word2vec's 3/4).
+NOISE_POWER = 0.75
 
 
 @dataclass(frozen=True)
@@ -40,18 +44,16 @@ class EmbeddingConfig:
     dimension: int = 300
     negatives: int = 5
     learning_rate: float = 0.025
-    final_learning_rate: float = 1e-4
     epochs: int = 20
     seed: int = 0
-    noise_power: float = 0.75
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.negatives < 1:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
-        if self.learning_rate <= 0 or self.final_learning_rate <= 0:
-            raise ValueError("learning rates must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -92,14 +94,14 @@ def build_training_pairs(corpora: Mapping[str, RegionCorpus]) -> list[TrainingPa
     pairs: list[TrainingPair] = []
     for region in sorted(corpora):
         for doc in corpora[region].documents:
-            pairs.extend(TrainingPair(region_id=region, word=tok) for tok in doc.tokens)
+            pairs.extend(TrainingPair(region_id=region, word=tok) for tok in doc)
     if not pairs:
         raise EmptyCorpusError("no training pairs: corpora contain no tokens")
     return pairs
 
 
 class NoiseDistribution:
-    """Unigram^power noise for negative sampling, restricted per region.
+    """Unigram^NOISE_POWER noise for negative sampling, restricted per region.
 
     For a region the candidate pool is every vocabulary term the region
     does not use; if that pool is empty (a region uses the whole
@@ -112,33 +114,14 @@ class NoiseDistribution:
         vocab: Vocabulary,
         term_counts: Mapping[str, int],
         region_terms: Mapping[str, Iterable[str]],
-        power: float = 0.75,
     ) -> None:
         self.vocab = vocab
-        self.power = power
         self._weights = np.array(
-            [float(term_counts.get(t, 0)) ** power for t in vocab.terms],
+            [float(term_counts.get(t, 0)) ** NOISE_POWER for t in vocab.terms],
             dtype=np.float64,
         )
         self._region_terms = {r: frozenset(ts) for r, ts in region_terms.items()}
         self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    @classmethod
-    def from_corpora(
-        cls,
-        corpora: Mapping[str, RegionCorpus],
-        vocab: Vocabulary,
-        power: float = 0.75,
-    ) -> "NoiseDistribution":
-        counts: Counter[str] = Counter()
-        region_terms: dict[str, set[str]] = {}
-        for region, corpus in corpora.items():
-            used: set[str] = set()
-            for doc in corpus.documents:
-                counts.update(doc.tokens)
-                used.update(doc.tokens)
-            region_terms[region] = used
-        return cls(vocab, counts, region_terms, power=power)
 
     def table(self, region_id: str) -> tuple[np.ndarray, np.ndarray]:
         """(candidate indices, cumulative probabilities) for one region."""
@@ -173,7 +156,7 @@ class NoiseDistribution:
         region_of: np.ndarray,
         k: int,
         rng: np.random.Generator,
-        positives: np.ndarray | None = None,
+        positives: np.ndarray,
     ) -> np.ndarray:
         """k negative indices for each of n rows, shape (n, k).
 
@@ -191,8 +174,6 @@ class NoiseDistribution:
         for r, (idx, cum) in enumerate(tables):
             rows = np.flatnonzero(region_of == r)
             out[rows] = idx[np.searchsorted(cum, uniforms[rows], side="right")]
-        if positives is None:
-            return out
         rows, cols = np.nonzero(out == positives[:, None])
         while rows.size:
             fresh = rng.random(rows.size)
@@ -207,32 +188,6 @@ class NoiseDistribution:
             still = out[rows, cols] == positives[rows]
             rows, cols = rows[still], cols[still]
         return out
-
-    def sample_indices(
-        self,
-        region_id: str,
-        k: int,
-        rng: np.random.Generator,
-        exclude: int | None = None,
-    ) -> np.ndarray:
-        positives = None if exclude is None else np.array([exclude])
-        return self.sample_rows([region_id], np.zeros(1, dtype=np.int64), k, rng, positives)[0]
-
-
-def sample_negatives(
-    region_id: str,
-    positive: str,
-    k: int,
-    noise: NoiseDistribution,
-    rng: np.random.Generator,
-) -> list[str]:
-    """Draw k negative terms (with replacement), never equal to the positive."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    exclude = noise.vocab.index.get(positive)
-    indices = noise.sample_indices(region_id, k, rng, exclude=exclude)
-    terms = noise.vocab.terms
-    return [terms[int(i)] for i in indices]
 
 
 def sgns_batch(
@@ -337,7 +292,7 @@ def train(
     region_terms: dict[str, set[str]] = {r: set() for r in regions}
     for p in pairs:
         region_terms[p.region_id].add(p.word)
-    noise = NoiseDistribution(vocab, counts, region_terms, power=config.noise_power)
+    noise = NoiseDistribution(vocab, counts, region_terms)
 
     d = config.dimension
     k = config.negatives
@@ -347,9 +302,8 @@ def train(
     word_vecs = rng.uniform(-bound, bound, size=(len(vocab), d))
 
     lr0 = config.learning_rate
-    lr1 = config.final_learning_rate
     total_steps = config.epochs * n_pairs
-    lr_slope = (lr1 - lr0) / (total_steps - 1) if total_steps > 1 else 0.0
+    lr_slope = (FINAL_LEARNING_RATE - lr0) / (total_steps - 1) if total_steps > 1 else 0.0
 
     step = 0
     epoch_losses: list[float] = []

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 from math import fsum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-def line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
-    """Fit y ~ intercept + slope * x; return (intercept, slope, r_squared).
+class LineFit(NamedTuple):
+    """y = intercept + slope * x, with the coefficient of determination."""
+
+    intercept: float
+    slope: float
+    r_squared: float
+
+
+def line_fit(x: Sequence[float], y: Sequence[float]) -> LineFit:
+    """Fit y ~ intercept + slope * x by ordinary least squares.
 
     Mean-centered two-pass computation with compensated sums.
     """
@@ -22,7 +30,7 @@ def line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, floa
     mean_y = fsum(y) / n
     if max(y) == min(y):
         # horizontal data: slope 0 by convention, and R^2 := 0 (not 0/0)
-        return mean_y, 0.0, 0.0
+        return LineFit(mean_y, 0.0, 0.0)
     sxx = fsum((xi - mean_x) ** 2 for xi in x)
     syy = fsum((yi - mean_y) ** 2 for yi in y)
     sxy = fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
@@ -30,4 +38,4 @@ def line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, floa
     intercept = mean_y - slope * mean_x
     ss_res = fsum((yi - (intercept + slope * xi)) ** 2 for xi, yi in zip(x, y))
     r_squared = 1.0 - ss_res / syy
-    return intercept, slope, min(max(r_squared, 0.0), 1.0)
+    return LineFit(intercept, slope, min(max(r_squared, 0.0), 1.0))

@@ -2,10 +2,11 @@
 
 The TF-IDF here treats each geographic region as one document: tf is the
 term count inside the region and the IDF counts how many regions contain
-the term. Two published IDF variants are supported:
+the term. Two published IDF variants are supported, named as on the
+command line:
 
   pure:      w = tf * ln(G / G_j)        terms in every region weigh zero
-  plus_one:  w = tf * (ln(G / G_j) + 1)  ubiquitous terms keep their tf
+  plus-one:  w = tf * (ln(G / G_j) + 1)  ubiquitous terms keep their tf
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .corpus import RegionCorpus, TypedSubset
 
-IDF_VARIANTS = ("pure", "plus_one")
+IDF_VARIANTS = ("pure", "plus-one")
 
 
 @dataclass
@@ -28,11 +29,8 @@ class GeoTfidfTable:
     may be 0.0 under the pure variant); absent terms weigh zero.
     """
 
-    region_count: int
-    doc_freq: dict[str, int]
-    variant: str
     weights: dict[str, dict[str, float]]
-    regions: tuple[str, ...] = ()
+    regions: tuple[str, ...]
 
     def weight(self, region_id: str, term: str) -> float:
         if region_id not in self.weights:
@@ -57,7 +55,6 @@ class UsageMatrix:
     categories: tuple[str, ...]
     values: dict[tuple[str, str], float]
     counts: dict[tuple[str, str], tuple[int, int]]
-    undefined: frozenset[tuple[str, str]] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ def geo_tfidf(
     for region in regions:
         counts: Counter[str] = Counter()
         for doc in corpora[region].documents:
-            counts.update(doc.tokens)
+            counts.update(doc)
         tf[region] = counts
 
     doc_freq: Counter[str] = Counter()
@@ -100,18 +97,12 @@ def geo_tfidf(
         row: dict[str, float] = {}
         for term, count in tf[region].items():
             idf = math.log(n_regions / doc_freq[term])
-            if variant == "plus_one":
+            if variant == "plus-one":
                 idf += 1.0
             row[term] = count * idf
         weights[region] = row
 
-    return GeoTfidfTable(
-        region_count=n_regions,
-        doc_freq=dict(doc_freq),
-        variant=variant,
-        weights=weights,
-        regions=regions,
-    )
+    return GeoTfidfTable(weights=weights, regions=regions)
 
 
 def top_local_terms(table: GeoTfidfTable, k: int) -> dict[str, LocalTermSet]:
@@ -138,12 +129,11 @@ def usage_percentages(
     """Fraction of names per (region, category) containing any local term.
 
     Containment is exact token membership, not substring match. Subsets
-    with no documents are flagged undefined and carry no value.
+    with no documents count (0, 0) and carry no value.
     """
     term_sets = {region: frozenset(ts.terms) for region, ts in local_terms.items()}
     values: dict[tuple[str, str], float] = {}
     counts: dict[tuple[str, str], tuple[int, int]] = {}
-    undefined: set[tuple[str, str]] = set()
     regions: list[str] = []
     categories: list[str] = []
     for subset in subsets:
@@ -156,11 +146,10 @@ def usage_percentages(
             categories.append(subset.category)
         total = len(subset.documents)
         if total == 0:
-            undefined.add(key)
             counts[key] = (0, 0)
             continue
         terms = term_sets[subset.region_id]
-        hits = sum(1 for doc in subset.documents if any(t in terms for t in doc.tokens))
+        hits = sum(1 for doc in subset.documents if any(t in terms for t in doc))
         counts[key] = (hits, total)
         values[key] = hits / total
     return UsageMatrix(
@@ -168,7 +157,6 @@ def usage_percentages(
         categories=tuple(sorted(categories)),
         values=values,
         counts=counts,
-        undefined=frozenset(undefined),
     )
 
 
@@ -187,20 +175,6 @@ def normalize_distribution(
         region_id=region_id,
         probabilities={cat: v / total for cat, v in row.items()},
     )
-
-
-def kld(p: Sequence[float], q: Sequence[float]) -> float:
-    """Kullback-Leibler divergence sum(p * ln(p/q)), with 0*ln(0/q) = 0."""
-    if len(p) != len(q):
-        raise ValueError("distributions must have the same support size")
-    terms = []
-    for pi, qi in zip(p, q):
-        if pi == 0.0:
-            continue
-        if qi <= 0.0:
-            raise ValueError("infinite divergence: p > 0 where q = 0")
-        terms.append(pi * math.log(pi / qi))
-    return math.fsum(terms)
 
 
 def _check_distribution(p: Sequence[float], label: str) -> None:

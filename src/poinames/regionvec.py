@@ -40,7 +40,7 @@ def count_vector(corpus: RegionCorpus, vocab: Vocabulary) -> RegionVector:
     values = np.zeros(len(vocab), dtype=np.float64)
     index = vocab.index
     for doc in corpus.documents:
-        for token in doc.tokens:
+        for token in doc:
             slot = index.get(token)
             if slot is None:
                 raise ValueError(

@@ -9,15 +9,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import RegionCorpus
 from .errors import EmptyCorpusError
-from .linfit import line_fit
-
-
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Term -> occurrence count over a corpus; total is the sum of counts."""
-
-    entries: Mapping[str, int]
-    total: int
+from .linfit import LineFit, line_fit
 
 
 class RankedTerm(NamedTuple):
@@ -36,33 +28,24 @@ class RankedTerms:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class LogLogFit:
-    """ln(frequency) = intercept + slope * ln(rank)."""
-
-    intercept: float
-    slope: float
-    r_squared: float
-
-
-def term_frequencies(corpora: Iterable[RegionCorpus]) -> FrequencyTable:
+def term_frequencies(corpora: Iterable[RegionCorpus]) -> dict[str, int]:
     """Count every token occurrence across all documents of all corpora."""
     counts: Counter[str] = Counter()
     n_docs = 0
     for corpus in corpora:
         n_docs += len(corpus.documents)
         for doc in corpus.documents:
-            counts.update(doc.tokens)
+            counts.update(doc)
     if n_docs == 0 or not counts:
         raise EmptyCorpusError("empty corpus")
-    return FrequencyTable(entries=dict(counts), total=sum(counts.values()))
+    return dict(counts)
 
 
-def rank_terms(table: FrequencyTable) -> RankedTerms:
-    """Order terms by descending frequency; ties break lexicographically."""
-    if not table.entries:
+def rank_terms(counts: Mapping[str, int]) -> RankedTerms:
+    """Order terms by descending count; ties break lexicographically."""
+    if not counts:
         raise EmptyCorpusError("empty frequency table")
-    ordered = sorted(table.entries.items(), key=lambda item: (-item[1], item[0]))
+    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return RankedTerms(
         entries=tuple(
             RankedTerm(term=t, frequency=f, rank=i)
@@ -71,11 +54,10 @@ def rank_terms(table: FrequencyTable) -> RankedTerms:
     )
 
 
-def fit_zipf(ranked: RankedTerms) -> LogLogFit:
+def fit_zipf(ranked: RankedTerms) -> LineFit:
     """OLS of ln(frequency) on ln(rank) over the ranked terms."""
     if len(ranked) < 2:
         raise ValueError("degenerate regression: need at least 2 ranked terms")
     ln_r = [log(entry.rank) for entry in ranked.entries]
     ln_f = [log(entry.frequency) for entry in ranked.entries]
-    intercept, slope, r_squared = line_fit(ln_r, ln_f)
-    return LogLogFit(intercept=intercept, slope=slope, r_squared=r_squared)
+    return line_fit(ln_r, ln_f)

@@ -79,12 +79,12 @@ def corpora_from(names_by_region: dict[str, list[str]], dedup: bool = False) -> 
             seen = set()
             kept = []
             for d in docs:
-                if d.tokens in seen:
+                if d in seen:
                     continue
-                seen.add(d.tokens)
+                seen.add(d)
                 kept.append(d)
             docs = kept
-        out[region] = RegionCorpus(region_id=region, documents=docs, dedup_applied=dedup)
+        out[region] = RegionCorpus(region_id=region, documents=docs)
     return out
 
 

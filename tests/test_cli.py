@@ -157,6 +157,29 @@ class TestStageOrdering:
         assert "similarity" in capsys.readouterr().err
 
 
+class TestIntegerOptions:
+    # every integer option but --seed is a count that must be at least 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["local-terms", "--top", "0"],
+            ["type-usage", "--top", "0"],
+            ["type-usage", "--min-count", "0"],
+            ["embed", "--dim", "0"],
+            ["embed", "--negatives", "0"],
+            ["embed", "--epochs", "-1"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}",
+    )
+    def test_integer_options_below_one_exit_2(self, pipeline_dir, capsys, argv):
+        before = sorted(pipeline_dir.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", pipeline_dir)
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+        assert sorted(pipeline_dir.iterdir()) == before
+
+
 class TestZipf:
     def test_outputs(self, pipeline_dir):
         assert run("zipf", "--out", pipeline_dir) == 0
@@ -191,6 +214,39 @@ class TestLocalTerms:
         }
         assert {"desert", "cactus", "dunes"} <= desert_terms
         assert "megamart" not in desert_terms  # present in every region
+
+
+def write_labelled(tmp_path: Path, labels: list[str]) -> Path:
+    """Ingest two POIs per region label into a fresh artifact directory."""
+    input_path = tmp_path / "labelled.ndjson"
+    input_path.write_text(
+        "".join(
+            json.dumps({"name": f"{word} cafe", "latitude": 35.0 + i, "longitude": 139.0,
+                        "region": label}, ensure_ascii=False) + "\n"
+            for i, label in enumerate(labels)
+            for word in (f"local{i}", f"other{i}")
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "labelled"
+    assert run("ingest", "--input", input_path, "--out", out) == 0
+    return out
+
+
+class TestLocalTermsSlugs:
+    def test_non_ascii_labels_keep_their_letters(self, tmp_path):
+        out = write_labelled(tmp_path, ["東京", "大阪"])
+        assert run("local-terms", "--out", out) == 0
+        files = sorted(f.name for f in (out / "local_terms").iterdir())
+        assert files == sorted(["東京.tsv", "大阪.tsv"])
+
+    def test_colliding_slugs_exit_2_naming_both_before_writing(self, tmp_path, capsys):
+        out = write_labelled(tmp_path, ["a b", "a_b"])
+        assert run("local-terms", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "'a b'" in err and "'a_b'" in err
+        terms_dir = out / "local_terms"
+        assert not terms_dir.exists() or not any(terms_dir.iterdir())
 
 
 class TestTypeUsage:

@@ -10,6 +10,8 @@ from scipy.stats import spearmanr
 from poinames.corpus import build_vocabulary
 from poinames.embed import (
     BATCH_PAIRS,
+    FINAL_LEARNING_RATE,
+    NOISE_POWER,
     EmbeddingConfig,
     EmbeddingModel,
     NoiseDistribution,
@@ -18,7 +20,6 @@ from poinames.embed import (
     load_model,
     pair_gradients,
     pair_loss,
-    sample_negatives,
     save_model,
     sgns_batch,
     sigmoid,
@@ -87,69 +88,62 @@ class TestBuildTrainingPairs:
             build_training_pairs(corpora_from({"a": []}))
 
 
+def noise_for(names):
+    """Vocabulary and noise distribution of corpora built from name lists."""
+    corpora = corpora_from(names)
+    vocab = build_vocabulary(corpora.values())
+    docs = {r: [t for doc in c.documents for t in doc] for r, c in corpora.items()}
+    counts = Counter(t for tokens in docs.values() for t in tokens)
+    return vocab, NoiseDistribution(vocab, counts, docs)
+
+
+def draw_terms(noise, vocab, region, positive, k, rng, rows=1):
+    """``rows`` rows of k negatives for one region, as terms."""
+    region_of = np.zeros(rows, dtype=np.int64)
+    positives = np.full(rows, vocab.index[positive])
+    out = noise.sample_rows([region], region_of, k, rng, positives=positives)
+    assert out.shape == (rows, k)
+    return [[vocab.terms[i] for i in row] for row in out.tolist()]
+
+
 class TestNegativeSampling:
     def test_restricted_to_unused_terms(self):
-        corpora = corpora_from({"a": ["aa bb"], "b": ["cc dd"]})
-        vocab = build_vocabulary(corpora.values())
-        noise = NoiseDistribution.from_corpora(corpora, vocab)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            drawn = sample_negatives("a", "aa", 2, noise, rng)
-            assert set(drawn) <= {"cc", "dd"}
+        vocab, noise = noise_for({"a": ["aa bb"], "b": ["cc dd"]})
+        for row in draw_terms(noise, vocab, "a", "aa", 2, np.random.default_rng(0), rows=50):
+            assert set(row) <= {"cc", "dd"}
 
     def test_sample_count(self):
-        corpora = corpora_from({"a": ["aa"], "b": ["cc dd"]})
-        vocab = build_vocabulary(corpora.values())
-        noise = NoiseDistribution.from_corpora(corpora, vocab)
-        assert len(sample_negatives("a", "aa", 5, noise, np.random.default_rng(1))) == 5
+        vocab, noise = noise_for({"a": ["aa"], "b": ["cc dd"]})
+        (row,) = draw_terms(noise, vocab, "a", "aa", 5, np.random.default_rng(1))
+        assert len(row) == 5
 
     def test_deterministic_given_seed(self):
-        corpora = corpora_from({"a": ["aa bb"], "b": ["cc dd ee ff"]})
-        vocab = build_vocabulary(corpora.values())
-        noise = NoiseDistribution.from_corpora(corpora, vocab)
-        first = [sample_negatives("a", "aa", 3, noise, np.random.default_rng(9)) for _ in range(5)]
-        second = [sample_negatives("a", "aa", 3, noise, np.random.default_rng(9)) for _ in range(5)]
+        vocab, noise = noise_for({"a": ["aa bb"], "b": ["cc dd ee ff"]})
+        first = draw_terms(noise, vocab, "a", "aa", 3, np.random.default_rng(9), rows=5)
+        second = draw_terms(noise, vocab, "a", "aa", 3, np.random.default_rng(9), rows=5)
         assert first == second
 
     def test_fallback_when_region_uses_whole_vocabulary(self, caplog):
-        corpora = corpora_from({"a": ["aa bb cc"], "b": ["aa bb"]})
-        vocab = build_vocabulary(corpora.values())
-        noise = NoiseDistribution.from_corpora(corpora, vocab)
-        rng = np.random.default_rng(2)
+        vocab, noise = noise_for({"a": ["aa bb cc"], "b": ["aa bb"]})
         with caplog.at_level("WARNING"):
-            drawn = sample_negatives("a", "aa", 50, noise, rng)
+            (drawn,) = draw_terms(noise, vocab, "a", "aa", 50, np.random.default_rng(2))
         assert "entire vocabulary" in caplog.text
         assert "aa" not in drawn
         assert set(drawn) <= {"bb", "cc"}
 
     def test_positive_outside_the_region_is_still_excluded(self):
-        corpora = corpora_from({"a": ["aa"], "b": ["cc dd"]})
-        vocab = build_vocabulary(corpora.values())
-        noise = NoiseDistribution.from_corpora(corpora, vocab)
-        drawn = sample_negatives("a", "cc", 50, noise, np.random.default_rng(4))
+        vocab, noise = noise_for({"a": ["aa"], "b": ["cc dd"]})
+        (drawn,) = draw_terms(noise, vocab, "a", "cc", 50, np.random.default_rng(4))
         assert set(drawn) == {"dd"}
 
     def test_only_the_positive_has_mass(self):
-        corpora = corpora_from({"a": ["aa"]})
-        vocab = build_vocabulary(corpora.values())
-        noise = NoiseDistribution.from_corpora(corpora, vocab)
+        vocab, noise = noise_for({"a": ["aa"]})
         with pytest.raises(ValueError, match="only the positive"):
-            sample_negatives("a", "aa", 3, noise, np.random.default_rng(5))
-
-    def test_sample_indices_is_the_one_row_case(self):
-        corpora = corpora_from({"a": ["aa bb"], "b": ["cc dd ee ff"]})
-        vocab = build_vocabulary(corpora.values())
-        noise = NoiseDistribution.from_corpora(corpora, vocab)
-        one = noise.sample_indices("a", 7, np.random.default_rng(6), exclude=0)
-        rows = noise.sample_rows(["a"], np.zeros(1, dtype=np.int64), 7,
-                                 np.random.default_rng(6), positives=np.array([0]))
-        assert np.array_equal(one, rows[0])
+            draw_terms(noise, vocab, "a", "aa", 3, np.random.default_rng(5))
 
     def test_rows_never_hold_their_positive_and_are_deterministic(self):
         # "a" uses the whole vocabulary, so its rows draw from all of it and redraw
-        corpora = corpora_from({"a": ["aa bb cc"], "b": ["aa bb"]})
-        vocab = build_vocabulary(corpora.values())
-        noise = NoiseDistribution.from_corpora(corpora, vocab)
+        vocab, noise = noise_for({"a": ["aa bb cc"], "b": ["aa bb"]})
         region_of = np.arange(400) % 2
         positives = np.where(region_of == 0, np.arange(400) % 3, vocab.index["aa"])
         draw = lambda: noise.sample_rows(["a", "b"], region_of, 5, np.random.default_rng(7),
@@ -162,13 +156,13 @@ class TestNegativeSampling:
 
     def test_empirical_frequencies_match_powered_unigram(self):
         # region "a" leaves {cc (count 8), dd (count 1)} as candidates
-        corpora = corpora_from({"a": ["aa"], "b": ["cc " * 8 + "dd"]})
-        vocab = build_vocabulary(corpora.values())
-        noise = NoiseDistribution.from_corpora(corpora, vocab)
+        vocab, noise = noise_for({"a": ["aa"], "b": ["cc " * 8 + "dd"]})
         rng = np.random.default_rng(3)
-        draws = noise.sample_indices("a", 1_000_000, rng)
+        # the positive "aa" is never a candidate of "a", so nothing is redrawn
+        (draws,) = noise.sample_rows(["a"], np.zeros(1, dtype=np.int64), 1_000_000, rng,
+                                     positives=np.array([vocab.index["aa"]]))
         counts = Counter(vocab.terms[int(i)] for i in draws)
-        w_cc, w_dd = 8.0**0.75, 1.0**0.75
+        w_cc, w_dd = 8.0**NOISE_POWER, 1.0**NOISE_POWER
         expected_cc = w_cc / (w_cc + w_dd)
         expected_dd = w_dd / (w_cc + w_dd)
         assert counts["cc"] / 1e6 == pytest.approx(expected_cc, rel=0.01)
@@ -306,18 +300,18 @@ def reference_train(pairs, vocab, config):
     region_terms = {r: set() for r in regions}
     for p in pairs:
         region_terms[p.region_id].add(p.word)
-    noise = NoiseDistribution(vocab, Counter(p.word for p in pairs), region_terms,
-                              power=config.noise_power)
+    noise = NoiseDistribution(vocab, Counter(p.word for p in pairs), region_terms)
     d, k = config.dimension, config.negatives
     rng = np.random.default_rng(config.seed)
     region_vecs = rng.uniform(-0.5 / d, 0.5 / d, size=(len(regions), d))
     word_vecs = rng.uniform(-0.5 / d, 0.5 / d, size=(len(vocab), d))
-    slope = (config.final_learning_rate - config.learning_rate) / (config.epochs * len(pairs) - 1)
+    slope = (FINAL_LEARNING_RATE - config.learning_rate) / (config.epochs * len(pairs) - 1)
     step = 0
     for _ in range(config.epochs):
         for j in rng.permutation(len(pairs)):
             ri, wi = region_index[pairs[j].region_id], vocab.index[pairs[j].word]
-            negs = noise.sample_indices(regions[ri], k, rng, exclude=wi)
+            negs = noise.sample_rows([regions[ri]], np.zeros(1, dtype=np.int64), k, rng,
+                                     positives=np.array([wi]))[0]
             grad_r, grad_w, grad_negs = pair_gradients(region_vecs[ri], word_vecs[wi],
                                                        word_vecs[negs])
             lr = config.learning_rate + slope * step
@@ -428,7 +422,7 @@ class TestConfigValidation:
             {"dimension": 0},
             {"negatives": 0},
             {"learning_rate": 0.0},
-            {"final_learning_rate": -1.0},
+            {"learning_rate": -1.0},
             {"epochs": 0},
         ],
     )

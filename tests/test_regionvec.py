@@ -70,7 +70,7 @@ class TestTfidfVector:
     def test_plus_one_ubiquitous_term(self):
         corpora = corpora_from({"a": ["common common"], "b": ["common"]})
         vocab = build_vocabulary(corpora.values())
-        table = geo_tfidf(corpora, variant="plus_one")
+        table = geo_tfidf(corpora, variant="plus-one")
         values = tfidf_vector(corpora["a"], vocab, table).values
         assert values[vocab.index["common"]] == pytest.approx(2.0, rel=1e-12)
 
