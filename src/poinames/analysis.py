@@ -15,14 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import DistanceMatrix
 from .linfit import LineFit, line_fit
-from .regionvec import SimilarityMatrix
+from .regionvec import RegionMatrix
 
 DEFAULT_PERMUTATIONS = 100_000
-# Permuted rows per block: the permutation test's memory stays bounded
-# whatever the permutation count.
+# Permutation blocks hold at most PERMUTATION_BLOCK rows and PERMUTATION_CELLS
+# values, so memory is bounded in both the permutation count and the pair count.
 PERMUTATION_BLOCK = 1024
+PERMUTATION_CELLS = 1024 * 1225
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class CorrelationResult:
 
 
 def pair_observations(
-    sim: SimilarityMatrix, dist: DistanceMatrix
+    sim: RegionMatrix, dist: RegionMatrix
 ) -> list[PairObservation]:
     """One observation per unordered region pair, lexicographic order."""
     if set(sim.regions) != set(dist.regions):
@@ -102,8 +102,9 @@ def _permutation_p(
     hits = 0
     # Rows are shuffled in order from one generator, so blocks draw exactly
     # the permutations one whole matrix would.
-    for start in range(0, permutations, PERMUTATION_BLOCK):
-        rows = min(PERMUTATION_BLOCK, permutations - start)
+    block = max(1, min(PERMUTATION_BLOCK, PERMUTATION_CELLS // x.size))
+    for start in range(0, permutations, block):
+        rows = min(block, permutations - start)
         perms = rng.permuted(np.tile(yc, (rows, 1)), axis=1)
         r_perm = (perms @ xc) / denom
         hits += int(np.count_nonzero(np.abs(r_perm) >= threshold))

@@ -14,8 +14,8 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
+import unicodedata
 from collections import defaultdict
 from pathlib import Path
 
@@ -46,7 +46,7 @@ from .corpus import (
 )
 from .embed import EmbeddingConfig, build_training_pairs, load_model, save_model, train
 from .errors import EmptyCorpusError, IngestError
-from .geo import DistanceMatrix, distance_matrix, region_centroid
+from .geo import distance_matrix, region_centroid
 from .localness import (
     IDF_VARIANTS,
     geo_tfidf,
@@ -56,8 +56,8 @@ from .localness import (
     usage_percentages,
 )
 from .regionvec import (
+    RegionMatrix,
     RegionVector,
-    SimilarityMatrix,
     count_vector,
     similarity_matrix,
     tfidf_vector,
@@ -125,18 +125,23 @@ def _read_pois(outdir: Path) -> list[PoiRecord]:
 
 
 def _slug(label: str) -> str:
-    cleaned = re.sub(r"[^\w.-]+", "_", label).strip("_")
-    return cleaned or "region"
+    # \w would drop combining marks (Unicode M*), which tell labels such as
+    # दिल्ली and दुल्ली apart, so the kept characters are spelled out
+    kept = "".join(
+        c if c.isalnum() or c in "_.-" or unicodedata.category(c)[0] == "M" else " "
+        for c in label
+    )
+    return "_".join(kept.split()).strip("_") or "region"
 
 
-def _matrix_lines(regions: tuple[str, ...], values: np.ndarray) -> list[str]:
-    lines = ["region\t" + "\t".join(regions)]
-    for i, region in enumerate(regions):
-        lines.append(region + "\t" + "\t".join(_fmt(v) for v in values[i]))
+def _matrix_lines(matrix: RegionMatrix) -> list[str]:
+    lines = ["region\t" + "\t".join(matrix.regions)]
+    for i, region in enumerate(matrix.regions):
+        lines.append(region + "\t" + "\t".join(_fmt(v) for v in matrix.values[i]))
     return lines
 
 
-def _read_matrix(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
+def _read_matrix(path: Path) -> RegionMatrix:
     """Read a square matrix written by _matrix_lines, rejecting any other shape."""
     try:
         lines = path.read_text(encoding="utf-8").split("\n")
@@ -167,7 +172,7 @@ def _read_matrix(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
             values[i] = [float(c) for c in cells]
         except ValueError as exc:
             raise IngestError(f"{path}:{i + 2}: {exc}") from exc
-    return regions, values
+    return RegionMatrix(regions=regions, values=values)
 
 
 # ---------------------------------------------------------------- commands
@@ -297,9 +302,8 @@ def cmd_type_usage(args: argparse.Namespace) -> int:
     tops = top_local_terms(table, k=args.top)
     subsets = typed_subsets(
         records,
-        min_count=args.min_count,
         required_regions=sorted(corpora),
-        dedup=args.count_dedup,
+        min_count=args.min_count,
     )
     if not subsets:
         raise ValueError(
@@ -431,7 +435,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     else:
         _, _, vectors = _region_vectors(records, args.method, args.idf_variant)
     sim = similarity_matrix(vectors)
-    _write_text(outdir / f"similarity_{args.method}.tsv", _matrix_lines(sim.regions, sim.values))
+    _write_text(outdir / f"similarity_{args.method}.tsv", _matrix_lines(sim))
 
     by_region: dict[str, list[PoiRecord]] = defaultdict(list)
     for record in records:
@@ -444,7 +448,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     )
     _write_text(outdir / "centroids.tsv", centroid_lines)
     dist = distance_matrix(centroids)
-    _write_text(outdir / DISTANCES_ARTIFACT, _matrix_lines(dist.regions, dist.values))
+    _write_text(outdir / DISTANCES_ARTIFACT, _matrix_lines(dist))
 
     _write_manifest(outdir, f"similarity_{args.method}", args, read)
     print(f"wrote similarity_{args.method}.tsv and {DISTANCES_ARTIFACT} ({len(sim.regions)} regions)")
@@ -461,12 +465,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     sim_path = _require(outdir / f"similarity_{args.method}.tsv", f"similarity --method {args.method}")
     dist_path = _require(outdir / DISTANCES_ARTIFACT, f"similarity --method {args.method}")
-    sim_regions, sim_values = _read_matrix(sim_path)
-    dist_regions, dist_values = _read_matrix(dist_path)
-    observations = pair_observations(
-        SimilarityMatrix(regions=sim_regions, values=sim_values),
-        DistanceMatrix(regions=dist_regions, values=dist_values),
-    )
+    observations = pair_observations(_read_matrix(sim_path), _read_matrix(dist_path))
 
     obs_lines = ["region_a\tregion_b\tsimilarity\tdistance_m\tln_s\tln_d"]
     for o in observations:
@@ -526,6 +525,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poinames",
@@ -559,8 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_usage.add_argument("--top", type=_positive_int, default=100, help="local terms per region")
     p_usage.add_argument("--min-count", type=_positive_int, default=100,
                          help="minimum POIs per category in every region")
-    p_usage.add_argument("--count-dedup", action="store_true",
-                         help="count deduplicated names instead of raw POIs")
     p_usage.set_defaults(func=cmd_type_usage)
 
     p_vectors = sub.add_parser("vectors", help="write per-region term vectors")
@@ -574,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--dim", type=_positive_int, default=300)
     p_embed.add_argument("--negatives", type=_positive_int, default=5)
     p_embed.add_argument("--epochs", type=_positive_int, default=20)
-    p_embed.add_argument("--learning-rate", type=float, default=0.025)
+    p_embed.add_argument("--learning-rate", type=_positive_float, default=0.025)
     p_embed.add_argument("--seed", type=int, default=0)
     p_embed.set_defaults(func=cmd_embed)
 

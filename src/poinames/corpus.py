@@ -11,7 +11,7 @@ import json
 import logging
 import re
 import unicodedata
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -46,6 +46,11 @@ class RegionCorpus:
 
     region_id: str
     documents: list[tuple[str, ...]]
+    # each token's occurrences over the documents, counted once at construction
+    counts: Counter[str] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.counts = Counter(token for doc in self.documents for token in doc)
 
 
 @dataclass(frozen=True)
@@ -325,9 +330,8 @@ def partition_by_region(
 
 def typed_subsets(
     records: Sequence[PoiRecord],
+    required_regions: Iterable[str],
     min_count: int = 100,
-    required_regions: Iterable[str] | None = None,
-    dedup: bool = False,
 ) -> list[TypedSubset]:
     """Split records into per-(region, category) document subsets.
 
@@ -337,9 +341,7 @@ def typed_subsets(
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    regions = sorted(required_regions) if required_regions is not None else sorted(
-        {r.region_id for r in records}
-    )
+    regions = sorted(required_regions)
     if not regions:
         raise EmptyCorpusError("no regions to build typed subsets from")
 
@@ -367,21 +369,14 @@ def typed_subsets(
     docs: dict[tuple[str, str], list[tuple[str, ...]]] = {
         (region, cat): [] for cat in kept for region in regions
     }
-    seen: dict[tuple[str, str], set[tuple[str, ...]]] = defaultdict(set)
     kept_set = set(kept)
     for record in records:
         if record.region_id not in region_set:
             continue
         doc = tokenize(record.name)
         for category in record.categories:
-            if category not in kept_set:
-                continue
-            key = (record.region_id, category)
-            if dedup:
-                if doc in seen[key]:
-                    continue
-                seen[key].add(doc)
-            docs[key].append(doc)
+            if category in kept_set:
+                docs[(record.region_id, category)].append(doc)
 
     return [
         TypedSubset(region_id=region, category=cat, documents=docs[(region, cat)])
@@ -396,8 +391,7 @@ def build_vocabulary(corpora: Iterable[RegionCorpus]) -> Vocabulary:
     n_docs = 0
     for corpus in corpora:
         n_docs += len(corpus.documents)
-        for doc in corpus.documents:
-            terms.update(doc)
+        terms.update(corpus.counts)
     if n_docs == 0:
         raise EmptyCorpusError("empty corpus")
     ordered = tuple(sorted(terms))

@@ -52,8 +52,8 @@ class EmbeddingConfig:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.negatives < 1:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 

@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import PoiRecord
+from .regionvec import RegionMatrix
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
@@ -32,14 +33,6 @@ class GeoPoint:
             raise ValueError(f"latitude out of range: {self.latitude}")
         if not -180.0 <= self.longitude <= 180.0:
             raise ValueError(f"longitude out of range: {self.longitude}")
-
-
-@dataclass
-class DistanceMatrix:
-    """Symmetric matrix of geodesic distances in meters, zero diagonal."""
-
-    regions: tuple[str, ...]
-    values: np.ndarray
 
 
 def region_centroid(pois: Sequence[PoiRecord]) -> GeoPoint:
@@ -120,8 +113,8 @@ def vincenty_distance(a: GeoPoint, b: GeoPoint) -> float:
     return WGS84_B * big_a * (sigma - delta_sigma)
 
 
-def distance_matrix(centroids: Mapping[str, GeoPoint]) -> DistanceMatrix:
-    """Pairwise Vincenty distances between region centroids."""
+def distance_matrix(centroids: Mapping[str, GeoPoint]) -> RegionMatrix:
+    """Pairwise Vincenty distances in meters between region centroids, zero diagonal."""
     if len(centroids) < 2:
         raise ValueError("distance matrix needs at least 2 regions")
     regions = tuple(sorted(centroids))
@@ -132,4 +125,4 @@ def distance_matrix(centroids: Mapping[str, GeoPoint]) -> DistanceMatrix:
             d = vincenty_distance(centroids[regions[i]], centroids[regions[j]])
             values[i, j] = d
             values[j, i] = d
-    return DistanceMatrix(regions=regions, values=values)
+    return RegionMatrix(regions=regions, values=values)

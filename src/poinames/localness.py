@@ -80,22 +80,15 @@ def geo_tfidf(
         raise ValueError("geo-tfidf needs at least 2 regions")
 
     regions = tuple(sorted(corpora))
-    tf: dict[str, Counter[str]] = {}
-    for region in regions:
-        counts: Counter[str] = Counter()
-        for doc in corpora[region].documents:
-            counts.update(doc)
-        tf[region] = counts
-
     doc_freq: Counter[str] = Counter()
-    for counts in tf.values():
-        doc_freq.update(counts.keys())
+    for region in regions:
+        doc_freq.update(corpora[region].counts.keys())
 
     n_regions = len(regions)
     weights: dict[str, dict[str, float]] = {}
     for region in regions:
         row: dict[str, float] = {}
-        for term, count in tf[region].items():
+        for term, count in corpora[region].counts.items():
             idf = math.log(n_regions / doc_freq[term])
             if variant == "plus-one":
                 idf += 1.0

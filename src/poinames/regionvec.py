@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,11 +23,25 @@ class RegionVector:
 
 
 @dataclass
-class SimilarityMatrix:
-    """Symmetric cosine similarities between region vectors, unit diagonal."""
+class RegionMatrix:
+    """Symmetric region-by-region matrix: cosine similarities or distances in meters."""
 
     regions: tuple[str, ...]
     values: np.ndarray
+
+
+def _fill(region_id: str, vocab: Vocabulary, by_term: Mapping[str, float]) -> RegionVector:
+    """Place each term's value in its vocabulary slot; absent terms stay zero."""
+    values = np.zeros(len(vocab), dtype=np.float64)
+    for term, value in by_term.items():
+        slot = vocab.index.get(term)
+        if slot is None:
+            raise ValueError(
+                f"vocabulary mismatch: term {term!r} from region "
+                f"{region_id!r} is not in the vocabulary"
+            )
+        values[slot] = value
+    return RegionVector(region_id=region_id, values=values)
 
 
 def count_vector(corpus: RegionCorpus, vocab: Vocabulary) -> RegionVector:
@@ -37,20 +50,10 @@ def count_vector(corpus: RegionCorpus, vocab: Vocabulary) -> RegionVector:
     Collective-similarity counts should come from corpora built with
     dedup=False so term frequencies stay as they are in the real world.
     """
-    values = np.zeros(len(vocab), dtype=np.float64)
-    index = vocab.index
-    for doc in corpus.documents:
-        for token in doc:
-            slot = index.get(token)
-            if slot is None:
-                raise ValueError(
-                    f"vocabulary mismatch: term {token!r} from region "
-                    f"{corpus.region_id!r} is not in the vocabulary"
-                )
-            values[slot] += 1.0
-    if not values.any():
+    vector = _fill(corpus.region_id, vocab, corpus.counts)
+    if not vector.values.any():
         log.warning("region %r produced an all-zero count vector", corpus.region_id)
-    return RegionVector(region_id=corpus.region_id, values=values)
+    return vector
 
 
 def tfidf_vector(
@@ -59,48 +62,28 @@ def tfidf_vector(
     """Fill vocabulary slots with the region's TF-IDF weights."""
     if corpus.region_id not in table.weights:
         raise ValueError(f"region {corpus.region_id!r} not covered by the TF-IDF table")
-    values = np.zeros(len(vocab), dtype=np.float64)
-    row = table.weights[corpus.region_id]
-    index = vocab.index
-    for term, weight in row.items():
-        slot = index.get(term)
-        if slot is None:
-            raise ValueError(f"vocabulary mismatch: term {term!r} not in the vocabulary")
-        values[slot] = weight
-    return RegionVector(region_id=corpus.region_id, values=values)
+    return _fill(corpus.region_id, vocab, table.weights[corpus.region_id])
 
 
-def cosine(v1: RegionVector, v2: RegionVector) -> float:
-    """Cosine of the angle between two region vectors, clamped to [-1, 1].
+def similarity_matrix(vectors: Sequence[RegionVector]) -> RegionMatrix:
+    """Pairwise cosine in [-1, 1] over all vectors; symmetric with exact unit diagonal.
 
-    Sums run in ascending index order so results are stable across runs.
+    Each norm is computed once. Sums run in ascending index order so results
+    are stable across runs.
     """
-    a, b = v1.values, v2.values
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = math.sqrt(float(np.sum(a * a)))
-    norm_b = math.sqrt(float(np.sum(b * b)))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError(
-            f"undefined similarity: zero-norm vector "
-            f"({v1.region_id!r} or {v2.region_id!r})"
-        )
-    value = float(np.sum(a * b)) / (norm_a * norm_b)
-    return min(max(value, -1.0), 1.0)
-
-
-def similarity_matrix(vectors: Sequence[RegionVector]) -> SimilarityMatrix:
-    """Pairwise cosine over all vectors; symmetric with exact unit diagonal."""
     if len(vectors) < 2:
         raise ValueError("similarity matrix needs at least 2 regions")
     regions = tuple(v.region_id for v in vectors)
     if len(set(regions)) != len(regions):
         raise ValueError("duplicate region ids")
+    x = np.stack([v.values for v in vectors])
+    norms = np.sqrt(np.sum(x * x, axis=1))
+    zero = [r for r, norm in zip(regions, norms) if norm == 0.0]
+    if zero:
+        raise ValueError(f"undefined similarity: zero-norm vector for {zero}")
     n = len(vectors)
     values = np.eye(n, dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = cosine(vectors[i], vectors[j])
-            values[i, j] = s
-            values[j, i] = s
-    return SimilarityMatrix(regions=regions, values=values)
+    for i in range(n - 1):
+        row = np.sum(x[i] * x[i + 1 :], axis=1) / (norms[i] * norms[i + 1 :])
+        values[i, i + 1 :] = values[i + 1 :, i] = np.clip(row, -1.0, 1.0)
+    return RegionMatrix(regions=regions, values=values)

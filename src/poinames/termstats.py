@@ -34,8 +34,7 @@ def term_frequencies(corpora: Iterable[RegionCorpus]) -> dict[str, int]:
     n_docs = 0
     for corpus in corpora:
         n_docs += len(corpus.documents)
-        for doc in corpus.documents:
-            counts.update(doc)
+        counts.update(corpus.counts)
     if n_docs == 0 or not counts:
         raise EmptyCorpusError("empty corpus")
     return dict(counts)

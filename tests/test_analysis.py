@@ -12,8 +12,7 @@ from poinames.analysis import (
     pearson,
     spearman,
 )
-from poinames.geo import DistanceMatrix
-from poinames.regionvec import SimilarityMatrix
+from poinames.regionvec import RegionMatrix
 
 
 def matrices(n, seed=0):
@@ -26,8 +25,8 @@ def matrices(n, seed=0):
             sim[i, j] = sim[j, i] = rng.uniform(0.1, 0.9)
             dist[i, j] = dist[j, i] = rng.uniform(1e4, 5e6)
     return (
-        SimilarityMatrix(regions=regions, values=sim),
-        DistanceMatrix(regions=regions, values=dist),
+        RegionMatrix(regions=regions, values=sim),
+        RegionMatrix(regions=regions, values=dist),
     )
 
 
@@ -112,19 +111,23 @@ class TestPearson:
         result = pearson(x, y, permutations=20000, seed=1)
         assert result.p_value < 0.001
 
-    def test_permutation_blocks_match_whole_matrix(self):
+    def test_permutation_blocks_match_whole_matrix(self, monkeypatch):
         rng = np.random.default_rng(45)
         x = rng.normal(size=30)
         y = 0.1 * x + rng.normal(size=30)
         permutations = 2 * analysis.PERMUTATION_BLOCK + 357
-        result = pearson(x, y, permutations=permutations, seed=9)
         # reference: every permutation drawn at once as one matrix
         xc, yc = x - x.mean(), y - y.mean()
         whole = np.random.default_rng(9).permuted(np.tile(yc, (permutations, 1)), axis=1)
         r_perm = (whole @ xc) / math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
-        hits = int(np.count_nonzero(np.abs(r_perm) >= abs(result.coefficient) - 1e-12))
-        assert 0 < hits < permutations
-        assert result.p_value == (1 + hits) / (1 + permutations)
+        # cell budgets giving 1024-row blocks, 7-row blocks and (below one
+        # row of 30 pairs) 1-row blocks
+        for cells in (analysis.PERMUTATION_CELLS, 7 * 30 + 29, 29):
+            monkeypatch.setattr(analysis, "PERMUTATION_CELLS", cells)
+            result = pearson(x, y, permutations=permutations, seed=9)
+            hits = int(np.count_nonzero(np.abs(r_perm) >= abs(result.coefficient) - 1e-12))
+            assert 0 < hits < permutations
+            assert result.p_value == (1 + hits) / (1 + permutations)
 
     def test_degenerate_variance(self):
         with pytest.raises(ValueError, match="degenerate"):

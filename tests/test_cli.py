@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -158,7 +159,8 @@ class TestStageOrdering:
 
 
 class TestIntegerOptions:
-    # every integer option but --seed is a count that must be at least 1
+    # every integer option but --seed is a count that must be at least 1;
+    # the learning rate must be a finite number above 0
     @pytest.mark.parametrize(
         "argv",
         [
@@ -168,6 +170,11 @@ class TestIntegerOptions:
             ["embed", "--dim", "0"],
             ["embed", "--negatives", "0"],
             ["embed", "--epochs", "-1"],
+            ["embed", "--learning-rate", "0"],
+            ["embed", "--learning-rate", "-1"],
+            ["embed", "--learning-rate", "nan"],
+            ["embed", "--learning-rate", "inf"],
+            ["embed", "--learning-rate", "fast"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}",
     )
@@ -235,10 +242,13 @@ def write_labelled(tmp_path: Path, labels: list[str]) -> Path:
 
 class TestLocalTermsSlugs:
     def test_non_ascii_labels_keep_their_letters(self, tmp_path):
-        out = write_labelled(tmp_path, ["東京", "大阪"])
+        # the Devanagari pair differs only in a vowel sign (Unicode Mc/Mn),
+        # and decomposed Zürich carries its umlaut as a combining mark
+        labels = ["東京", "大阪", "दिल्ली", "दुल्ली", unicodedata.normalize("NFD", "Zürich")]
+        out = write_labelled(tmp_path, labels)
         assert run("local-terms", "--out", out) == 0
         files = sorted(f.name for f in (out / "local_terms").iterdir())
-        assert files == sorted(["東京.tsv", "大阪.tsv"])
+        assert files == sorted(f"{label}.tsv" for label in labels)
 
     def test_colliding_slugs_exit_2_naming_both_before_writing(self, tmp_path, capsys):
         out = write_labelled(tmp_path, ["a b", "a_b"])
@@ -453,3 +463,19 @@ def test_every_manifest_hashes_what_its_stage_read_and_records_its_options(tmp_p
         options = {key: "" if value is None else str(value)
                    for key, value in vars(args).items() if key not in ("command", "func")}
         assert dict(entries) == {**hashes, **options}, name
+
+
+def test_every_fixture_stage_runs_under_the_bench_trace(tmp_path):
+    # bench/traced_stage.py replaces library names in poinames.cli and reads
+    # their arguments by name, so renaming one breaks the traced benchmark
+    input_path, mapping_path = write_dataset(tmp_path)
+    out = tmp_path / "artifacts"
+    traced = Path(__file__).resolve().parents[1] / "bench" / "traced_stage.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(poinames.__file__).resolve().parents[1])}
+    ingest = ["ingest", "--input", str(input_path), "--mapping", str(mapping_path)]
+    for i, stage in enumerate([ingest] + STAGES):
+        spans = tmp_path / f"spans_{i}.json"
+        proc = subprocess.run([sys.executable, str(traced), str(spans), *stage, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (stage, proc.stderr)
+        assert len(json.loads(spans.read_text())["spans"]) > 1, stage

@@ -252,14 +252,12 @@ class TestTypedSubsets:
 
     def test_min_count_validation(self):
         with pytest.raises(ValueError):
-            typed_subsets([rec("x")], min_count=0)
+            typed_subsets([rec("x")], required_regions={"a"}, min_count=0)
 
     def test_counts_use_raw_pois_by_default(self):
         records = [rec("Same Name", categories={"Food"}) for _ in range(4)]
         subsets = typed_subsets(records, min_count=4, required_regions={"a"})
         assert len(subsets[0].documents) == 4
-        deduped = typed_subsets(records, min_count=4, required_regions={"a"}, dedup=True)
-        assert len(deduped[0].documents) == 1
 
 
 class TestVocabulary:

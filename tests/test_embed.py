@@ -424,6 +424,8 @@ class TestConfigValidation:
             {"learning_rate": 0.0},
             {"learning_rate": -1.0},
             {"epochs": 0},
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

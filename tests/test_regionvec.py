@@ -7,7 +7,6 @@ from poinames.corpus import build_vocabulary
 from poinames.localness import geo_tfidf
 from poinames.regionvec import (
     RegionVector,
-    cosine,
     count_vector,
     similarity_matrix,
     tfidf_vector,
@@ -82,6 +81,11 @@ class TestTfidfVector:
             tfidf_vector(other, vocab, table)
 
 
+def cosine(a, b):
+    """The off-diagonal entry of the two-region similarity matrix of a and b."""
+    return similarity_matrix([vec(a.values, "a"), vec(b.values, "b")]).values[0, 1]
+
+
 class TestCosine:
     def test_self_similarity(self):
         v = vec([1.0, 2.0, 3.0])
@@ -142,6 +146,16 @@ class TestSimilarityMatrix:
         assert np.array_equal(sim.values, sim.values.T)
         assert np.all(np.diag(sim.values) == 1.0)
         assert np.all((sim.values >= 0.0) & (sim.values <= 1.0))
+
+    def test_rows_match_per_pair_reference_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        vectors = [vec(rng.normal(size=1000), region=f"r{i}") for i in range(9)]
+        sim = similarity_matrix(vectors)
+        for i, a in enumerate(vectors):
+            for j, b in enumerate(vectors[i + 1 :], start=i + 1):
+                norms = math.sqrt(float(np.sum(a.values**2))) * math.sqrt(float(np.sum(b.values**2)))
+                expected = min(max(float(np.sum(a.values * b.values)) / norms, -1.0), 1.0)
+                assert sim.values[i, j] == sim.values[j, i] == expected
 
     def test_identical_vectors(self):
         sim = similarity_matrix([vec([1.0, 2.0], "a"), vec([1.0, 2.0], "b")])
