@@ -118,8 +118,10 @@ def _read_pois(outdir: Path) -> list[PoiRecord]:
     path = _require(outdir / POIS_ARTIFACT, "ingest")
     result = load_pois(path)
     if result.rejections:
+        first = result.rejections[0]
         raise IngestError(
-            f"{path} is corrupt: {result.rejected} records failed to parse"
+            f"{path} is corrupt: {result.rejected} records failed to parse; "
+            f"first at line {first.line}: {first.reason}"
         )
     return result.records
 
@@ -172,6 +174,8 @@ def _read_matrix(path: Path) -> RegionMatrix:
             values[i] = [float(c) for c in cells]
         except ValueError as exc:
             raise IngestError(f"{path}:{i + 2}: {exc}") from exc
+        if not np.isfinite(values[i]).all():
+            raise IngestError(f"{path}:{i + 2}: non-finite value")
     return RegionMatrix(regions=regions, values=values)
 
 
@@ -389,7 +393,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     records = _read_pois(outdir)
     corpora = partition_by_region(records, dedup=False)
     vocab = build_vocabulary(corpora.values())
-    pairs = build_training_pairs(corpora)
+    pairs = build_training_pairs(corpora, vocab)
     config = EmbeddingConfig(
         dimension=args.dim,
         negatives=args.negatives,
@@ -407,7 +411,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         f"learning_rate={_fmt(config.learning_rate)}",
         f"seed={config.seed}",
         f"pairs={len(pairs)}",
-        f"final_loss={_fmt(model.final_loss)}",
+        f"final_loss={_fmt(model.epoch_losses[-1])}",
         "epoch_losses=" + ",".join(_fmt(l) for l in model.epoch_losses),
     ]
     _write_text(outdir / "embed_summary.txt", summary)
@@ -467,15 +471,6 @@ def cmd_decay(args: argparse.Namespace) -> int:
     dist_path = _require(outdir / DISTANCES_ARTIFACT, f"similarity --method {args.method}")
     observations = pair_observations(_read_matrix(sim_path), _read_matrix(dist_path))
 
-    obs_lines = ["region_a\tregion_b\tsimilarity\tdistance_m\tln_s\tln_d"]
-    for o in observations:
-        ln_s = _fmt(math.log(o.similarity)) if o.similarity > 0 else "NA"
-        obs_lines.append(
-            f"{o.region_a}\t{o.region_b}\t{_fmt(o.similarity)}\t{_fmt(o.distance_m)}"
-            f"\t{ln_s}\t{_fmt(math.log(o.distance_m))}"
-        )
-    _write_text(outdir / f"decay_observations_{args.method}.tsv", obs_lines)
-
     distances = [o.distance_m for o in observations]
     similarities = [o.similarity for o in observations]
     p_method = "t_approx" if args.p_method == "t" else "permutation"
@@ -489,6 +484,15 @@ def cmd_decay(args: argparse.Namespace) -> int:
     )
     fit = fit_distance_decay(observations)
 
+    # every number is computed before the first write, so a failed run
+    # leaves the files of an earlier run as they were; the fit has already
+    # refused a similarity of 0 or below, so every ln(similarity) exists
+    obs_lines = ["region_a\tregion_b\tsimilarity\tdistance_m\tln_s\tln_d"]
+    for o in observations:
+        obs_lines.append(
+            f"{o.region_a}\t{o.region_b}\t{_fmt(o.similarity)}\t{_fmt(o.distance_m)}"
+            f"\t{_fmt(math.log(o.similarity))}\t{_fmt(math.log(o.distance_m))}"
+        )
     result_lines = [
         f"method={args.method}",
         f"n={len(observations)}",
@@ -503,6 +507,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
         f"fit_beta={_fmt(fit.slope)}",
         f"fit_r2={_fmt(fit.r_squared)}",
     ]
+    _write_text(outdir / f"decay_observations_{args.method}.tsv", obs_lines)
     _write_text(outdir / f"decay_results_{args.method}.txt", result_lines)
     _write_manifest(
         outdir, f"decay_{args.method}", args, {"similarity": sim_path, "distances": dist_path}

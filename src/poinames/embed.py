@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -58,12 +57,6 @@ class EmbeddingConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
-@dataclass(frozen=True)
-class TrainingPair:
-    region_id: str
-    word: str
-
-
 @dataclass
 class EmbeddingModel:
     """Learned region and word vectors plus training metadata."""
@@ -71,7 +64,6 @@ class EmbeddingModel:
     region_vectors: dict[str, np.ndarray]
     word_vectors: dict[str, np.ndarray]
     config: EmbeddingConfig
-    final_loss: float
     epoch_losses: tuple[float, ...] = ()
 
 
@@ -85,19 +77,48 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def build_training_pairs(corpora: Mapping[str, RegionCorpus]) -> list[TrainingPair]:
+@dataclass(frozen=True, eq=False)
+class TrainingPairs:
+    """One (region, word) pair per token occurrence.
+
+    Pair i is region ``regions[region_ids[i]]`` and vocabulary term ``word_ids[i]``.
+    """
+
+    regions: tuple[str, ...]
+    region_ids: np.ndarray
+    word_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return self.word_ids.size
+
+
+def build_training_pairs(corpora: Mapping[str, RegionCorpus], vocab: Vocabulary) -> TrainingPairs:
     """One (region, word) pair per token occurrence, in deterministic order.
 
-    Corpora should be built with dedup=False so pair frequencies reflect
-    real-world name frequencies.
+    Regions come in sorted order; a region without tokens has no pairs and
+    is left out of ``regions``. Corpora should be built with dedup=False so
+    pair frequencies reflect real-world name frequencies.
     """
-    pairs: list[TrainingPair] = []
+    regions: list[str] = []
+    sizes: list[int] = []
+    words: list[str] = []
     for region in sorted(corpora):
-        for doc in corpora[region].documents:
-            pairs.extend(TrainingPair(region_id=region, word=tok) for tok in doc)
-    if not pairs:
+        tokens = [tok for doc in corpora[region].documents for tok in doc]
+        if tokens:
+            regions.append(region)
+            sizes.append(len(tokens))
+            words.extend(tokens)
+    if not words:
         raise EmptyCorpusError("no training pairs: corpora contain no tokens")
-    return pairs
+    index = vocab.index
+    try:
+        word_ids = np.fromiter((index[w] for w in words), dtype=np.int64, count=len(words))
+    except KeyError as exc:
+        raise ValueError(
+            f"vocabulary mismatch: pair word {exc.args[0]!r} not in vocabulary"
+        ) from None
+    region_ids = np.repeat(np.arange(len(regions), dtype=np.int64), sizes)
+    return TrainingPairs(regions=tuple(regions), region_ids=region_ids, word_ids=word_ids)
 
 
 class NoiseDistribution:
@@ -106,53 +127,34 @@ class NoiseDistribution:
     For a region the candidate pool is every vocabulary term the region
     does not use; if that pool is empty (a region uses the whole
     vocabulary) sampling falls back to the full vocabulary with the
-    positive term excluded, logged once per region.
+    positive term excluded, logged once per region. ``tables[r]`` holds
+    region r's (candidate indices, cumulative probabilities).
     """
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        term_counts: Mapping[str, int],
-        region_terms: Mapping[str, Iterable[str]],
-    ) -> None:
-        self.vocab = vocab
-        self._weights = np.array(
-            [float(term_counts.get(t, 0)) ** NOISE_POWER for t in vocab.terms],
-            dtype=np.float64,
-        )
-        self._region_terms = {r: frozenset(ts) for r, ts in region_terms.items()}
-        self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def table(self, region_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """(candidate indices, cumulative probabilities) for one region."""
-        cached = self._tables.get(region_id)
-        if cached is not None:
-            return cached
-        used = self._region_terms.get(region_id)
-        if used is None:
-            raise KeyError(f"unknown region {region_id!r}")
-        has_mass = self._weights > 0.0
-        if not has_mass.any():
-            raise ValueError("noise distribution has no probability mass")
-        candidates = has_mass.copy()
-        index = self.vocab.index
-        candidates[[index[t] for t in used if t in index]] = False
-        if not candidates.any():
-            log.warning(
-                "region %r uses the entire vocabulary; sampling negatives from "
-                "the full vocabulary instead",
-                region_id,
-            )
-            candidates = has_mass
-        idx = np.flatnonzero(candidates)
-        cum = np.cumsum(self._weights[idx])
-        cum /= cum[-1]
-        self._tables[region_id] = (idx, cum)
-        return idx, cum
+    def __init__(self, pairs: TrainingPairs, vocab_size: int) -> None:
+        counts = np.bincount(pairs.word_ids, minlength=vocab_size).tolist()
+        # Python's float power: numpy's power need not give the same bits
+        weights = np.array([float(c) ** NOISE_POWER for c in counts], dtype=np.float64)
+        has_mass = weights > 0.0
+        used = np.zeros((len(pairs.regions), vocab_size), dtype=bool)
+        used[pairs.region_ids, pairs.word_ids] = True
+        self.tables: list[tuple[np.ndarray, np.ndarray]] = []
+        for region, region_used in zip(pairs.regions, used):
+            candidates = has_mass & ~region_used
+            if not candidates.any():
+                log.warning(
+                    "region %r uses the entire vocabulary; sampling negatives from "
+                    "the full vocabulary instead",
+                    region,
+                )
+                candidates = has_mass
+            idx = np.flatnonzero(candidates)
+            cum = np.cumsum(weights[idx])
+            cum /= cum[-1]
+            self.tables.append((idx, cum))
 
     def sample_rows(
         self,
-        regions: Sequence[str],
         region_of: np.ndarray,
         k: int,
         rng: np.random.Generator,
@@ -160,25 +162,24 @@ class NoiseDistribution:
     ) -> np.ndarray:
         """k negative indices for each of n rows, shape (n, k).
 
-        Row i is drawn for region ``regions[region_of[i]]``. All n*k
-        uniforms come from one ``rng.random((n, k))``; each region maps its
-        rows through its table with one searchsorted. Entries equal to
-        ``positives[i]`` are redrawn from the row's table, all at once per
-        round, until none is left. In training that happens only in regions
-        whose table is the whole vocabulary, as a region's own terms are
-        never its candidates.
+        Row i is drawn from ``tables[region_of[i]]``. All n*k uniforms come
+        from one ``rng.random((n, k))``; each region maps its rows through
+        its table with one searchsorted. Entries equal to ``positives[i]``
+        are redrawn from the row's table, all at once per round, until none
+        is left. In training that happens only in regions whose table is
+        the whole vocabulary, as a region's own terms are never its
+        candidates.
         """
         out = np.empty((region_of.size, k), dtype=np.int64)
         uniforms = rng.random(out.shape)
-        tables = [self.table(region) for region in regions]
-        for r, (idx, cum) in enumerate(tables):
+        for r, (idx, cum) in enumerate(self.tables):
             rows = np.flatnonzero(region_of == r)
             out[rows] = idx[np.searchsorted(cum, uniforms[rows], side="right")]
         rows, cols = np.nonzero(out == positives[:, None])
         while rows.size:
             fresh = rng.random(rows.size)
             for r in np.unique(region_of[rows]).tolist():
-                idx, cum = tables[r]
+                idx, cum = self.tables[r]
                 if idx.size == 1:
                     raise ValueError(
                         "cannot sample negatives: only the positive term has probability mass"
@@ -263,7 +264,7 @@ def _sgd_step(
 
 
 def train(
-    pairs: Sequence[TrainingPair],
+    pairs: TrainingPairs,
     vocab: Vocabulary,
     config: EmbeddingConfig,
 ) -> EmbeddingModel:
@@ -278,27 +279,14 @@ def train(
     """
     if not pairs:
         raise EmptyCorpusError("no training pairs")
-    regions = sorted({p.region_id for p in pairs})
-    region_index = {r: i for i, r in enumerate(regions)}
-    vocab_index = vocab.index
-    for p in pairs:
-        if p.word not in vocab_index:
-            raise ValueError(f"vocabulary mismatch: pair word {p.word!r} not in vocabulary")
     n_pairs = len(pairs)
-    region_ids = np.fromiter((region_index[p.region_id] for p in pairs), dtype=np.int64, count=n_pairs)
-    word_ids = np.fromiter((vocab_index[p.word] for p in pairs), dtype=np.int64, count=n_pairs)
-
-    counts = Counter(p.word for p in pairs)
-    region_terms: dict[str, set[str]] = {r: set() for r in regions}
-    for p in pairs:
-        region_terms[p.region_id].add(p.word)
-    noise = NoiseDistribution(vocab, counts, region_terms)
+    noise = NoiseDistribution(pairs, len(vocab))
 
     d = config.dimension
     k = config.negatives
     rng = np.random.default_rng(config.seed)
     bound = 0.5 / d
-    region_vecs = rng.uniform(-bound, bound, size=(len(regions), d))
+    region_vecs = rng.uniform(-bound, bound, size=(len(pairs.regions), d))
     word_vecs = rng.uniform(-bound, bound, size=(len(vocab), d))
 
     lr0 = config.learning_rate
@@ -309,9 +297,9 @@ def train(
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n_pairs)
-        epoch_regions = region_ids[order]
-        epoch_words = word_ids[order]
-        epoch_negs = noise.sample_rows(regions, epoch_regions, k, rng, positives=epoch_words)
+        epoch_regions = pairs.region_ids[order]
+        epoch_words = pairs.word_ids[order]
+        epoch_negs = noise.sample_rows(epoch_regions, k, rng, positives=epoch_words)
         loss_sum = 0.0
         for start in range(0, n_pairs, BATCH_PAIRS):
             stop = min(start + BATCH_PAIRS, n_pairs)
@@ -338,10 +326,9 @@ def train(
         raise RuntimeError("training produced non-finite vectors (try a lower learning rate)")
 
     return EmbeddingModel(
-        region_vectors={r: region_vecs[i].copy() for r, i in region_index.items()},
+        region_vectors={r: region_vecs[i].copy() for i, r in enumerate(pairs.regions)},
         word_vectors={t: word_vecs[i].copy() for i, t in enumerate(vocab.terms)},
         config=config,
-        final_loss=epoch_losses[-1],
         epoch_losses=tuple(epoch_losses),
     )
 
@@ -395,6 +382,8 @@ def load_model(path: str | Path) -> EmbeddingModel:
             vec = np.fromiter(map(float, values.split(" ")), dtype=np.float64)
             if vec.shape != (dim,):
                 raise ValueError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: non-finite value in vector {name!r}")
             if kind == "r":
                 region_vectors[name] = vec
             elif kind == "w":
@@ -410,5 +399,4 @@ def load_model(path: str | Path) -> EmbeddingModel:
         region_vectors=region_vectors,
         word_vectors=word_vectors,
         config=EmbeddingConfig(dimension=dim, seed=seed),
-        final_loss=float("nan"),
     )

@@ -218,7 +218,7 @@ def test_c06_embedding_separation():
     ):
         corpora = corpora_from(SEPARATION_NAMES)
         vocab = build_vocabulary(corpora.values())
-        pairs = build_training_pairs(corpora)
+        pairs = build_training_pairs(corpora, vocab)
         successes = 0
         for seed in range(100):
             model = train(pairs, vocab, EmbeddingConfig(dimension=16, epochs=200, seed=seed))
@@ -271,7 +271,7 @@ def test_c08_distance_decay_on_dataset(yelp_records):
         assert count_fit.r_squared == pytest.approx(0.434, abs=0.10)
         assert count_pearson.p_value < 0.05
 
-        pairs = build_training_pairs(corpora)
+        pairs = build_training_pairs(corpora, vocab)
         model = train(pairs, vocab, EmbeddingConfig(seed=1))
         from poinames.regionvec import RegionVector
 

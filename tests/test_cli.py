@@ -153,6 +153,16 @@ class TestStageOrdering:
         assert run("zipf", "--out", tmp_path / "fresh") == 2
         assert "poinames ingest" in capsys.readouterr().err
 
+    def test_corrupt_pois_artifact_exits_2_naming_the_first_bad_line(self, pipeline_dir, capsys):
+        path = pipeline_dir / "pois.ndjson"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2][:-1]
+        lines[4] = "[]"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert run("zipf", "--out", pipeline_dir) == 2
+        err = capsys.readouterr().err
+        assert f"{path} is corrupt: 2 records failed to parse; first at line 3: malformed record" in err
+
     def test_decay_before_similarity_exits_2(self, pipeline_dir, capsys):
         assert run("decay", "--out", pipeline_dir, "--method", "embedding") == 2
         assert "similarity" in capsys.readouterr().err
@@ -349,9 +359,13 @@ class TestSimilarityAndDecay:
             lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tabc"],
             lambda lines: [],
             lambda lines: lines[:-1] + [lines[-1] + "\udcff"],
+            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tnan"],
+            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tinf"],
+            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\t-inf"],
+            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\t1e999"],
         ],
         ids=["row-missing", "row-extra", "rows-out-of-order", "cell-missing", "cell-extra",
-             "not-a-number", "empty", "not-utf8"],
+             "not-a-number", "empty", "not-utf8", "nan", "inf", "minus-inf", "overflow"],
     )
     def test_decay_rejects_malformed_matrix(self, pipeline_dir, capsys, damage):
         run("similarity", "--out", pipeline_dir, "--method", "count")
@@ -364,6 +378,23 @@ class TestSimilarityAndDecay:
                    "--permutations", "100") == 2
         assert str(path) in capsys.readouterr().err
         assert not (pipeline_dir / "decay_results_count.txt").exists()
+
+    def test_failed_decay_leaves_earlier_outputs_unchanged(self, pipeline_dir, capsys):
+        run("similarity", "--out", pipeline_dir, "--method", "count")
+        assert run("decay", "--out", pipeline_dir, "--method", "count",
+                   "--permutations", "100") == 0
+        outputs = [pipeline_dir / "decay_observations_count.tsv",
+                   pipeline_dir / "decay_results_count.txt"]
+        before = [p.read_bytes() for p in outputs]
+        # a negative cosine has no logarithm, so the decay fit fails
+        path = pipeline_dir / "similarity_count.tsv"
+        rows = [line.split("\t") for line in path.read_text().splitlines()]
+        rows[1][2] = rows[2][1] = "-0.5"
+        path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+        assert run("decay", "--out", pipeline_dir, "--method", "count",
+                   "--permutations", "100") == 1
+        assert "error:" in capsys.readouterr().err
+        assert [p.read_bytes() for p in outputs] == before
 
     @pytest.mark.parametrize("permutations", ["-5", "-1", "0"])
     def test_decay_rejects_permutations_below_one(self, pipeline_dir, capsys, permutations):
@@ -396,6 +427,19 @@ class TestSimilarityAndDecay:
         assert str(path) in capsys.readouterr().err
         assert sorted(pipeline_dir.iterdir()) == before
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_similarity_rejects_non_finite_model_value(self, pipeline_dir, capsys, value):
+        assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "3", "--seed", "7") == 0
+        path = pipeline_dir / "model.txt"
+        header, first, rest = path.read_text(encoding="utf-8").split("\n", 2)
+        kind, region, values = first.split("\t")
+        first = "\t".join([kind, region, value + " " + values.split(" ", 1)[1]])
+        path.write_text("\n".join([header, first, rest]), encoding="utf-8")
+        before = sorted(pipeline_dir.iterdir())
+        assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 2
+        assert f"{path}:2: non-finite value" in capsys.readouterr().err
+        assert sorted(pipeline_dir.iterdir()) == before
+
     def test_embedding_similarity(self, pipeline_dir):
         assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "5", "--seed", "7") == 0
         assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 0
@@ -416,6 +460,7 @@ class TestEmbedStage:
         summary = read_kv(pipeline_dir / "embed_summary.txt")
         assert summary["pairs"].isdigit()
         assert math.isfinite(float(summary["final_loss"]))
+        assert summary["final_loss"] == summary["epoch_losses"].split(",")[-1]
 
     def test_same_seed_is_byte_identical(self, pipeline_dir):
         run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "3", "--seed", "42")

@@ -15,6 +15,7 @@ from poinames.embed import (
     EmbeddingConfig,
     EmbeddingModel,
     NoiseDistribution,
+    TrainingPairs,
     _sgd_step,
     build_training_pairs,
     load_model,
@@ -42,7 +43,7 @@ SEPARATION_NAMES = {
 def toy_setup(names=None):
     corpora = corpora_from(names or SEPARATION_NAMES)
     vocab = build_vocabulary(corpora.values())
-    pairs = build_training_pairs(corpora)
+    pairs = build_training_pairs(corpora, vocab)
     return corpora, vocab, pairs
 
 
@@ -70,38 +71,47 @@ class TestSigmoid:
         np.testing.assert_allclose(got, expit(values), rtol=1e-15, atol=0)
 
 
+def as_words(pairs, vocab):
+    """The pairs as (region, term) tuples."""
+    return [(pairs.regions[r], vocab.terms[w])
+            for r, w in zip(pairs.region_ids.tolist(), pairs.word_ids.tolist())]
+
+
 class TestBuildTrainingPairs:
     def test_one_pair_per_token(self):
-        pairs = build_training_pairs(corpora_from({"a": ["desert pizza"]}))
-        assert [(p.region_id, p.word) for p in pairs] == [("a", "desert"), ("a", "pizza")]
+        _, vocab, pairs = toy_setup({"a": ["desert pizza"]})
+        assert as_words(pairs, vocab) == [("a", "desert"), ("a", "pizza")]
 
     def test_duplicate_names_keep_duplicate_pairs(self):
-        pairs = build_training_pairs(corpora_from({"a": ["spot", "spot"]}))
+        _, _, pairs = toy_setup({"a": ["spot", "spot"]})
         assert len(pairs) == 2
 
     def test_counts(self):
-        pairs = build_training_pairs(corpora_from({"a": ["x y z"], "b": ["p q r"]}))
+        _, _, pairs = toy_setup({"a": ["x y z"], "b": ["p q r"]})
         assert len(pairs) == 6
 
     def test_empty(self):
+        vocab = build_vocabulary(corpora_from({"a": ["x"]}).values())
         with pytest.raises(EmptyCorpusError):
-            build_training_pairs(corpora_from({"a": []}))
+            build_training_pairs(corpora_from({"a": []}), vocab)
+
+    def test_region_without_tokens_is_left_out(self):
+        _, vocab, pairs = toy_setup({"a": ["x"], "b": ["!!"], "c": ["y"]})
+        assert pairs.regions == ("a", "c")
+        assert as_words(pairs, vocab) == [("a", "x"), ("c", "y")]
 
 
 def noise_for(names):
     """Vocabulary and noise distribution of corpora built from name lists."""
-    corpora = corpora_from(names)
-    vocab = build_vocabulary(corpora.values())
-    docs = {r: [t for doc in c.documents for t in doc] for r, c in corpora.items()}
-    counts = Counter(t for tokens in docs.values() for t in tokens)
-    return vocab, NoiseDistribution(vocab, counts, docs)
+    _, vocab, pairs = toy_setup(names)
+    return vocab, NoiseDistribution(pairs, len(vocab))
 
 
-def draw_terms(noise, vocab, region, positive, k, rng, rows=1):
-    """``rows`` rows of k negatives for one region, as terms."""
+def draw_terms(noise, vocab, positive, k, rng, rows=1):
+    """``rows`` rows of k negatives for region "a" (table 0), as terms."""
     region_of = np.zeros(rows, dtype=np.int64)
     positives = np.full(rows, vocab.index[positive])
-    out = noise.sample_rows([region], region_of, k, rng, positives=positives)
+    out = noise.sample_rows(region_of, k, rng, positives=positives)
     assert out.shape == (rows, k)
     return [[vocab.terms[i] for i in row] for row in out.tolist()]
 
@@ -109,44 +119,44 @@ def draw_terms(noise, vocab, region, positive, k, rng, rows=1):
 class TestNegativeSampling:
     def test_restricted_to_unused_terms(self):
         vocab, noise = noise_for({"a": ["aa bb"], "b": ["cc dd"]})
-        for row in draw_terms(noise, vocab, "a", "aa", 2, np.random.default_rng(0), rows=50):
+        for row in draw_terms(noise, vocab, "aa", 2, np.random.default_rng(0), rows=50):
             assert set(row) <= {"cc", "dd"}
 
     def test_sample_count(self):
         vocab, noise = noise_for({"a": ["aa"], "b": ["cc dd"]})
-        (row,) = draw_terms(noise, vocab, "a", "aa", 5, np.random.default_rng(1))
+        (row,) = draw_terms(noise, vocab, "aa", 5, np.random.default_rng(1))
         assert len(row) == 5
 
     def test_deterministic_given_seed(self):
         vocab, noise = noise_for({"a": ["aa bb"], "b": ["cc dd ee ff"]})
-        first = draw_terms(noise, vocab, "a", "aa", 3, np.random.default_rng(9), rows=5)
-        second = draw_terms(noise, vocab, "a", "aa", 3, np.random.default_rng(9), rows=5)
+        first = draw_terms(noise, vocab, "aa", 3, np.random.default_rng(9), rows=5)
+        second = draw_terms(noise, vocab, "aa", 3, np.random.default_rng(9), rows=5)
         assert first == second
 
     def test_fallback_when_region_uses_whole_vocabulary(self, caplog):
-        vocab, noise = noise_for({"a": ["aa bb cc"], "b": ["aa bb"]})
         with caplog.at_level("WARNING"):
-            (drawn,) = draw_terms(noise, vocab, "a", "aa", 50, np.random.default_rng(2))
+            vocab, noise = noise_for({"a": ["aa bb cc"], "b": ["aa bb"]})
+            (drawn,) = draw_terms(noise, vocab, "aa", 50, np.random.default_rng(2))
         assert "entire vocabulary" in caplog.text
         assert "aa" not in drawn
         assert set(drawn) <= {"bb", "cc"}
 
     def test_positive_outside_the_region_is_still_excluded(self):
         vocab, noise = noise_for({"a": ["aa"], "b": ["cc dd"]})
-        (drawn,) = draw_terms(noise, vocab, "a", "cc", 50, np.random.default_rng(4))
+        (drawn,) = draw_terms(noise, vocab, "cc", 50, np.random.default_rng(4))
         assert set(drawn) == {"dd"}
 
     def test_only_the_positive_has_mass(self):
         vocab, noise = noise_for({"a": ["aa"]})
         with pytest.raises(ValueError, match="only the positive"):
-            draw_terms(noise, vocab, "a", "aa", 3, np.random.default_rng(5))
+            draw_terms(noise, vocab, "aa", 3, np.random.default_rng(5))
 
     def test_rows_never_hold_their_positive_and_are_deterministic(self):
         # "a" uses the whole vocabulary, so its rows draw from all of it and redraw
         vocab, noise = noise_for({"a": ["aa bb cc"], "b": ["aa bb"]})
         region_of = np.arange(400) % 2
         positives = np.where(region_of == 0, np.arange(400) % 3, vocab.index["aa"])
-        draw = lambda: noise.sample_rows(["a", "b"], region_of, 5, np.random.default_rng(7),
+        draw = lambda: noise.sample_rows(region_of, 5, np.random.default_rng(7),
                                          positives=positives)
         out = draw()
         assert out.shape == (400, 5)
@@ -159,7 +169,7 @@ class TestNegativeSampling:
         vocab, noise = noise_for({"a": ["aa"], "b": ["cc " * 8 + "dd"]})
         rng = np.random.default_rng(3)
         # the positive "aa" is never a candidate of "a", so nothing is redrawn
-        (draws,) = noise.sample_rows(["a"], np.zeros(1, dtype=np.int64), 1_000_000, rng,
+        (draws,) = noise.sample_rows(np.zeros(1, dtype=np.int64), 1_000_000, rng,
                                      positives=np.array([vocab.index["aa"]]))
         counts = Counter(vocab.terms[int(i)] for i in draws)
         w_cc, w_dd = 8.0**NOISE_POWER, 1.0**NOISE_POWER
@@ -295,23 +305,18 @@ class TestSgnsBatch:
 
 def reference_train(pairs, vocab, config):
     """The per-pair SGD trainer of poinames 0.1.0: one pair per update."""
-    regions = sorted({p.region_id for p in pairs})
-    region_index = {r: i for i, r in enumerate(regions)}
-    region_terms = {r: set() for r in regions}
-    for p in pairs:
-        region_terms[p.region_id].add(p.word)
-    noise = NoiseDistribution(vocab, Counter(p.word for p in pairs), region_terms)
+    noise = NoiseDistribution(pairs, len(vocab))
     d, k = config.dimension, config.negatives
     rng = np.random.default_rng(config.seed)
-    region_vecs = rng.uniform(-0.5 / d, 0.5 / d, size=(len(regions), d))
+    region_vecs = rng.uniform(-0.5 / d, 0.5 / d, size=(len(pairs.regions), d))
     word_vecs = rng.uniform(-0.5 / d, 0.5 / d, size=(len(vocab), d))
     slope = (FINAL_LEARNING_RATE - config.learning_rate) / (config.epochs * len(pairs) - 1)
     step = 0
     for _ in range(config.epochs):
         for j in rng.permutation(len(pairs)):
-            ri, wi = region_index[pairs[j].region_id], vocab.index[pairs[j].word]
-            negs = noise.sample_rows([regions[ri]], np.zeros(1, dtype=np.int64), k, rng,
-                                     positives=np.array([wi]))[0]
+            ri, wi = pairs.region_ids[j], pairs.word_ids[j]
+            negs = noise.sample_rows(pairs.region_ids[j : j + 1], k, rng,
+                                     positives=pairs.word_ids[j : j + 1])[0]
             grad_r, grad_w, grad_negs = pair_gradients(region_vecs[ri], word_vecs[wi],
                                                        word_vecs[negs])
             lr = config.learning_rate + slope * step
@@ -320,7 +325,7 @@ def reference_train(pairs, vocab, config):
                 word_vecs[n] -= lr * g
             region_vecs[ri] -= lr * grad_r
             step += 1
-    return {r: region_vecs[i] for r, i in region_index.items()}
+    return {r: region_vecs[i] for i, r in enumerate(pairs.regions)}
 
 
 def line_of_regions(seed, n_regions=10, n_terms=60, names=40):
@@ -343,9 +348,7 @@ def upper_cosines(vectors):
 
 class TestTrain:
     def test_agrees_with_per_pair_reference(self):
-        corpora = corpora_from(line_of_regions(seed=0))
-        vocab = build_vocabulary(corpora.values())
-        pairs = build_training_pairs(corpora)
+        _, vocab, pairs = toy_setup(line_of_regions(seed=0))
         assert len(pairs) > 5 * BATCH_PAIRS
         config = EmbeddingConfig(dimension=16, epochs=10, seed=0)
         reference = reference_train(pairs, vocab, config)
@@ -377,7 +380,7 @@ class TestTrain:
         _, vocab, pairs = toy_setup()
         model = train(pairs, vocab, EmbeddingConfig(dimension=16, epochs=40, seed=5))
         losses = model.epoch_losses
-        assert model.final_loss == losses[-1]
+        assert len(losses) == 40
         second_half = losses[len(losses) // 2 :]
         for prev, cur in zip(second_half, second_half[1:]):
             assert cur <= prev * 1.05  # allow 5% jitter
@@ -404,15 +407,16 @@ class TestTrain:
 
     def test_vocabulary_mismatch(self):
         corpora = corpora_from({"a": ["xx yy"], "b": ["zz"]})
-        pairs = build_training_pairs(corpora)
         vocab = build_vocabulary(corpora_from({"a": ["xx"]}).values())
         with pytest.raises(ValueError, match="vocabulary mismatch"):
-            train(pairs, vocab, EmbeddingConfig(dimension=4))
+            build_training_pairs(corpora, vocab)
 
     def test_empty_pairs(self):
         _, vocab, _ = toy_setup()
+        no_ids = np.empty(0, dtype=np.int64)
         with pytest.raises(EmptyCorpusError):
-            train([], vocab, EmbeddingConfig(dimension=4))
+            train(TrainingPairs(regions=(), region_ids=no_ids, word_ids=no_ids), vocab,
+                  EmbeddingConfig(dimension=4))
 
 
 class TestConfigValidation:
@@ -456,7 +460,6 @@ class TestModelPersistence:
             region_vectors={"b": np.array(edges[:4]), "a": np.array(edges[4:])},
             word_vectors={"zz": np.array(edges[::2]), "yy": np.array(edges[1::2])},
             config=EmbeddingConfig(dimension=4, seed=3),
-            final_loss=0.0,
         )
         path = tmp_path / "model.txt"
         save_model(model, path)

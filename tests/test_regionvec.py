@@ -157,14 +157,6 @@ class TestSimilarityMatrix:
                 expected = min(max(float(np.sum(a.values * b.values)) / norms, -1.0), 1.0)
                 assert sim.values[i, j] == sim.values[j, i] == expected
 
-    def test_identical_vectors(self):
-        sim = similarity_matrix([vec([1.0, 2.0], "a"), vec([1.0, 2.0], "b")])
-        assert sim.values[0, 1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_pair(self):
-        sim = similarity_matrix([vec([1.0, 0.0], "a"), vec([0.0, 1.0], "b")])
-        assert sim.values[0, 1] == 0.0
-
     def test_duplicate_region_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             similarity_matrix([vec([1.0], "a"), vec([2.0], "a")])
