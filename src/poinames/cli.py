@@ -136,15 +136,15 @@ def _slug(label: str) -> str:
     return "_".join(kept.split()).strip("_") or "region"
 
 
-def _matrix_lines(matrix: RegionMatrix) -> list[str]:
-    lines = ["region\t" + "\t".join(matrix.regions)]
-    for i, region in enumerate(matrix.regions):
-        lines.append(region + "\t" + "\t".join(_fmt(v) for v in matrix.values[i]))
-    return lines
+def _table_lines(labels, columns, rows) -> list[str]:
+    """A header of columns, then one labelled row of numbers per label."""
+    return ["region\t" + "\t".join(columns)] + [
+        label + "\t" + "\t".join(_fmt(v) for v in row) for label, row in zip(labels, rows)
+    ]
 
 
 def _read_matrix(path: Path) -> RegionMatrix:
-    """Read a square matrix written by _matrix_lines, rejecting any other shape."""
+    """Read a square matrix written by _table_lines, rejecting any other shape."""
     try:
         lines = path.read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
@@ -265,12 +265,17 @@ def cmd_zipf(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_local_terms(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    records = _read_pois(outdir)
+def _local_terms(args: argparse.Namespace):
+    """The ingested records and each region's top --top terms by geo TF-IDF."""
+    records = _read_pois(Path(args.out))
     corpora = partition_by_region(records, dedup=True)
     table = geo_tfidf(corpora, variant=args.idf_variant)
-    tops = top_local_terms(table, k=args.top)
+    return records, top_local_terms(table, k=args.top)
+
+
+def cmd_local_terms(args: argparse.Namespace) -> int:
+    outdir = Path(args.out)
+    _, tops = _local_terms(args)
 
     owners: dict[str, str] = {}
     for region in sorted(tops):
@@ -300,49 +305,30 @@ def cmd_local_terms(args: argparse.Namespace) -> int:
 
 def cmd_type_usage(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
-    records = _read_pois(outdir)
-    corpora = partition_by_region(records, dedup=True)
-    table = geo_tfidf(corpora, variant=args.idf_variant)
-    tops = top_local_terms(table, k=args.top)
-    subsets = typed_subsets(
-        records,
-        required_regions=sorted(corpora),
-        min_count=args.min_count,
-    )
+    records, tops = _local_terms(args)
+    subsets = typed_subsets(records, required_regions=sorted(tops), min_count=args.min_count)
     if not subsets:
-        raise ValueError(
-            f"no category has at least {args.min_count} POIs in every region"
-        )
+        raise ValueError(f"no category has at least {args.min_count} POIs in every region")
     matrix = usage_percentages(subsets, tops)
     distributions = usage_distributions(matrix)
     mean_nats = mean_pairwise_jsd(distributions)
     mean_bits = mean_pairwise_jsd(distributions, base=2)
     n_regions = len(matrix.regions)
 
-    header = "region\t" + "\t".join(matrix.categories)
-    value_lines = [header]
-    for region in matrix.regions:
-        cells = [
-            _fmt(matrix.values[(region, c)]) if (region, c) in matrix.values else "NA"
-            for c in matrix.categories
-        ]
-        value_lines.append(region + "\t" + "\t".join(cells))
-    _write_text(outdir / "usage_matrix.tsv", value_lines)
-
+    _write_text(
+        outdir / "usage_matrix.tsv",
+        _table_lines(matrix.regions, matrix.categories, matrix.shares()),
+    )
     count_lines = ["region\tcategory\twith_local_terms\ttotal"]
-    for region in matrix.regions:
-        for category in matrix.categories:
-            lp, p = matrix.counts[(region, category)]
-            count_lines.append(f"{region}\t{category}\t{lp}\t{p}")
-    _write_text(outdir / "usage_counts.tsv", count_lines)
-
-    shared = sorted(distributions[0].probabilities)
-    norm_lines = ["region\t" + "\t".join(shared)]
-    for dist in distributions:
-        norm_lines.append(
-            dist.region_id + "\t" + "\t".join(_fmt(dist.probabilities[c]) for c in shared)
+    for region, hits, totals in zip(matrix.regions, matrix.hits, matrix.totals):
+        count_lines.extend(
+            f"{region}\t{c}\t{h}\t{t}" for c, h, t in zip(matrix.categories, hits, totals)
         )
-    _write_text(outdir / "usage_normalized.tsv", norm_lines)
+    _write_text(outdir / "usage_counts.tsv", count_lines)
+    _write_text(
+        outdir / "usage_normalized.tsv",
+        _table_lines(matrix.regions, matrix.categories, distributions),
+    )
 
     jsd_lines = [
         f"regions={n_regions}",
@@ -425,6 +411,9 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     records = _read_pois(outdir)
     read = {"pois": outdir / POIS_ARTIFACT}
+    by_region: dict[str, list[PoiRecord]] = defaultdict(list)
+    for record in records:
+        by_region[record.region_id].append(record)
 
     if args.method == "embedding":
         model_path = read["model"] = _require(outdir / MODEL_ARTIFACT, "embed")
@@ -432,6 +421,15 @@ def cmd_similarity(args: argparse.Namespace) -> int:
             model = load_model(model_path)
         except ValueError as exc:  # includes UnicodeDecodeError
             raise IngestError(f"malformed model {model_path}: {exc}") from exc
+        # a region whose names have no tokens gets no vector, and a model
+        # from an earlier ingest may name other regions
+        missing = sorted(by_region.keys() - model.region_vectors.keys())
+        extra = sorted(model.region_vectors.keys() - by_region.keys())
+        if missing or extra:
+            raise IngestError(
+                f"{model_path} and {POIS_ARTIFACT} name different regions: "
+                f"missing from the model {missing}, not in {POIS_ARTIFACT} {extra}"
+            )
         vectors = [
             RegionVector(region_id=r, values=model.region_vectors[r])
             for r in sorted(model.region_vectors)
@@ -439,11 +437,10 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     else:
         _, _, vectors = _region_vectors(records, args.method, args.idf_variant)
     sim = similarity_matrix(vectors)
-    _write_text(outdir / f"similarity_{args.method}.tsv", _matrix_lines(sim))
+    _write_text(
+        outdir / f"similarity_{args.method}.tsv", _table_lines(sim.regions, sim.regions, sim.values)
+    )
 
-    by_region: dict[str, list[PoiRecord]] = defaultdict(list)
-    for record in records:
-        by_region[record.region_id].append(record)
     centroids = {r: region_centroid(pois) for r, pois in by_region.items()}
     centroid_lines = ["region\tlatitude\tlongitude"]
     centroid_lines.extend(
@@ -452,7 +449,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     )
     _write_text(outdir / "centroids.tsv", centroid_lines)
     dist = distance_matrix(centroids)
-    _write_text(outdir / DISTANCES_ARTIFACT, _matrix_lines(dist))
+    _write_text(outdir / DISTANCES_ARTIFACT, _table_lines(dist.regions, dist.regions, dist.values))
 
     _write_manifest(outdir, f"similarity_{args.method}", args, read)
     print(f"wrote similarity_{args.method}.tsv and {DISTANCES_ARTIFACT} ({len(sim.regions)} regions)")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .corpus import RegionCorpus, TypedSubset
@@ -49,20 +50,19 @@ class LocalTermSet:
 
 @dataclass
 class UsageMatrix:
-    """Fraction of POI names per (region, category) containing a local term."""
+    """Names per (region, category) and how many contain a local term.
+
+    Rows are the sorted regions and columns the sorted categories. Every
+    cell holds at least one name, so each share hits / totals is defined.
+    """
 
     regions: tuple[str, ...]
     categories: tuple[str, ...]
-    values: dict[tuple[str, str], float]
-    counts: dict[tuple[str, str], tuple[int, int]]
+    hits: list[list[int]]
+    totals: list[list[int]]
 
-
-@dataclass(frozen=True)
-class UsageDistribution:
-    """Usage percentages of one region normalized to a probability vector."""
-
-    region_id: str
-    probabilities: Mapping[str, float]
+    def shares(self) -> list[list[float]]:
+        return [[h / t for h, t in zip(hs, ts)] for hs, ts in zip(self.hits, self.totals)]
 
 
 def geo_tfidf(
@@ -119,54 +119,30 @@ def top_local_terms(table: GeoTfidfTable, k: int) -> dict[str, LocalTermSet]:
 def usage_percentages(
     subsets: Sequence[TypedSubset], local_terms: Mapping[str, LocalTermSet]
 ) -> UsageMatrix:
-    """Fraction of names per (region, category) containing any local term.
+    """Count the names per (region, category) containing any local term.
 
-    Containment is exact token membership, not substring match. Subsets
-    with no documents count (0, 0) and carry no value.
+    Containment is exact token membership, not substring match. Every
+    (region, category) cell must have a subset with at least one name.
     """
     term_sets = {region: frozenset(ts.terms) for region, ts in local_terms.items()}
-    values: dict[tuple[str, str], float] = {}
-    counts: dict[tuple[str, str], tuple[int, int]] = {}
-    regions: list[str] = []
-    categories: list[str] = []
+    cells: dict[tuple[str, str], tuple[int, int]] = {}
     for subset in subsets:
         if subset.region_id not in term_sets:
             raise ValueError(f"no local terms supplied for region {subset.region_id!r}")
-        key = (subset.region_id, subset.category)
-        if subset.region_id not in regions:
-            regions.append(subset.region_id)
-        if subset.category not in categories:
-            categories.append(subset.category)
-        total = len(subset.documents)
-        if total == 0:
-            counts[key] = (0, 0)
-            continue
         terms = term_sets[subset.region_id]
         hits = sum(1 for doc in subset.documents if any(t in terms for t in doc))
-        counts[key] = (hits, total)
-        values[key] = hits / total
+        cells[(subset.region_id, subset.category)] = (hits, len(subset.documents))
+    regions = sorted({region for region, _ in cells})
+    categories = sorted({category for _, category in cells})
+    for r in regions:
+        for c in categories:
+            if cells.get((r, c), (0, 0))[1] == 0:
+                raise ValueError(f"no names in region {r!r}, category {c!r}")
     return UsageMatrix(
-        regions=tuple(sorted(regions)),
-        categories=tuple(sorted(categories)),
-        values=values,
-        counts=counts,
-    )
-
-
-def normalize_distribution(
-    row: Mapping[str, float], region_id: str = ""
-) -> UsageDistribution:
-    """Scale a category -> percentage row so it sums to one."""
-    if not row:
-        raise ValueError("cannot normalize an empty row")
-    if any(v < 0 for v in row.values()):
-        raise ValueError("usage percentages must be nonnegative")
-    total = math.fsum(row.values())
-    if total <= 0.0:
-        raise ValueError("cannot normalize zero vector")
-    return UsageDistribution(
-        region_id=region_id,
-        probabilities={cat: v / total for cat, v in row.items()},
+        regions=tuple(regions),
+        categories=tuple(categories),
+        hits=[[cells[(r, c)][0] for c in categories] for r in regions],
+        totals=[[cells[(r, c)][1] for c in categories] for r in regions],
     )
 
 
@@ -204,41 +180,26 @@ def jsd(p: Sequence[float], q: Sequence[float], base: float = math.e) -> float:
 
 
 def mean_pairwise_jsd(
-    distributions: Sequence[UsageDistribution], base: float = math.e
+    distributions: Sequence[Sequence[float]], base: float = math.e
 ) -> float:
-    """Average JSD over all unordered pairs of usage distributions."""
+    """Average JSD over all unordered pairs of probability rows."""
     if len(distributions) < 2:
         raise ValueError("need at least 2 distributions")
-    supports = {tuple(sorted(d.probabilities)) for d in distributions}
-    if len(supports) != 1:
-        raise ValueError("distributions cover different category sets")
-    categories = supports.pop()
-    vectors = [[d.probabilities[c] for c in categories] for d in distributions]
+    pairs = list(combinations(distributions, 2))
     total = 0.0
-    n_pairs = 0
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            total += jsd(vectors[i], vectors[j], base=base)
-            n_pairs += 1
-    return total / n_pairs
+    for p, q in pairs:
+        total += jsd(p, q, base=base)
+    return total / len(pairs)
 
 
-def usage_distributions(matrix: UsageMatrix) -> list[UsageDistribution]:
-    """Normalize each region's usage row over the commonly defined categories.
-
-    Categories undefined (zero POIs) in any region are dropped so all
-    distributions share the same support.
-    """
-    shared = [
-        cat
-        for cat in matrix.categories
-        if all((region, cat) in matrix.values for region in matrix.regions)
-    ]
-    if not shared:
-        raise ValueError("no category is defined in every region")
-    return [
-        normalize_distribution(
-            {cat: matrix.values[(region, cat)] for cat in shared}, region_id=region
-        )
-        for region in matrix.regions
-    ]
+def usage_distributions(matrix: UsageMatrix) -> list[list[float]]:
+    """Each region's usage shares scaled to sum to one, in matrix order."""
+    rows = []
+    for region, shares in zip(matrix.regions, matrix.shares()):
+        total = math.fsum(shares)
+        if total == 0.0:
+            raise ValueError(
+                f"cannot normalize zero vector: region {region!r} uses no local term"
+            )
+        rows.append([v / total for v in shares])
+    return rows

@@ -233,19 +233,20 @@ class TestLocalTerms:
         assert "megamart" not in desert_terms  # present in every region
 
 
-def write_labelled(tmp_path: Path, labels: list[str]) -> Path:
-    """Ingest two POIs per region label into a fresh artifact directory."""
-    input_path = tmp_path / "labelled.ndjson"
+def write_regions(tmp_path: Path, names: dict[str, list[str]], categories=()) -> Path:
+    """Ingest the given POI names per region into a fresh artifact directory."""
+    input_path = tmp_path / "regions.ndjson"
     input_path.write_text(
         "".join(
-            json.dumps({"name": f"{word} cafe", "latitude": 35.0 + i, "longitude": 139.0,
-                        "region": label}, ensure_ascii=False) + "\n"
-            for i, label in enumerate(labels)
-            for word in (f"local{i}", f"other{i}")
+            json.dumps({"name": name, "region": region, "categories": list(categories),
+                        "latitude": 30.0 + i + 0.01 * j, "longitude": -100.0 + i},
+                       ensure_ascii=False) + "\n"
+            for i, (region, region_names) in enumerate(sorted(names.items()))
+            for j, name in enumerate(region_names)
         ),
         encoding="utf-8",
     )
-    out = tmp_path / "labelled"
+    out = tmp_path / "regions"
     assert run("ingest", "--input", input_path, "--out", out) == 0
     return out
 
@@ -255,13 +256,13 @@ class TestLocalTermsSlugs:
         # the Devanagari pair differs only in a vowel sign (Unicode Mc/Mn),
         # and decomposed Zürich carries its umlaut as a combining mark
         labels = ["東京", "大阪", "दिल्ली", "दुल्ली", unicodedata.normalize("NFD", "Zürich")]
-        out = write_labelled(tmp_path, labels)
+        out = write_regions(tmp_path, {label: [f"local{i} cafe"] for i, label in enumerate(labels)})
         assert run("local-terms", "--out", out) == 0
         files = sorted(f.name for f in (out / "local_terms").iterdir())
         assert files == sorted(f"{label}.tsv" for label in labels)
 
     def test_colliding_slugs_exit_2_naming_both_before_writing(self, tmp_path, capsys):
-        out = write_labelled(tmp_path, ["a b", "a_b"])
+        out = write_regions(tmp_path, {"a b": ["local0 cafe"], "a_b": ["local1 cafe"]})
         assert run("local-terms", "--out", out) == 2
         err = capsys.readouterr().err
         assert "'a b'" in err and "'a_b'" in err
@@ -292,6 +293,15 @@ class TestTypeUsage:
 
     def test_unreachable_threshold_exits_1(self, pipeline_dir):
         assert run("type-usage", "--out", pipeline_dir, "--min-count", "10000") == 1
+
+    def test_region_without_local_term_use_exits_1(self, tmp_path, capsys):
+        # every token of region c occurs in every region, so c has no local term
+        names = {"a": ["alpha common", "place"], "b": ["gamma common", "place"],
+                 "c": ["common", "common place"]}
+        out = write_regions(tmp_path, names, categories=["Food"])
+        assert run("type-usage", "--out", out, "--min-count", "1") == 1
+        assert "zero vector: region 'c'" in capsys.readouterr().err
+        assert not (out / "usage_matrix.tsv").exists()
 
 
 class TestVectors:
@@ -438,6 +448,28 @@ class TestSimilarityAndDecay:
         before = sorted(pipeline_dir.iterdir())
         assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 2
         assert f"{path}:2: non-finite value" in capsys.readouterr().err
+        assert sorted(pipeline_dir.iterdir()) == before
+
+    def test_similarity_rejects_model_missing_a_region(self, tmp_path, capsys):
+        # every name of region d tokenizes to nothing, so embed gives d no vector
+        names = {r: [f"{r}{i} common cafe" for i in range(20)] for r in "abc"}
+        names["d"] = ["!!!"] * 20
+        out = write_regions(tmp_path, names)
+        assert run("embed", "--out", out, "--dim", "8", "--epochs", "3", "--seed", "7") == 0
+        before = sorted(out.iterdir())
+        assert run("similarity", "--out", out, "--method", "embedding") == 2
+        assert "missing from the model ['d'], not in pois.ndjson []" in capsys.readouterr().err
+        assert sorted(out.iterdir()) == before
+
+    def test_similarity_rejects_model_of_an_earlier_ingest(self, pipeline_dir, tmp_path, capsys):
+        assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "3", "--seed", "7") == 0
+        names = {"desertville": ["desert cafe"], "newtown": ["new cafe"]}
+        input_path = write_regions(tmp_path, names) / "pois.ndjson"
+        assert run("ingest", "--input", input_path, "--out", pipeline_dir) == 0
+        before = sorted(pipeline_dir.iterdir())
+        assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 2
+        err = capsys.readouterr().err
+        assert "missing from the model ['newtown'], not in pois.ndjson ['hillton', 'lakecity']" in err
         assert sorted(pipeline_dir.iterdir()) == before
 
     def test_embedding_similarity(self, pipeline_dir):

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 from poinames.corpus import TypedSubset, tokenize
 from poinames.localness import (
     LocalTermSet,
+    UsageMatrix,
     geo_tfidf,
     jsd,
     mean_pairwise_jsd,
-    normalize_distribution,
     top_local_terms,
     usage_distributions,
     usage_percentages,
@@ -125,12 +125,12 @@ class TestUsagePercentages:
     def test_direct_ratio(self):
         names = [f"dune hotel {i}" for i in range(30)] + [f"plain hotel {i}" for i in range(70)]
         matrix = usage_percentages([subset("a", "Hotels", names)], {"a": terms("a", "dune")})
-        assert matrix.values[("a", "Hotels")] == pytest.approx(0.30)
-        assert matrix.counts[("a", "Hotels")] == (30, 100)
+        assert (matrix.hits, matrix.totals) == ([[30]], [[100]])
+        assert matrix.shares() == [[pytest.approx(0.30)]]
 
     def test_zero_usage(self):
         matrix = usage_percentages([subset("a", "Food", ["plain pizza"])], {"a": terms("a", "dune")})
-        assert matrix.values[("a", "Food")] == 0.0
+        assert matrix.shares() == [[0.0]]
 
     def test_containment_is_exact_token_match(self):
         # "spa" must not match inside "spaghetti"
@@ -138,35 +138,61 @@ class TestUsagePercentages:
             [subset("a", "Food", ["spaghetti house", "spa retreat"])],
             {"a": terms("a", "spa")},
         )
-        assert matrix.counts[("a", "Food")] == (1, 2)
+        assert (matrix.hits, matrix.totals) == ([[1]], [[2]])
 
-    def test_empty_subset_flagged_undefined(self):
-        matrix = usage_percentages([subset("a", "Food", [])], {"a": terms("a", "dune")})
-        assert matrix.counts[("a", "Food")] == (0, 0)
-        assert ("a", "Food") not in matrix.values
+    def test_grid_rows_and_columns_sorted(self):
+        subsets = [
+            subset("b", "Spa", ["lake spa", "plain spa"]),
+            subset("a", "Spa", ["dune spa"]),
+            subset("b", "Food", ["lake pizza"]),
+            subset("a", "Food", ["plain pizza", "dune pizza", "dune grill"]),
+        ]
+        matrix = usage_percentages(subsets, {"a": terms("a", "dune"), "b": terms("b", "lake")})
+        assert (matrix.regions, matrix.categories) == (("a", "b"), ("Food", "Spa"))
+        assert matrix.hits == [[2, 1], [1, 1]]
+        assert matrix.totals == [[3, 1], [1, 2]]
+
+    def test_empty_subset_raises(self):
+        with pytest.raises(ValueError, match="no names in region 'a', category 'Food'"):
+            usage_percentages([subset("a", "Food", [])], {"a": terms("a", "dune")})
+
+    def test_missing_cell_raises(self):
+        subsets = [
+            subset("a", "Food", ["dune pizza", "plain pizza"]),
+            subset("a", "Spa", ["dune spa"]),
+            subset("b", "Food", ["lake pizza"]),
+            # region b has no Spa subset at all
+        ]
+        with pytest.raises(ValueError, match="no names in region 'b', category 'Spa'"):
+            usage_percentages(subsets, {"a": terms("a", "dune"), "b": terms("b", "lake")})
 
     def test_missing_region_terms(self):
         with pytest.raises(ValueError):
             usage_percentages([subset("a", "Food", ["x"])], {"b": terms("b", "y")})
 
 
+def one_row(hits, totals):
+    """usage_distributions of a one-region grid."""
+    categories = tuple(f"c{i}" for i in range(len(hits)))
+    matrix = UsageMatrix(regions=("r",), categories=categories, hits=[hits], totals=[totals])
+    return usage_distributions(matrix)[0]
+
+
 class TestNormalize:
     def test_already_normalized(self):
-        dist = normalize_distribution({"a": 0.2, "b": 0.3, "c": 0.5})
-        assert dist.probabilities == pytest.approx({"a": 0.2, "b": 0.3, "c": 0.5})
+        assert one_row([2, 3, 5], [10, 10, 10]) == pytest.approx([0.2, 0.3, 0.5])
 
     def test_scaling(self):
-        dist = normalize_distribution({"a": 2.0, "b": 3.0, "c": 5.0})
-        assert dist.probabilities == pytest.approx({"a": 0.2, "b": 0.3, "c": 0.5})
-        assert math.fsum(dist.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+        row = one_row([1, 1, 2], [5, 5, 5])
+        assert row == pytest.approx([0.25, 0.25, 0.5])
+        assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_with_zero_entry(self):
-        dist = normalize_distribution({"a": 1.0, "b": 0.0, "c": 1.0})
-        assert dist.probabilities == pytest.approx({"a": 0.5, "b": 0.0, "c": 0.5})
+        assert one_row([1, 0, 1], [2, 3, 2]) == pytest.approx([0.5, 0.0, 0.5])
 
     def test_zero_vector(self):
         with pytest.raises(ValueError, match="zero vector"):
-            normalize_distribution({"a": 0.0, "b": 0.0})
+            one_row([0, 0], [4, 7])
 
 
 @st.composite
@@ -207,46 +233,48 @@ class TestJsd:
         assert jsd(q, p) == jsd(p, q)
 
 
-class TestMeanPairwiseJsd:
-    def _dists(self, rows):
-        return [normalize_distribution(row, region_id=f"r{i}") for i, row in enumerate(rows)]
+def normalized(row):
+    total = math.fsum(row)
+    return [v / total for v in row]
 
+
+class TestMeanPairwiseJsd:
     def test_pair_count_seven_regions(self):
-        rows = [{"a": 1.0 + i, "b": 2.0, "c": 3.0 - 0.1 * i} for i in range(7)]
-        dists = self._dists(rows)
+        rows = [normalized([1.0 + i, 2.0, 3.0 - 0.1 * i]) for i in range(7)]
         # 21 unordered pairs; verify through an explicit mean
-        values = [
-            jsd([dists[i].probabilities[c] for c in "abc"],
-                [dists[j].probabilities[c] for c in "abc"])
-            for i in range(7) for j in range(i + 1, 7)
-        ]
+        values = [jsd(rows[i], rows[j]) for i in range(7) for j in range(i + 1, 7)]
         assert len(values) == 21
-        assert mean_pairwise_jsd(dists) == pytest.approx(sum(values) / 21, rel=1e-12)
+        assert mean_pairwise_jsd(rows) == pytest.approx(sum(values) / 21, rel=1e-12)
 
     def test_identical_distributions(self):
-        dists = self._dists([{"a": 1.0, "b": 1.0}] * 7)
-        assert mean_pairwise_jsd(dists) == 0.0
+        assert mean_pairwise_jsd([[0.5, 0.5]] * 7) == 0.0
 
     def test_mismatched_support(self):
-        dists = self._dists([{"a": 1.0, "b": 1.0}]) + self._dists([{"a": 1.0, "c": 1.0}])
         with pytest.raises(ValueError):
-            mean_pairwise_jsd(dists)
+            mean_pairwise_jsd([[0.5, 0.5], [0.25, 0.25, 0.5]])
 
     def test_needs_two(self):
         with pytest.raises(ValueError):
-            mean_pairwise_jsd(self._dists([{"a": 1.0}]))
+            mean_pairwise_jsd([[1.0]])
 
 
 class TestUsageDistributions:
-    def test_shared_categories_only(self):
+    def test_rows_in_matrix_order_sum_to_one(self):
         subsets = [
-            subset("a", "Food", ["dune pizza", "plain pizza"]),
-            subset("a", "Spa", ["dune spa"]),
-            subset("b", "Food", ["lake pizza"]),
-            # region b has no Spa subset at all -> Spa dropped
+            subset("b", "Food", ["lake pizza", "plain pizza"]),
+            subset("b", "Spa", ["lake spa"]),
+            subset("a", "Food", ["dune pizza"]),
+            subset("a", "Spa", ["dune spa", "plain spa", "plain sauna", "plain bath"]),
         ]
         matrix = usage_percentages(subsets, {"a": terms("a", "dune"), "b": terms("b", "lake")})
-        dists = usage_distributions(matrix)
-        assert all(sorted(d.probabilities) == ["Food"] for d in dists)
-        for d in dists:
-            assert math.fsum(d.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+        rows = usage_distributions(matrix)
+        # a: shares (1, 1/4) -> (4/5, 1/5); b: shares (1/2, 1) -> (1/3, 2/3)
+        assert rows == [pytest.approx([0.8, 0.2]), pytest.approx([1 / 3, 2 / 3])]
+        for row in rows:
+            assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
+
+    def test_region_without_local_term_use_is_a_zero_vector(self):
+        subsets = [subset("a", "Food", ["dune pizza"]), subset("b", "Food", ["plain pizza"])]
+        matrix = usage_percentages(subsets, {"a": terms("a", "dune"), "b": terms("b", "lake")})
+        with pytest.raises(ValueError, match="zero vector: region 'b'"):
+            usage_distributions(matrix)
