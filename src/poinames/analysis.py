@@ -101,11 +101,13 @@ def _permutation_p(
     threshold = abs(r_obs) - 1e-12
     hits = 0
     # Rows are shuffled in order from one generator, so blocks draw exactly
-    # the permutations one whole matrix would.
-    block = max(1, min(PERMUTATION_BLOCK, PERMUTATION_CELLS // x.size))
+    # the permutations one whole matrix would. Every block reuses one buffer.
+    block = max(1, min(PERMUTATION_BLOCK, PERMUTATION_CELLS // x.size, permutations))
+    buf = np.empty((block, x.size))
     for start in range(0, permutations, block):
-        rows = min(block, permutations - start)
-        perms = rng.permuted(np.tile(yc, (rows, 1)), axis=1)
+        perms = buf[: min(block, permutations - start)]
+        perms[...] = yc
+        rng.permuted(perms, axis=1, out=perms)
         r_perm = (perms @ xc) / denom
         hits += int(np.count_nonzero(np.abs(r_perm) >= threshold))
     return (1 + hits) / (1 + permutations)

@@ -201,6 +201,21 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not result.records:
         raise EmptyCorpusError("empty corpus: input contains no valid records")
 
+    # every later stage needs tokens in every region, so a region without
+    # any is refused here, before anything is written
+    per_region: dict[str, int] = defaultdict(int)
+    with_tokens: set[str] = set()
+    empty_names = 0
+    for record in result.records:
+        per_region[record.region_id] += 1
+        if tokenize(record.name):
+            with_tokens.add(record.region_id)
+        else:
+            empty_names += 1
+    tokenless = sorted(per_region.keys() - with_tokens)
+    if tokenless:
+        raise IngestError(f"{input_path}: no name in region(s) {tokenless} has any tokens")
+
     pois_lines = [
         json.dumps(
             {
@@ -221,12 +236,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     rejection_lines.extend(f"{r.line}\t{r.reason}" for r in result.rejections)
     _write_text(outdir / "rejections.tsv", rejection_lines)
 
-    per_region: dict[str, int] = defaultdict(int)
-    empty_names = 0
-    for record in result.records:
-        per_region[record.region_id] += 1
-        if not tokenize(record.name):
-            empty_names += 1
     summary = [
         f"accepted={result.accepted}",
         f"rejected={result.rejected}",
@@ -421,8 +430,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
             model = load_model(model_path)
         except ValueError as exc:  # includes UnicodeDecodeError
             raise IngestError(f"malformed model {model_path}: {exc}") from exc
-        # a region whose names have no tokens gets no vector, and a model
-        # from an earlier ingest may name other regions
+        # a model from an earlier ingest may name other regions
         missing = sorted(by_region.keys() - model.region_vectors.keys())
         extra = sorted(model.region_vectors.keys() - by_region.keys())
         if missing or extra:

@@ -192,7 +192,10 @@ class NoiseDistribution:
 
 
 def sgns_batch(
-    r_rows: np.ndarray, w_pos: np.ndarray, w_negs: np.ndarray
+    r_rows: np.ndarray,
+    w_pos: np.ndarray,
+    w_negs: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Summed objective and per-pair gradients for a batch of B pairs.
 
@@ -202,15 +205,27 @@ def sgns_batch(
     grad_r      = -(1 - sigmoid(w_o.r)) w_o + sum_k sigmoid(w_k.r) w_k   (B, d)
     grad_w_pos  = -(1 - sigmoid(w_o.r)) r                                (B, d)
     grad_w_negs = sigmoid(w_k.r) r   (row per negative)                  (B, k, d)
+
+    The gradients are written into ``out`` = (grad_r, grad_w_pos,
+    grad_w_negs) when it is given, else into new arrays. grad_w_pos may be
+    w_pos and grad_w_negs may be w_negs: each input is read in full before
+    its buffer is overwritten.
     """
+    b, k, d = w_negs.shape
+    if out is None:
+        out = (np.empty((b, d)), np.empty((b, d)), np.empty((b, k, d)))
+    grad_r, grad_w_pos, grad_w_negs = out
     s_pos = np.einsum("bd,bd->b", w_pos, r_rows)
     s_neg = (w_negs @ r_rows[:, :, None])[:, :, 0]
     loss = float(np.logaddexp(0.0, -s_pos).sum() + np.logaddexp(0.0, s_neg).sum())
     coef_pos = sigmoid(s_pos) - 1.0
     coef_neg = sigmoid(s_neg)
-    grad_r = coef_pos[:, None] * w_pos + (coef_neg[:, None, :] @ w_negs)[:, 0, :]
-    grad_w_pos = coef_pos[:, None] * r_rows
-    grad_w_negs = coef_neg[:, :, None] * r_rows[:, None, :]
+    np.matmul(coef_neg[:, None, :], w_negs, out=grad_r[:, None, :])
+    # grad_w_pos holds the positive term of grad_r until its own value
+    np.multiply(coef_pos[:, None], w_pos, out=grad_w_pos)
+    grad_r += grad_w_pos
+    np.multiply(coef_pos[:, None], r_rows, out=grad_w_pos)
+    np.multiply(coef_neg[:, :, None], r_rows[:, None, :], out=grad_w_negs)
     return loss, grad_r, grad_w_pos, grad_w_negs
 
 
@@ -227,11 +242,24 @@ def pair_gradients(
     return grad_r[0], grad_wo[0], grad_negs[0]
 
 
-def _subtract_rows(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """matrix[rows[i]] -= values[i] for every i, accumulating repeated rows."""
-    d = matrix.shape[1]
-    flat = (rows[:, None] * d + np.arange(d)).ravel()
-    np.subtract.at(matrix.reshape(-1), flat, values.ravel())
+class _Workspace:
+    """Gather, gradient and index buffers for batches of up to BATCH_PAIRS
+    pairs, allocated once per train() call and reused by every batch."""
+
+    def __init__(self, d: int, k: int) -> None:
+        self.regions = np.empty((BATCH_PAIRS, d))
+        self.words = np.empty((BATCH_PAIRS, d))
+        self.negs = np.empty((BATCH_PAIRS * k, d))
+        self.grad_r = np.empty((BATCH_PAIRS, d))
+        self.flat = np.empty(BATCH_PAIRS * k * d, dtype=np.int64)
+        self.cols = np.arange(d)
+
+    def subtract_rows(self, matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+        """matrix[rows[i]] -= values[i] for every i, accumulating repeated rows."""
+        d = self.cols.size
+        flat = self.flat[: rows.size * d]
+        np.add((rows * d)[:, None], self.cols, out=flat.reshape(rows.size, d))
+        np.subtract.at(matrix.reshape(-1), flat, values.reshape(-1))
 
 
 def _sgd_step(
@@ -241,25 +269,30 @@ def _sgd_step(
     word_rows: np.ndarray,
     neg_rows: np.ndarray,
     lr: float,
+    work: _Workspace,
 ) -> float:
     """One SGD step over a batch of B pairs, in place; returns the summed loss.
 
     Pair i is (region_rows[i], word_rows[i]) with negatives neg_rows[i]
     (shape (B, k)). Every gradient is taken at the parameters from before
-    the step, and the updates of rows that repeat are summed.
+    the step, and the updates of rows that repeat are summed. The word
+    gathers are overwritten by their gradients.
     """
     b, k = neg_rows.shape
     d = word_vecs.shape[1]
     negs = neg_rows.ravel()
+    r_rows = np.take(region_vecs, region_rows, axis=0, out=work.regions[:b])
+    w_pos = np.take(word_vecs, word_rows, axis=0, out=work.words[:b])
+    w_negs = np.take(word_vecs, negs, axis=0, out=work.negs[: b * k]).reshape(b, k, d)
     loss, grad_r, grad_w, grad_negs = sgns_batch(
-        region_vecs[region_rows], word_vecs[word_rows], word_vecs[negs].reshape(b, k, d)
+        r_rows, w_pos, w_negs, out=(work.grad_r[:b], w_pos, w_negs)
     )
     grad_r *= lr
-    _subtract_rows(region_vecs, region_rows, grad_r)
+    work.subtract_rows(region_vecs, region_rows, grad_r)
     grad_w *= lr
-    _subtract_rows(word_vecs, word_rows, grad_w)
+    work.subtract_rows(word_vecs, word_rows, grad_w)
     grad_negs *= lr
-    _subtract_rows(word_vecs, negs, grad_negs.reshape(b * k, d))
+    work.subtract_rows(word_vecs, negs, grad_negs)
     return loss
 
 
@@ -289,6 +322,7 @@ def train(
     region_vecs = rng.uniform(-bound, bound, size=(len(pairs.regions), d))
     word_vecs = rng.uniform(-bound, bound, size=(len(vocab), d))
 
+    work = _Workspace(d, k)
     lr0 = config.learning_rate
     total_steps = config.epochs * n_pairs
     lr_slope = (FINAL_LEARNING_RATE - lr0) / (total_steps - 1) if total_steps > 1 else 0.0
@@ -311,6 +345,7 @@ def train(
                 epoch_words[start:stop],
                 epoch_negs[start:stop],
                 lr,
+                work,
             )
             step += stop - start
 
@@ -326,34 +361,30 @@ def train(
         raise RuntimeError("training produced non-finite vectors (try a lower learning rate)")
 
     return EmbeddingModel(
-        region_vectors={r: region_vecs[i].copy() for i, r in enumerate(pairs.regions)},
-        word_vectors={t: word_vecs[i].copy() for i, t in enumerate(vocab.terms)},
+        region_vectors=dict(zip(pairs.regions, region_vecs)),
+        word_vectors=dict(zip(vocab.terms, word_vecs)),
         config=config,
         epoch_losses=tuple(epoch_losses),
     )
-
-
-def _vector_text(vec: np.ndarray) -> str:
-    return " ".join(map("%.17g".__mod__, vec.tolist()))
 
 
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
     """Write the model as text: a header line, then one vector per line.
 
     Values carry 17 significant digits so save/load round-trips are
-    bit-exact. Lines are written one at a time.
+    bit-exact. Lines are written one at a time, each from one row template.
     """
     d = model.config.dimension
+    row = "%s\t%s\t" + " ".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             "dim=%d\twords=%d\tregions=%d\tseed=%d\tvariant=%s\n"
             % (d, len(model.word_vectors), len(model.region_vectors), model.config.seed,
                MODEL_VARIANT)
         )
-        for region in sorted(model.region_vectors):
-            fh.write("r\t%s\t%s\n" % (region, _vector_text(model.region_vectors[region])))
-        for term in sorted(model.word_vectors):
-            fh.write("w\t%s\t%s\n" % (term, _vector_text(model.word_vectors[term])))
+        for kind, vectors in (("r", model.region_vectors), ("w", model.word_vectors)):
+            for name in sorted(vectors):
+                fh.write(row % (kind, name, *vectors[name].tolist()))
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,19 @@ class TestPearson:
             hits = int(np.count_nonzero(np.abs(r_perm) >= abs(result.coefficient) - 1e-12))
             assert 0 < hits < permutations
             assert result.p_value == (1 + hits) / (1 + permutations)
+
+    def test_permutation_memory_is_one_block(self):
+        # 1,225 pairs (50 regions) fill one block of PERMUTATION_BLOCK rows
+        rng = np.random.default_rng(46)
+        x, y = rng.normal(size=1225), rng.normal(size=1225)
+        block_bytes = analysis.PERMUTATION_BLOCK * x.size * x.itemsize
+        tracemalloc.start()
+        try:
+            pearson(x, y, permutations=3 * analysis.PERMUTATION_BLOCK, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * block_bytes, (peak, block_bytes)
 
     def test_degenerate_variance(self):
         with pytest.raises(ValueError, match="degenerate"):

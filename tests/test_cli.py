@@ -115,6 +115,22 @@ class TestIngest:
         assert "input line 2" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_region_without_tokens_exits_2_before_writing(self, tmp_path, capsys):
+        # every name of region d tokenizes to nothing
+        names = {r: [f"{r}{i} common cafe" for i in range(20)] for r in "abc"}
+        names["d"] = ["!!!"] * 20
+        out = tmp_path / "o"
+        assert run("ingest", "--input", write_input(tmp_path, names), "--out", out) == 2
+        assert "no name in region(s) ['d'] has any tokens" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_every_region_without_tokens_is_named(self, tmp_path, capsys):
+        # region c has some names without tokens, which is allowed
+        names = {"a": ["alpha cafe"], "b": ["!!!", "..."], "c": ["!!!", "gamma cafe"],
+                 "d": ["---"]}
+        assert run("ingest", "--input", write_input(tmp_path, names), "--out", tmp_path / "o") == 2
+        assert "no name in region(s) ['b', 'd'] has any tokens" in capsys.readouterr().err
+
     # \x01 is a plain control character; the others are line boundaries to
     # str.splitlines, so they also check that the mapping reader keeps them
     # inside the label for the label rule to reject
@@ -233,8 +249,8 @@ class TestLocalTerms:
         assert "megamart" not in desert_terms  # present in every region
 
 
-def write_regions(tmp_path: Path, names: dict[str, list[str]], categories=()) -> Path:
-    """Ingest the given POI names per region into a fresh artifact directory."""
+def write_input(tmp_path: Path, names: dict[str, list[str]], categories=()) -> Path:
+    """An ingest input holding the given POI names per region."""
     input_path = tmp_path / "regions.ndjson"
     input_path.write_text(
         "".join(
@@ -246,8 +262,13 @@ def write_regions(tmp_path: Path, names: dict[str, list[str]], categories=()) ->
         ),
         encoding="utf-8",
     )
+    return input_path
+
+
+def write_regions(tmp_path: Path, names: dict[str, list[str]], categories=()) -> Path:
+    """Ingest the given POI names per region into a fresh artifact directory."""
     out = tmp_path / "regions"
-    assert run("ingest", "--input", input_path, "--out", out) == 0
+    assert run("ingest", "--input", write_input(tmp_path, names, categories), "--out", out) == 0
     return out
 
 
@@ -451,11 +472,16 @@ class TestSimilarityAndDecay:
         assert sorted(pipeline_dir.iterdir()) == before
 
     def test_similarity_rejects_model_missing_a_region(self, tmp_path, capsys):
-        # every name of region d tokenizes to nothing, so embed gives d no vector
-        names = {r: [f"{r}{i} common cafe" for i in range(20)] for r in "abc"}
-        names["d"] = ["!!!"] * 20
+        names = {r: [f"{r}{i} common cafe" for i in range(20)] for r in "abcd"}
         out = write_regions(tmp_path, names)
         assert run("embed", "--out", out, "--dim", "8", "--epochs", "3", "--seed", "7") == 0
+        # drop region d's vector and lower the header's region count to match
+        path = out / "model.txt"
+        header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert "\tregions=4\t" in header
+        path.write_text(header.replace("\tregions=4\t", "\tregions=3\t")
+                        + "".join(line for line in lines if not line.startswith("r\td\t")),
+                        encoding="utf-8")
         before = sorted(out.iterdir())
         assert run("similarity", "--out", out, "--method", "embedding") == 2
         assert "missing from the model ['d'], not in pois.ndjson []" in capsys.readouterr().err

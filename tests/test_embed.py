@@ -17,6 +17,7 @@ from poinames.embed import (
     NoiseDistribution,
     TrainingPairs,
     _sgd_step,
+    _Workspace,
     build_training_pairs,
     load_model,
     pair_gradients,
@@ -297,7 +298,8 @@ class TestSgnsBatch:
             for n, g in zip(negs, grad_negs):
                 expected_w[n] -= lr * g
 
-        loss = _sgd_step(region_vecs, word_vecs, region_rows, word_rows, neg_rows, lr)
+        loss = _sgd_step(region_vecs, word_vecs, region_rows, word_rows, neg_rows, lr,
+                         _Workspace(d, neg_rows.shape[1]))
         assert loss == pytest.approx(expected_loss, rel=1e-12)
         np.testing.assert_allclose(region_vecs, expected_r, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(word_vecs, expected_w, rtol=1e-12, atol=1e-14)
@@ -346,7 +348,52 @@ def upper_cosines(vectors):
     return (m @ m.T)[np.triu_indices(len(m), 1)]
 
 
+def fresh_arrays_train(pairs, vocab, config):
+    """train() with new arrays in every batch: fancy-index gathers, the
+    gradients sgns_batch allocates, and a new subtract.at index."""
+    noise = NoiseDistribution(pairs, len(vocab))
+    d, k = config.dimension, config.negatives
+    rng = np.random.default_rng(config.seed)
+    region_vecs = rng.uniform(-0.5 / d, 0.5 / d, size=(len(pairs.regions), d))
+    word_vecs = rng.uniform(-0.5 / d, 0.5 / d, size=(len(vocab), d))
+    n = len(pairs)
+    slope = (FINAL_LEARNING_RATE - config.learning_rate) / (config.epochs * n - 1)
+
+    def subtract_rows(matrix, rows, values):
+        flat = (rows[:, None] * d + np.arange(d)).ravel()
+        np.subtract.at(matrix.reshape(-1), flat, values.ravel())
+
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        regions, words = pairs.region_ids[order], pairs.word_ids[order]
+        negs = noise.sample_rows(regions, k, rng, positives=words)
+        for start in range(0, n, BATCH_PAIRS):
+            stop = min(start + BATCH_PAIRS, n)
+            lr = config.learning_rate + slope * (step + (stop - start - 1) / 2)
+            r, w, ng = regions[start:stop], words[start:stop], negs[start:stop]
+            _, grad_r, grad_w, grad_negs = sgns_batch(region_vecs[r], word_vecs[w], word_vecs[ng])
+            subtract_rows(region_vecs, r, grad_r * lr)
+            subtract_rows(word_vecs, w, grad_w * lr)
+            subtract_rows(word_vecs, ng.ravel(), grad_negs * lr)
+            step += stop - start
+    return region_vecs, word_vecs
+
+
 class TestTrain:
+    def test_workspace_reuse_is_bit_exact_over_full_and_partial_batches(self):
+        rnd = random.Random(3)
+        terms = [f"t{j:02d}" for j in range(60)]
+        tokens = [rnd.choice(terms) for _ in range(2 * BATCH_PAIRS + 37)]
+        _, vocab, pairs = toy_setup({f"r{i}": [" ".join(tokens[i::4])] for i in range(4)})
+        assert len(pairs) == 2 * BATCH_PAIRS + 37
+        config = EmbeddingConfig(dimension=24, negatives=5, epochs=3, seed=4)
+        model = train(pairs, vocab, config)
+        region_vecs, word_vecs = fresh_arrays_train(pairs, vocab, config)
+        assert np.array_equal(np.array([model.region_vectors[r] for r in pairs.regions]),
+                              region_vecs)
+        assert np.array_equal(np.array([model.word_vectors[t] for t in vocab.terms]), word_vecs)
+
     def test_agrees_with_per_pair_reference(self):
         _, vocab, pairs = toy_setup(line_of_regions(seed=0))
         assert len(pairs) > 5 * BATCH_PAIRS
