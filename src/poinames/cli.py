@@ -18,6 +18,7 @@ import sys
 import unicodedata
 from collections import defaultdict
 from pathlib import Path
+from typing import Iterable
 
 # numpy's OpenBLAS starts one worker thread per core at import. Every BLAS
 # call the CLI makes is small or memory-bound and stages run one at a time,
@@ -75,8 +76,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_text(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_text(path: Path, lines: Iterable[str]) -> None:
+    """Write each line followed by "\n", one line at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def _sha256(path: Path) -> str:
@@ -216,7 +221,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if tokenless:
         raise IngestError(f"{input_path}: no name in region(s) {tokenless} has any tokens")
 
-    pois_lines = [
+    pois_lines = (
         json.dumps(
             {
                 "name": r.name,
@@ -229,7 +234,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             ensure_ascii=False,
         )
         for r in result.records
-    ]
+    )
     _write_text(outdir / POIS_ARTIFACT, pois_lines)
 
     rejection_lines = ["line\treason"]
@@ -370,13 +375,13 @@ def cmd_vectors(args: argparse.Namespace) -> int:
     records = _read_pois(outdir)
     vocab, regions, vectors = _region_vectors(records, args.mode, args.idf_variant)
 
+    # one row per term, each formatted from the Python floats of one tolist()
+    grid = np.column_stack([v.values for v in vectors])
+    cell = (lambda v: str(int(v))) if args.mode == "count" else repr
     lines = ["term\t" + "\t".join(regions)]
-    for slot, term in enumerate(vocab.terms):
-        if args.mode == "count":
-            cells = [str(int(v.values[slot])) for v in vectors]
-        else:
-            cells = [_fmt(v.values[slot]) for v in vectors]
-        lines.append(term + "\t" + "\t".join(cells))
+    lines.extend(
+        term + "\t" + "\t".join(map(cell, row.tolist())) for term, row in zip(vocab.terms, grid)
+    )
     _write_text(outdir / f"vectors_{args.mode}.tsv", lines)
     _write_manifest(outdir, f"vectors_{args.mode}", args, {"pois": outdir / POIS_ARTIFACT})
     print(f"wrote vectors_{args.mode}.tsv ({len(vocab)} terms x {len(regions)} regions)")

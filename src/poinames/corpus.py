@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -28,16 +29,22 @@ LON_MIN, LON_MAX = -180.0, 180.0
 # written into tab-separated, line-oriented artifacts.
 _LABEL_FORBIDDEN = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
+_NO_CATEGORIES: frozenset[str] = frozenset()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class PoiRecord:
-    """One point of interest: raw name, region label, coordinates, categories."""
+    """One point of interest: raw name, region label, coordinates, categories.
+
+    Records loaded by one load_pois call share their region label and
+    category set objects with every other record holding an equal value.
+    """
 
     name: str
     region_id: str
     latitude: float
     longitude: float
-    categories: frozenset[str] = frozenset()
+    categories: frozenset[str] = _NO_CATEGORIES
 
 
 @dataclass
@@ -119,9 +126,10 @@ def tokenize(name: str) -> tuple[str, ...]:
     """Lowercase a name, replace punctuation/symbols with spaces, and split.
 
     Stop words and digits are kept. A name made entirely of punctuation
-    yields the empty tuple.
+    yields the empty tuple. Tokens are interned, so every corpus holds one
+    string per distinct term.
     """
-    return tuple(name.lower().translate(_SEPARATORS).split())
+    return tuple(map(sys.intern, name.lower().translate(_SEPARATORS).split()))
 
 
 def read_region_mapping(path: str | Path) -> dict[tuple[str, str], str]:
@@ -130,13 +138,14 @@ def read_region_mapping(path: str | Path) -> dict[tuple[str, str], str]:
     Two tab-separated columns per line: "city,state" and the region label.
     A city of "*" matches every city in that state. Keys are matched
     case-insensitively; blank lines and lines starting with # are skipped.
-    Lines end at "\n" only, so any other separator str.splitlines knows
-    stays inside its label, where the region-label rule rejects it.
+    A leading UTF-8 byte order mark is dropped. Lines end at "\n" only, so
+    any other separator str.splitlines knows stays inside its label, where
+    the region-label rule rejects it.
     """
     mapping: dict[tuple[str, str], str] = {}
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read region mapping {path}: {exc}") from exc
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -167,16 +176,25 @@ def _as_float(value: object) -> float | None:
         return None
 
 
-def _categories(value: object) -> frozenset[str]:
-    if value is None:
-        return frozenset()
+def _categories(
+    value: object, shared: dict[str | tuple[str, ...], frozenset[str]]
+) -> frozenset[str]:
+    """The category set of a comma-separated string or a list of strings.
+
+    Sets are kept in ``shared``, keyed by the string or by the tuple of the
+    list's string entries, so equal values give one set object.
+    """
     if isinstance(value, str):
-        parts = value.split(",")
+        key: str | tuple[str, ...] = value
     elif isinstance(value, (list, tuple)):
-        parts = [p for p in value if isinstance(p, str)]
+        key = tuple(p for p in value if isinstance(p, str))
     else:
-        return frozenset()
-    return frozenset(p.strip() for p in parts if p and p.strip())
+        return _NO_CATEGORIES
+    categories = shared.get(key)
+    if categories is None:
+        parts = key.split(",") if isinstance(key, str) else key
+        categories = shared[key] = frozenset(p.strip() for p in parts if p and p.strip())
+    return categories
 
 
 def _resolve_region(
@@ -208,12 +226,13 @@ def load_pois(
 
     Invalid records are rejected with a reason, never silently dropped.
     An unreadable or non-UTF-8 source, or a region label (from the record
-    or the mapping) holding a control character, raises IngestError.
+    or the mapping) holding a control character, raises IngestError. A
+    leading UTF-8 byte order mark in a file is dropped.
     """
     result = LoadResult(records=[])
     if isinstance(source, (str, Path)):
         try:
-            with open(source, encoding="utf-8") as lines:
+            with open(source, encoding="utf-8-sig") as lines:
                 _load_lines(lines, region_mapping, result)
         except UnicodeDecodeError as exc:
             where = _locate_bad_byte(source)
@@ -246,10 +265,14 @@ def _load_lines(
     mapping: Mapping[tuple[str, str], str] | None,
     result: LoadResult,
 ) -> None:
+    # One table per kind of shared value: a label and a categories string
+    # that are equal must still give a str and a frozenset respectively.
+    labels: dict[str, str] = {}
+    category_sets: dict[str | tuple[str, ...], frozenset[str]] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        reason = _load_one(line, lineno, mapping, result.records)
+        reason = _load_one(line, lineno, mapping, labels, category_sets, result.records)
         if reason is not None:
             result.rejections.append(RejectedRecord(line=lineno, reason=reason))
 
@@ -258,6 +281,8 @@ def _load_one(
     line: str,
     lineno: int,
     mapping: Mapping[tuple[str, str], str] | None,
+    labels: dict[str, str],
+    category_sets: dict[str | tuple[str, ...], frozenset[str]],
     out: list[PoiRecord],
 ) -> str | None:
     try:
@@ -285,18 +310,22 @@ def _load_one(
     region, reason = _resolve_region(raw, mapping)
     if region is None:
         return reason
-    if _LABEL_FORBIDDEN.search(region):
-        raise IngestError(
-            f"input line {lineno}: region label {region!r} contains a control character"
-        )
+    label = labels.get(region)
+    if label is None:
+        # checked on first sight, so a bad label is named at its first line
+        if _LABEL_FORBIDDEN.search(region):
+            raise IngestError(
+                f"input line {lineno}: region label {region!r} contains a control character"
+            )
+        label = labels[region] = region
 
     out.append(
         PoiRecord(
             name=name.strip(),
-            region_id=region,
+            region_id=label,
             latitude=lat,
             longitude=lon,
-            categories=_categories(raw.get("categories")),
+            categories=_categories(raw.get("categories"), category_sets),
         )
     )
     return None

@@ -276,14 +276,17 @@ def _sgd_step(
     Pair i is (region_rows[i], word_rows[i]) with negatives neg_rows[i]
     (shape (B, k)). Every gradient is taken at the parameters from before
     the step, and the updates of rows that repeat are summed. The word
-    gathers are overwritten by their gradients.
+    gathers are overwritten by their gradients. Rows must be in range:
+    train() checks them, so mode="clip" never clips, and it lets np.take
+    gather straight into the workspace instead of through a temporary.
     """
     b, k = neg_rows.shape
     d = word_vecs.shape[1]
     negs = neg_rows.ravel()
-    r_rows = np.take(region_vecs, region_rows, axis=0, out=work.regions[:b])
-    w_pos = np.take(word_vecs, word_rows, axis=0, out=work.words[:b])
-    w_negs = np.take(word_vecs, negs, axis=0, out=work.negs[: b * k]).reshape(b, k, d)
+    r_rows = np.take(region_vecs, region_rows, axis=0, out=work.regions[:b], mode="clip")
+    w_pos = np.take(word_vecs, word_rows, axis=0, out=work.words[:b], mode="clip")
+    w_negs = np.take(word_vecs, negs, axis=0, out=work.negs[: b * k], mode="clip")
+    w_negs = w_negs.reshape(b, k, d)
     loss, grad_r, grad_w, grad_negs = sgns_batch(
         r_rows, w_pos, w_negs, out=(work.grad_r[:b], w_pos, w_negs)
     )
@@ -309,10 +312,18 @@ def train(
     rows, and uses the learning rate of its midpoint step. All randomness
     (initialization, shuffling, negative draws) comes from one generator
     seeded with config.seed, so identical inputs produce an identical model.
+    A region or word id outside its table raises ValueError before training.
     """
     if not pairs:
         raise EmptyCorpusError("no training pairs")
     n_pairs = len(pairs)
+    for name, ids, size in (
+        ("region", pairs.region_ids, len(pairs.regions)),
+        ("word", pairs.word_ids, len(vocab)),
+    ):
+        low, high = int(ids.min()), int(ids.max())
+        if low < 0 or high >= size:
+            raise ValueError(f"{name} ids must lie in [0, {size}), found {low}..{high}")
     noise = NoiseDistribution(pairs, len(vocab))
 
     d = config.dimension

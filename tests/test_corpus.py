@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import unicodedata
 
 import pytest
@@ -146,6 +147,73 @@ class TestLoadPois:
         with pytest.raises(IngestError, match="input line 1: region label"):
             load_pois([line], region_mapping=mapping)
 
+    def test_bad_label_seen_twice_is_named_at_its_first_line(self):
+        good = json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a"})
+        bad = json.dumps({"name": "y", "latitude": 1.0, "longitude": 2.0, "region": "a\tb"})
+        with pytest.raises(IngestError, match="input line 2: region label"):
+            load_pois([good, bad, good, bad])
+
+    def test_equal_labels_and_categories_share_one_object(self):
+        mapping = {("dunecity", "dz"): "desertville"}
+        lines = [
+            json.dumps({"name": f"n{i}", "latitude": 1.0, "longitude": 2.0, **where,
+                        "categories": categories})
+            for i, (where, categories) in enumerate(
+                [({"region": "lakecity"}, ["Food", "Bars"]),
+                 ({"region": " lakecity "}, ["Food", "Bars"]),
+                 ({"city": "Dunecity", "state": "DZ"}, "Food, Nightlife"),
+                 ({"city": "dunecity", "state": "dz"}, "Food, Nightlife")]
+            )
+        ]
+        a, b, c, d = load_pois(lines, region_mapping=mapping).records
+        assert a.region_id == "lakecity" and a.region_id is b.region_id
+        assert c.region_id == "desertville" and c.region_id is d.region_id
+        assert a.categories == frozenset({"Food", "Bars"}) and a.categories is b.categories
+        assert c.categories == frozenset({"Food", "Nightlife"}) and c.categories is d.categories
+
+    def test_label_equal_to_a_categories_string_keeps_its_own_value(self):
+        lines = [
+            json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "Food",
+                        "categories": "Food"}),
+            json.dumps({"name": "y", "latitude": 1.0, "longitude": 2.0, "region": "Bars",
+                        "categories": "Bars"}),
+            json.dumps({"name": "z", "latitude": 1.0, "longitude": 2.0, "region": "Food",
+                        "categories": "Bars"}),
+        ]
+        records = load_pois(lines).records
+        assert [r.region_id for r in records] == ["Food", "Bars", "Food"]
+        assert all(type(r.region_id) is str for r in records)
+        assert [r.categories for r in records] == [
+            frozenset({"Food"}), frozenset({"Bars"}), frozenset({"Bars"})
+        ]
+
+    def test_held_bytes_per_record(self):
+        # about 190 B per record when labels and category sets are shared,
+        # about 600 B when every record holds its own copies
+        labels = [f"region{r}" for r in range(10)]
+        categories = [["Food", f"Kind {c}"] for c in range(20)]
+        lines = [
+            json.dumps({"name": f"Poi {i}", "latitude": 1.0 + i * 1e-4, "longitude": 2.0,
+                        "region": labels[i % 10], "categories": categories[i % 20]})
+            for i in range(2000)
+        ]
+        tracemalloc.start()
+        try:
+            result = load_pois(lines)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.accepted == 2000
+        assert held / result.accepted < 400
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        line = json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a"})
+        path = tmp_path / "pois.ndjson"
+        path.write_text("\ufeff" + line + "\n" + line + "\n", encoding="utf-8")
+        result = load_pois(path)
+        assert result.rejections == []
+        assert [r.name for r in result.records] == ["x", "x"]
+
     def test_unreadable_source_is_fatal(self, tmp_path):
         with pytest.raises(IngestError):
             load_pois(tmp_path / "does_not_exist.ndjson")
@@ -176,6 +244,11 @@ class TestRegionMappingFile:
         path.write_bytes(b"# comment\r\ndunecity,DZ\tdesertville\r\n*,LK\tlakecity\r\n")
         mapping = read_region_mapping(path)
         assert mapping == {("dunecity", "dz"): "desertville", ("*", "lk"): "lakecity"}
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text("\ufeffdunecity,DZ\tdesertville\n", encoding="utf-8")
+        assert read_region_mapping(path) == {("dunecity", "dz"): "desertville"}
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "map.tsv"

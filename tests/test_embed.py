@@ -445,6 +445,18 @@ class TestTrain:
         for v in list(model.region_vectors.values()) + list(model.word_vectors.values()):
             assert np.isfinite(v).all()
 
+    @pytest.mark.parametrize(
+        "field,bad", [("region", -1), ("region", 3), ("word", -1), ("word", "vocab")]
+    )
+    def test_out_of_range_ids_rejected_before_training(self, field, bad):
+        _, vocab, pairs = toy_setup()
+        ids = {"region": pairs.region_ids.copy(), "word": pairs.word_ids.copy()}
+        ids[field][0] = len(vocab) if bad == "vocab" else bad
+        broken = TrainingPairs(regions=pairs.regions, region_ids=ids["region"],
+                               word_ids=ids["word"])
+        with pytest.raises(ValueError, match=f"{field} ids must lie in"):
+            train(broken, vocab, EmbeddingConfig(dimension=8, epochs=1, seed=0))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
         _, vocab, pairs = toy_setup()
