@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .linfit import LineFit, line_fit
 from .regionvec import RegionMatrix
 

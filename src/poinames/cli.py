@@ -20,14 +20,14 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Iterable
 
-# numpy's OpenBLAS starts one worker thread per core at import. Every BLAS
+# numpy's OpenBLAS starts one worker thread per core when numpy executes,
+# which happens at a stage's first use of numpy (see _numpy.py). Every BLAS
 # call the CLI makes is small or memory-bound and stages run one at a time,
 # so the pool only burns CPU. Run BLAS on one thread unless the user set it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from . import __version__
+from ._numpy import load_numpy, np
 from .analysis import (
     DEFAULT_PERMUTATIONS,
     fit_distance_decay,
@@ -189,7 +189,10 @@ def _read_matrix(path: Path) -> RegionMatrix:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file
+        raise IngestError(f"--out {outdir}: cannot create the directory: {exc.strerror}") from exc
     input_path = Path(args.input)
     if not input_path.is_file():
         raise FileNotFoundError(f"input file not found: {input_path}")
@@ -371,6 +374,7 @@ def _region_vectors(records: list[PoiRecord], method: str, variant: str):
 
 
 def cmd_vectors(args: argparse.Namespace) -> int:
+    load_numpy()
     outdir = Path(args.out)
     records = _read_pois(outdir)
     vocab, regions, vectors = _region_vectors(records, args.mode, args.idf_variant)
@@ -389,6 +393,7 @@ def cmd_vectors(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
+    load_numpy()
     outdir = Path(args.out)
     records = _read_pois(outdir)
     corpora = partition_by_region(records, dedup=False)
@@ -422,6 +427,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_similarity(args: argparse.Namespace) -> int:
+    load_numpy()
     outdir = Path(args.out)
     records = _read_pois(outdir)
     read = {"pois": outdir / POIS_ARTIFACT}
@@ -476,6 +482,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 
 
 def cmd_decay(args: argparse.Namespace) -> int:
+    load_numpy()
     outdir = Path(args.out)
     sim_path = _require(outdir / f"similarity_{args.method}.tsv", f"similarity --method {args.method}")
     dist_path = _require(outdir / DISTANCES_ARTIFACT, f"similarity --method {args.method}")
@@ -530,14 +537,25 @@ def cmd_decay(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type accepting integers of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _positive_float(text: str) -> float:
@@ -597,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--negatives", type=_positive_int, default=5)
     p_embed.add_argument("--epochs", type=_positive_int, default=20)
     p_embed.add_argument("--learning-rate", type=_positive_float, default=0.025)
-    p_embed.add_argument("--seed", type=int, default=0)
+    p_embed.add_argument("--seed", type=_non_negative_int, default=0)
     p_embed.set_defaults(func=cmd_embed)
 
     p_sim = sub.add_parser("similarity", help="pairwise collective similarity and distances")
@@ -613,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decay.add_argument("--method", choices=VECTOR_METHODS, default="count")
     p_decay.add_argument("--p-method", choices=("permutation", "t"), default="permutation")
     p_decay.add_argument("--permutations", type=_positive_int, default=DEFAULT_PERMUTATIONS)
-    p_decay.add_argument("--seed", type=int, default=0)
+    p_decay.add_argument("--seed", type=_non_negative_int, default=0)
     p_decay.set_defaults(func=cmd_decay)
 
     return parser

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
-
+from ._numpy import np
 from .corpus import RegionCorpus, Vocabulary
 from .errors import EmptyCorpusError
 
@@ -421,7 +420,10 @@ def load_model(path: str | Path) -> EmbeddingModel:
         for lineno, line in enumerate(fh, start=2):
             kind, _, rest = line.rstrip("\n").partition("\t")
             name, _, values = rest.partition("\t")
-            vec = np.fromiter(map(float, values.split(" ")), dtype=np.float64)
+            try:
+                vec = np.fromiter(map(float, values.split(" ")), dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if vec.shape != (dim,):
                 raise ValueError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
             if not np.isfinite(vec).all():

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from math import atan, atan2, cos, fsum, radians, sin, sqrt, tan
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .corpus import PoiRecord
 from .regionvec import RegionMatrix
 

@@ -6,8 +6,7 @@ import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .corpus import RegionCorpus, Vocabulary
 from .localness import GeoTfidfTable
 

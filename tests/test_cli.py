@@ -38,8 +38,8 @@ def read_kv(path: Path) -> dict[str, str]:
     return out
 
 
-def fresh_python(code, **env):
-    """stdout of `code` run in a new interpreter, OPENBLAS_NUM_THREADS unset unless given.
+def fresh_python(code, *args, **env):
+    """stdout of `code` run with `args` in a new interpreter, OPENBLAS_NUM_THREADS unset unless given.
 
     Importing poinames.cli here sets the variable in this process, so the
     child's environment is built without it.
@@ -47,8 +47,8 @@ def fresh_python(code, **env):
     child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     child_env["PYTHONPATH"] = str(Path(poinames.__file__).resolve().parents[1])
     child_env.update(env)
-    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
-                          text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=child_env,
+                          capture_output=True, text=True, check=True)
     return proc.stdout.strip()
 
 
@@ -62,6 +62,36 @@ def test_cli_import_loads_no_scipy():
 
 def test_package_import_loads_no_numpy():
     assert fresh_python("import sys, poinames; print('numpy' in sys.modules)") == "False"
+
+
+# runs the CLI on its arguments, then prints the exit code and how many
+# numpy submodules are loaded; 'numpy' itself is in sys.modules as soon as a
+# numpy-backed module is imported, but its submodules appear only once it runs
+NUMPY_PROBE = """
+import sys
+from poinames.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, sum(name.startswith("numpy.") for name in sys.modules))
+"""
+
+
+def test_text_stages_never_execute_numpy(tmp_path, dataset):
+    input_path, mapping_path = dataset
+    out = str(tmp_path / "artifacts")
+    text_stages = [
+        ["--version"],
+        ["ingest", "--input", str(input_path), "--mapping", str(mapping_path), "--out", out],
+        ["zipf", "--out", out],
+        ["local-terms", "--top", "10", "--out", out],
+        ["type-usage", "--top", "20", "--min-count", "5", "--out", out],
+    ]
+    for argv in text_stages:
+        assert fresh_python(NUMPY_PROBE, *argv).splitlines()[-1] == "0 0", argv
+    code, submodules = fresh_python(NUMPY_PROBE, "vectors", "--out", out).splitlines()[-1].split()
+    assert code == "0" and int(submodules) > 0
 
 
 def test_cli_import_runs_blas_on_one_thread():
@@ -87,6 +117,15 @@ class TestIngest:
         assert "latitude out of range" in reasons
         assert "missing or empty name" in reasons
         assert "no region mapping" in reasons
+
+    def test_out_naming_a_file_exits_2_and_leaves_it(self, tmp_path, dataset, capsys):
+        input_path, mapping_path = dataset
+        out = tmp_path / "taken"
+        out.write_bytes(b"keep me\n")
+        code = run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out)
+        assert code == 2
+        assert f"--out {out}" in capsys.readouterr().err
+        assert out.read_bytes() == b"keep me\n"
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run("ingest", "--input", tmp_path / "nope.ndjson", "--out", tmp_path / "o") == 2
@@ -211,6 +250,18 @@ class TestIntegerOptions:
         assert exc.value.code == 2
         assert argv[1] in capsys.readouterr().err
         assert sorted(pipeline_dir.iterdir()) == before
+
+    @pytest.mark.parametrize("argv", [["embed", "--seed", "-1"], ["decay", "--seed", "-3"]],
+                             ids=lambda argv: argv[0])
+    def test_seed_below_zero_exits_2_before_writing(self, pipeline_dir, capsys, argv):
+        before = {p: p.read_bytes() for p in pipeline_dir.iterdir()}
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", pipeline_dir)
+        assert exc.value.code == 2
+        assert f"argument --seed: expected an integer of at least 0, got '{argv[2]}'" in (
+            capsys.readouterr().err
+        )
+        assert {p: p.read_bytes() for p in pipeline_dir.iterdir()} == before
 
 
 class TestZipf:
@@ -458,7 +509,7 @@ class TestSimilarityAndDecay:
         assert str(path) in capsys.readouterr().err
         assert sorted(pipeline_dir.iterdir()) == before
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "abc"])
     def test_similarity_rejects_non_finite_model_value(self, pipeline_dir, capsys, value):
         assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "3", "--seed", "7") == 0
         path = pipeline_dir / "model.txt"
@@ -468,7 +519,8 @@ class TestSimilarityAndDecay:
         path.write_text("\n".join([header, first, rest]), encoding="utf-8")
         before = sorted(pipeline_dir.iterdir())
         assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 2
-        assert f"{path}:2: non-finite value" in capsys.readouterr().err
+        reason = "could not convert string to float: 'abc'" if value == "abc" else "non-finite value"
+        assert f"{path}:2: {reason}" in capsys.readouterr().err
         assert sorted(pipeline_dir.iterdir()) == before
 
     def test_similarity_rejects_model_missing_a_region(self, tmp_path, capsys):
