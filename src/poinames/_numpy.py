@@ -7,6 +7,10 @@ when an attribute of ``np`` is first read. The modules that import ``np``
 use it only inside function bodies and string annotations, so importing
 them costs nothing, and the CLI stages that never call numpy (ingest, zipf,
 local-terms, type-usage) start without it.
+
+Before Python 3.12 the lazy load takes no lock, so two threads that first
+read ``np`` at once may see a half-run numpy; threaded callers import numpy
+before poinames.
 """
 
 from __future__ import annotations
@@ -14,29 +18,28 @@ from __future__ import annotations
 import importlib.util
 import sys
 
-
-def _lazy_import(name: str):
-    module = sys.modules.get(name)
-    if module is not None:
-        return module
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
-
-
-np = _lazy_import("numpy")
+np = sys.modules.get("numpy")
+if np is None:
+    _spec = importlib.util.find_spec("numpy")
+    if _spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = importlib.util.module_from_spec(_spec)
+    sys.modules["numpy"] = np
+    _spec.loader.exec_module(np)
 
 
 def load_numpy() -> None:
     """Run numpy's import now, if it has not run yet.
 
     A stage that uses numpy calls this first, so the import is paid by the
-    stage itself and not by whichever library call first reads ``np``.
+    stage itself and not by whichever library call first reads ``np``. If
+    the import fails, the half-run module is taken out of ``sys.modules``,
+    so a later ``import numpy`` raises the same error again.
     """
-    np.ndarray  # noqa: B018 -- reading any attribute executes a lazy module
+    try:
+        np.ndarray  # noqa: B018 -- reading any attribute executes a lazy module
+    except BaseException:
+        if sys.modules.get("numpy") is np:
+            del sys.modules["numpy"]
+        raise

@@ -188,11 +188,6 @@ def _read_matrix(path: Path) -> RegionMatrix:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # e.g. --out names a file
-        raise IngestError(f"--out {outdir}: cannot create the directory: {exc.strerror}") from exc
     input_path = Path(args.input)
     if not input_path.is_file():
         raise FileNotFoundError(f"input file not found: {input_path}")
@@ -204,6 +199,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             raise FileNotFoundError(f"mapping file not found: {mapping_path}")
         mapping = read_region_mapping(mapping_path)
         read["mapping"] = mapping_path
+    outdir = Path(args.out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file
+        raise IngestError(f"--out {outdir}: cannot create the directory: {exc.strerror}") from exc
 
     result: LoadResult = load_pois(input_path, region_mapping=mapping)
     if not result.records:

@@ -95,9 +95,28 @@ def test_text_stages_never_execute_numpy(tmp_path, dataset):
 
 
 def test_cli_import_runs_blas_on_one_thread():
-    code = ("import os, poinames.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+    # numpy starts its BLAS threads when it executes, which importing the
+    # CLI alone does not do; load_numpy runs it as a numpy stage would
+    code = ("import os, poinames.cli; poinames.cli.load_numpy(); "
+            "print(os.environ['OPENBLAS_NUM_THREADS']); "
             "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)")
     assert fresh_python(code).split() == ["1", "1"]
+
+
+def test_failed_numpy_import_is_raised_again(tmp_path):
+    # a numpy whose import fails must not stay half-run in sys.modules
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text("raise ImportError('broken numpy')\n")
+    code = """
+import poinames.cli
+for attempt in (poinames.cli.load_numpy, lambda: __import__("numpy")):
+    try:
+        attempt()
+    except ImportError as exc:
+        print(exc)
+"""
+    pythonpath = os.pathsep.join([str(tmp_path), str(Path(poinames.__file__).resolve().parents[1])])
+    assert fresh_python(code, PYTHONPATH=pythonpath).splitlines() == ["broken numpy"] * 2
 
 
 def test_cli_import_keeps_a_preset_blas_thread_count():
@@ -129,12 +148,14 @@ class TestIngest:
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run("ingest", "--input", tmp_path / "nope.ndjson", "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
 
     def test_missing_mapping_exits_2(self, tmp_path, dataset):
         input_path, _ = dataset
         code = run("ingest", "--input", input_path, "--mapping", tmp_path / "nope.tsv",
                    "--out", tmp_path / "o")
         assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_empty_input_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.ndjson"
