@@ -438,7 +438,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     if args.method == "embedding":
         model_path = read["model"] = _require(outdir / MODEL_ARTIFACT, "embed")
         try:
-            model = load_model(model_path)
+            model = load_model(model_path, words=False)
         except ValueError as exc:  # includes UnicodeDecodeError
             raise IngestError(f"malformed model {model_path}: {exc}") from exc
         # a model from an earlier ingest may name other regions

@@ -397,10 +397,17 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
                 fh.write(row % (kind, name, *vectors[name].tolist()))
 
 
-def load_model(path: str | Path) -> EmbeddingModel:
-    """Read a model written by save_model, one line at a time."""
+def load_model(path: str | Path, *, words: bool = True) -> EmbeddingModel:
+    """Read a model written by save_model, one line at a time.
+
+    With ``words=False`` the word rows are checked only for their kind and
+    their number of values, and counted against the header; their values
+    are not converted, and ``word_vectors`` comes back empty. The header
+    and every region row are checked as with ``words=True``.
+    """
     region_vectors: dict[str, np.ndarray] = {}
     word_vectors: dict[str, np.ndarray] = {}
+    unread_words: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if not first:
@@ -420,6 +427,12 @@ def load_model(path: str | Path) -> EmbeddingModel:
         for lineno, line in enumerate(fh, start=2):
             kind, _, rest = line.rstrip("\n").partition("\t")
             name, _, values = rest.partition("\t")
+            if kind == "w" and not words:
+                found = values.count(" ") + 1
+                if found != dim:
+                    raise ValueError(f"{path}:{lineno}: expected {dim} values, got {found}")
+                unread_words.add(name)
+                continue
             try:
                 vec = np.fromiter(map(float, values.split(" ")), dtype=np.float64)
             except ValueError as exc:
@@ -434,10 +447,11 @@ def load_model(path: str | Path) -> EmbeddingModel:
                 word_vectors[name] = vec
             else:
                 raise ValueError(f"{path}:{lineno}: unknown vector kind {kind!r}")
-    if len(region_vectors) != n_regions or len(word_vectors) != n_words:
+    found_words = len(word_vectors) + len(unread_words)
+    if len(region_vectors) != n_regions or found_words != n_words:
         raise ValueError(
             f"{path}: header promises {n_regions} regions / {n_words} words, "
-            f"found {len(region_vectors)} / {len(word_vectors)}"
+            f"found {len(region_vectors)} / {found_words}"
         )
     return EmbeddingModel(
         region_vectors=region_vectors,

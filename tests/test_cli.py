@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import poinames
+import poinames.cli
 from poinames.cli import build_parser, main
 
 from conftest import write_dataset
@@ -412,6 +414,16 @@ class TestVectors:
         assert all(float(v) == 0.0 for v in by_term["megamart"])
 
 
+def damage_middle_word_row(text: str, damage) -> str:
+    """`text` of a model.txt with `damage` applied to the middle row of its word block."""
+    lines = text.split("\n")
+    rows = [i for i, line in enumerate(lines) if line.startswith("w\t")]
+    assert len(rows) >= 3
+    i = rows[len(rows) // 2]
+    lines[i] = damage(lines[i])
+    return "\n".join(lines)
+
+
 def read_matrix(path: Path):
     lines = path.read_text().splitlines()
     regions = lines[0].split("\t")[1:]
@@ -518,8 +530,13 @@ class TestSimilarityAndDecay:
 
     @pytest.mark.parametrize(
         "damage",
-        [lambda text: text[: text.index("\nw\t") + 1], lambda text: text[: text.rindex(" ")] + "\n"],
-        ids=["words-missing", "line-cut"],
+        [
+            lambda text: text[: text.index("\nw\t") + 1],
+            lambda text: text[: text.rindex(" ")] + "\n",
+            lambda text: damage_middle_word_row(text, lambda row: row[: row.rindex(" ")]),
+            lambda text: damage_middle_word_row(text, lambda row: "x" + row[1:]),
+        ],
+        ids=["words-missing", "line-cut", "word-value-dropped", "word-kind-changed"],
     )
     def test_similarity_rejects_truncated_model(self, pipeline_dir, capsys, damage):
         assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "3", "--seed", "7") == 0
@@ -655,3 +672,15 @@ def test_every_fixture_stage_runs_under_the_bench_trace(tmp_path):
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, (stage, proc.stderr)
         assert len(json.loads(spans.read_text())["spans"]) > 1, stage
+
+
+def test_every_traced_name_is_a_callable_of_the_cli():
+    # bench/traced_stage.py replaces each key of its COUNTS, and tokenize, in
+    # the poinames.cli namespace; the file is parsed here, not run
+    traced = Path(__file__).resolve().parents[1] / "bench" / "traced_stage.py"
+    tree = ast.parse(traced.read_text(encoding="utf-8"))
+    counts = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "COUNTS" for t in node.targets))
+    names = [ast.literal_eval(key) for key in counts.keys] + ["tokenize"]
+    assert len(names) > 20
+    assert [n for n in names if not callable(getattr(poinames.cli, n, None))] == []

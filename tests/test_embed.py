@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -528,14 +529,40 @@ class TestModelPersistence:
         expected += [f"w\t{t}\t{fmt(model.word_vectors[t])}" for t in ("yy", "zz")]
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
-    def test_malformed_header(self, tmp_path):
+    def test_region_rows_only_match_the_full_read(self, tmp_path):
+        _, vocab, pairs = toy_setup()
+        model = train(pairs, vocab, EmbeddingConfig(dimension=8, epochs=2, seed=77))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        full = load_model(path)
+        regions = load_model(path, words=False)
+        assert regions.word_vectors == {}
+        assert regions.config == full.config
+        assert regions.region_vectors.keys() == full.region_vectors.keys()
+        for region, v in full.region_vectors.items():
+            assert np.array_equal(regions.region_vectors[region], v)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "1e999"])
+    def test_full_read_checks_every_word_value(self, tmp_path, value):
+        path = tmp_path / "model.txt"
+        path.write_text("dim=2\twords=3\tregions=1\tseed=0\tvariant=sgns\nr\ta\t0 1\n"
+                        f"w\tx\t1 2\nw\ty\t{value} 2\nw\tz\t3 4\n")
+        reason = "could not convert string to float" if value == "abc" else "non-finite value"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:4: {reason}')}"):
+            load_model(path)
+        # words=False leaves the word values unread
+        assert load_model(path, words=False).region_vectors.keys() == {"a"}
+
+    @pytest.mark.parametrize("words", [True, False], ids=["words", "regions-only"])
+    def test_malformed_header(self, tmp_path, words):
         path = tmp_path / "model.txt"
         path.write_text("not a header\n")
         with pytest.raises(ValueError, match="header"):
-            load_model(path)
+            load_model(path, words=words)
 
-    def test_count_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("words", [True, False], ids=["words", "regions-only"])
+    def test_count_mismatch(self, tmp_path, words):
         path = tmp_path / "model.txt"
         path.write_text("dim=2\twords=5\tregions=1\tseed=0\tvariant=sgns\nr\ta\t0 0\n")
         with pytest.raises(ValueError, match="promises"):
-            load_model(path)
+            load_model(path, words=words)
