@@ -159,6 +159,9 @@ def _read_matrix(path: Path) -> RegionMatrix:
     if not lines:
         raise IngestError(f"{path}: empty matrix file")
     regions = tuple(lines[0].split("\t")[1:])
+    if len(set(regions)) != len(regions):
+        repeated = sorted({r for r in regions if regions.count(r) > 1})
+        raise IngestError(f"{path}:1: header repeats region label(s) {repeated}")
     rows = lines[1:]
     if len(rows) != len(regions):
         raise IngestError(
@@ -486,19 +489,22 @@ def cmd_decay(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     sim_path = _require(outdir / f"similarity_{args.method}.tsv", f"similarity --method {args.method}")
     dist_path = _require(outdir / DISTANCES_ARTIFACT, f"similarity --method {args.method}")
-    observations = pair_observations(_read_matrix(sim_path), _read_matrix(dist_path))
+    sim, dist = _read_matrix(sim_path), _read_matrix(dist_path)
+    # similarity rewrites distances.tsv, so a similarity file of an earlier
+    # ingest may name other regions
+    missing = sorted(set(sim.regions) - set(dist.regions))
+    extra = sorted(set(dist.regions) - set(sim.regions))
+    if missing or extra:
+        raise IngestError(
+            f"{sim_path} and {dist_path} name different regions: "
+            f"missing from {DISTANCES_ARTIFACT} {missing}, not in {sim_path.name} {extra}"
+        )
+    observations = pair_observations(sim, dist)
 
     distances = [o.distance_m for o in observations]
     similarities = [o.similarity for o in observations]
-    p_method = "t_approx" if args.p_method == "t" else "permutation"
-    pearson_res = pearson(
-        distances, similarities, p_method=p_method,
-        permutations=args.permutations, seed=args.seed,
-    )
-    spearman_res = spearman(
-        distances, similarities, p_method=p_method,
-        permutations=args.permutations, seed=args.seed,
-    )
+    pearson_res = pearson(distances, similarities, permutations=args.permutations, seed=args.seed)
+    spearman_res = spearman(distances, similarities, permutations=args.permutations, seed=args.seed)
     fit = fit_distance_decay(observations)
 
     # every number is computed before the first write, so a failed run
@@ -517,8 +523,8 @@ def cmd_decay(args: argparse.Namespace) -> int:
         f"pearson_p={_fmt(pearson_res.p_value)}",
         f"spearman={_fmt(spearman_res.coefficient)}",
         f"spearman_p={_fmt(spearman_res.p_value)}",
-        f"p_method={p_method}",
-        f"permutations={args.permutations if p_method == 'permutation' else 0}",
+        "p_method=permutation",
+        f"permutations={args.permutations}",
         f"seed={args.seed}",
         f"fit_A={_fmt(fit.intercept)}",
         f"fit_beta={_fmt(fit.slope)}",
@@ -629,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_decay = sub.add_parser("decay", help="correlate similarity with distance and fit decay")
     add_out(p_decay)
     p_decay.add_argument("--method", choices=VECTOR_METHODS, default="count")
-    p_decay.add_argument("--p-method", choices=("permutation", "t"), default="permutation")
     p_decay.add_argument("--permutations", type=_positive_int, default=DEFAULT_PERMUTATIONS)
     p_decay.add_argument("--seed", type=_non_negative_int, default=0)
     p_decay.set_defaults(func=cmd_decay)

@@ -76,25 +76,17 @@ class TestPearson:
         for _ in range(20):
             x = rng.normal(size=10)
             y = rng.normal(size=10)
-            got = pearson(x, y, p_method="t_approx")
+            got = pearson(x, y, permutations=1)
             ref_r, _ = stats.pearsonr(x, y)
             assert got.coefficient == pytest.approx(float(ref_r), rel=1e-12, abs=1e-12)
-
-    def test_t_approx_p_matches_reference(self):
-        rng = np.random.default_rng(42)
-        x = rng.normal(size=21)
-        y = 0.5 * x + rng.normal(size=21)
-        got = pearson(x, y, p_method="t_approx")
-        _, ref_p = stats.pearsonr(x, y)
-        assert got.p_value == pytest.approx(float(ref_p), rel=1e-9)
 
     def test_scale_shift_invariance(self):
         rng = np.random.default_rng(43)
         x = rng.normal(size=15)
         y = rng.normal(size=15)
-        base = pearson(x, y, p_method="t_approx").coefficient
+        base = pearson(x, y, permutations=1).coefficient
         for a, b in [(2.5, 1.0), (-3.0, 4.0), (0.001, -7.0)]:
-            r = pearson(a * x + b, y, p_method="t_approx").coefficient
+            r = pearson(a * x + b, y, permutations=1).coefficient
             assert r == pytest.approx(math.copysign(1.0, a) * base, rel=1e-12, abs=1e-12)
 
     def test_permutation_p_is_deterministic(self):
@@ -145,7 +137,7 @@ class TestPearson:
 
     def test_degenerate_variance(self):
         with pytest.raises(ValueError, match="degenerate"):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], p_method="t_approx")
+            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], permutations=1)
 
     @pytest.mark.parametrize("correlate", [pearson, spearman])
     @pytest.mark.parametrize("permutations", [-5, -1, 0])
@@ -153,42 +145,26 @@ class TestPearson:
         x, y = [1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0]
         with pytest.raises(ValueError, match="permutations must be at least 1"):
             correlate(x, y, permutations=permutations)
-        # the t approximation draws no permutations
-        assert 0.0 < correlate(x, y, p_method="t_approx", permutations=permutations).p_value <= 1.0
 
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError):
-            pearson([1.0, 2.0], [1.0, 2.0])
+    @pytest.mark.parametrize("correlate", [pearson, spearman])
+    def test_needs_three_points(self, correlate):
+        with pytest.raises(ValueError, match="need at least 3 observations, got 2"):
+            correlate([1.0, 2.0], [1.0, 2.0])
 
-
-class TestStudentTTail:
-    def test_matches_reference_tail(self):
-        tiny = np.finfo(float).tiny
-        for df in [*range(1, 60), 100, 500, 1223, 5000, 10**5, 10**6]:
-            for t in np.linspace(0.0, 60.0, 241):
-                got = analysis._t_two_sided_p(float(t), df)
-                ref = 2.0 * float(stats.t.sf(t, df))
-                assert 0.0 <= got <= 1.0
-                if ref >= tiny:
-                    assert abs(got - ref) <= 1e-10 * ref, (df, t, got, ref)
-                else:
-                    assert got < 1e-290, (df, t, got)
-
-    @pytest.mark.parametrize("r", [0.0, 1e-12, 0.3, -0.7, 0.999999, 1.0 - 1e-15, 1.0, -1.0])
-    @pytest.mark.parametrize("n", [3, 4, 25, 1225, 100_000])
-    def test_p_in_unit_interval(self, r, n):
-        p = analysis._t_approx_p(r, n)
-        assert 0.0 < p <= 1.0
+    @pytest.mark.parametrize("correlate", [pearson, spearman])
+    def test_unequal_lengths_rejected(self, correlate):
+        with pytest.raises(ValueError, match="x and y must have equal length"):
+            correlate([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
 
 
 class TestSpearman:
     def test_monotone_increasing(self):
         x = [1.0, 2.0, 5.0, 9.0]
-        assert spearman(x, [math.exp(v) for v in x], p_method="t_approx").coefficient == 1.0
+        assert spearman(x, [math.exp(v) for v in x], permutations=1).coefficient == 1.0
 
     def test_monotone_decreasing(self):
         x = [1.0, 2.0, 5.0, 9.0]
-        assert spearman(x, [1.0 / v for v in x], p_method="t_approx").coefficient == -1.0
+        assert spearman(x, [1.0 / v for v in x], permutations=1).coefficient == -1.0
 
     def test_ties_match_reference(self):
         cases = [
@@ -196,7 +172,7 @@ class TestSpearman:
             ([1.0, 2.0, 2.0, 2.0, 3.0], [1.0, 3.0, 2.0, 3.0, 5.0]),
         ]
         for x, y in cases:
-            got = spearman(x, y, p_method="t_approx").coefficient
+            got = spearman(x, y, permutations=1).coefficient
             ref = stats.spearmanr(x, y).statistic
             assert got == pytest.approx(float(ref), rel=1e-12)
 
@@ -204,8 +180,8 @@ class TestSpearman:
         rng = np.random.default_rng(45)
         x = rng.normal(size=12)
         y = rng.normal(size=12)
-        base = spearman(x, y, p_method="t_approx").coefficient
-        transformed = spearman(np.exp(x), y, p_method="t_approx").coefficient
+        base = spearman(x, y, permutations=1).coefficient
+        transformed = spearman(np.exp(x), y, permutations=1).coefficient
         assert transformed == base
 
     def test_random_against_reference(self):
@@ -213,7 +189,7 @@ class TestSpearman:
         for _ in range(10):
             x = rng.normal(size=8)
             y = rng.normal(size=8)
-            got = spearman(x, y, p_method="t_approx").coefficient
+            got = spearman(x, y, permutations=1).coefficient
             ref = stats.spearmanr(x, y).statistic
             assert got == pytest.approx(float(ref), rel=1e-12)
 

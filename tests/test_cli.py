@@ -18,6 +18,8 @@ from poinames.cli import build_parser, main
 from conftest import write_dataset
 from test_acceptance import STAGES, _run_pipeline
 
+TRACED_STAGE = Path(__file__).resolve().parents[1] / "bench" / "traced_stage.py"
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -478,9 +480,12 @@ class TestSimilarityAndDecay:
             lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tinf"],
             lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\t-inf"],
             lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\t1e999"],
+            lambda lines: [line.replace("lakecity", "hillton") for line in lines],
+            lambda lines: [line.replace("lakecity", "newtown") for line in lines],
         ],
         ids=["row-missing", "row-extra", "rows-out-of-order", "cell-missing", "cell-extra",
-             "not-a-number", "empty", "not-utf8", "nan", "inf", "minus-inf", "overflow"],
+             "not-a-number", "empty", "not-utf8", "nan", "inf", "minus-inf", "overflow",
+             "label-repeated", "label-renamed"],
     )
     def test_decay_rejects_malformed_matrix(self, pipeline_dir, capsys, damage):
         run("similarity", "--out", pipeline_dir, "--method", "count")
@@ -522,11 +527,32 @@ class TestSimilarityAndDecay:
         assert "--permutations" in capsys.readouterr().err
         assert sorted(pipeline_dir.iterdir()) == before
 
-    def test_decay_t_approximation(self, pipeline_dir):
+    def test_decay_p_method_option_is_gone(self, pipeline_dir, capsys):
         run("similarity", "--out", pipeline_dir, "--method", "count")
-        assert run("decay", "--out", pipeline_dir, "--method", "count", "--p-method", "t") == 0
-        results = read_kv(pipeline_dir / "decay_results_count.txt")
-        assert results["p_method"] == "t_approx"
+        before = sorted(pipeline_dir.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            run("decay", "--out", pipeline_dir, "--method", "count", "--p-method", "t")
+        assert exc.value.code == 2
+        assert "--p-method" in capsys.readouterr().err
+        assert sorted(pipeline_dir.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "new,message",
+        [
+            ("hillton", "{sim}:1: header repeats region label(s) ['hillton']"),
+            ("newtown", "{sim} and {dist} name different regions: missing from distances.tsv "
+                        "['newtown'], not in similarity_count.tsv ['lakecity']"),
+        ],
+        ids=["label-repeated", "label-renamed"],
+    )
+    def test_decay_names_the_region_labels_at_fault(self, pipeline_dir, capsys, new, message):
+        run("similarity", "--out", pipeline_dir, "--method", "count")
+        path = pipeline_dir / "similarity_count.tsv"
+        path.write_text(path.read_text().replace("lakecity", new), encoding="utf-8")
+        assert run("decay", "--out", pipeline_dir, "--method", "count",
+                   "--permutations", "100") == 2
+        expected = message.format(sim=path, dist=pipeline_dir / "distances.tsv")
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "damage",
@@ -658,29 +684,38 @@ def test_every_manifest_hashes_what_its_stage_read_and_records_its_options(tmp_p
         assert dict(entries) == {**hashes, **options}, name
 
 
+def traced_names() -> list[str]:
+    """The keys of COUNTS in bench/traced_stage.py, read by parsing the file, not running it."""
+    tree = ast.parse(TRACED_STAGE.read_text(encoding="utf-8"))
+    counts = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "COUNTS" for t in node.targets))
+    return [ast.literal_eval(key) for key in counts.keys]
+
+
 def test_every_fixture_stage_runs_under_the_bench_trace(tmp_path):
     # bench/traced_stage.py replaces library names in poinames.cli and reads
-    # their arguments by name, so renaming one breaks the traced benchmark
+    # their arguments by name, so renaming one breaks the traced benchmark;
+    # a name no stage calls any more leaves its per-layer metrics empty
     input_path, mapping_path = write_dataset(tmp_path)
     out = tmp_path / "artifacts"
-    traced = Path(__file__).resolve().parents[1] / "bench" / "traced_stage.py"
     env = {**os.environ, "PYTHONPATH": str(Path(poinames.__file__).resolve().parents[1])}
     ingest = ["ingest", "--input", str(input_path), "--mapping", str(mapping_path)]
+    seen = set()
     for i, stage in enumerate([ingest] + STAGES):
-        spans = tmp_path / f"spans_{i}.json"
-        proc = subprocess.run([sys.executable, str(traced), str(spans), *stage, "--out", str(out)],
-                              env=env, capture_output=True, text=True)
+        spans_path = tmp_path / f"spans_{i}.json"
+        proc = subprocess.run(
+            [sys.executable, str(TRACED_STAGE), str(spans_path), *stage, "--out", str(out)],
+            env=env, capture_output=True, text=True)
         assert proc.returncode == 0, (stage, proc.stderr)
-        assert len(json.loads(spans.read_text())["spans"]) > 1, stage
+        spans = json.loads(spans_path.read_text())["spans"]
+        assert len(spans) > 1, stage
+        seen.update(span["name"] for span in spans)
+    assert [name for name in traced_names() if name not in seen] == []
 
 
 def test_every_traced_name_is_a_callable_of_the_cli():
     # bench/traced_stage.py replaces each key of its COUNTS, and tokenize, in
-    # the poinames.cli namespace; the file is parsed here, not run
-    traced = Path(__file__).resolve().parents[1] / "bench" / "traced_stage.py"
-    tree = ast.parse(traced.read_text(encoding="utf-8"))
-    counts = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                  and any(isinstance(t, ast.Name) and t.id == "COUNTS" for t in node.targets))
-    names = [ast.literal_eval(key) for key in counts.keys] + ["tokenize"]
+    # the poinames.cli namespace
+    names = traced_names() + ["tokenize"]
     assert len(names) > 20
     assert [n for n in names if not callable(getattr(poinames.cli, n, None))] == []
