@@ -31,6 +31,22 @@ def matrices(n, seed=0):
     )
 
 
+def correlated(n, r, seed=0):
+    """Normal x and a y whose sample correlation with x is r."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    xc = x - x.mean()
+    z = rng.normal(size=n)
+    z -= z.mean()
+    z -= (z @ xc) / (xc @ xc) * xc
+    return x, r * xc / np.linalg.norm(xc) + math.sqrt(1.0 - r * r) * z / np.linalg.norm(z)
+
+
+def near_t_tail(p, ref, permutations):
+    """Permutation p within five Monte Carlo standard errors plus 5% of the t tail."""
+    return abs(p - ref) <= 5.0 * math.sqrt(ref * (1.0 - ref) / permutations) + 0.05 * ref
+
+
 class TestPairObservations:
     @pytest.mark.parametrize("n,expected", [(2, 1), (3, 3), (7, 21)])
     def test_pair_counts(self, n, expected):
@@ -79,6 +95,15 @@ class TestPearson:
             got = pearson(x, y, permutations=1)
             ref_r, _ = stats.pearsonr(x, y)
             assert got.coefficient == pytest.approx(float(ref_r), rel=1e-12, abs=1e-12)
+
+    def test_t_approx_p_matches_reference(self):
+        # independent normal pairs: the permutation p approaches scipy's t-based p
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=21)
+        y = 0.5 * x + rng.normal(size=21)
+        got = pearson(x, y, permutations=20000)
+        _, ref_p = stats.pearsonr(x, y)
+        assert near_t_tail(got.p_value, float(ref_p), 20000), (got.p_value, ref_p)
 
     def test_scale_shift_invariance(self):
         rng = np.random.default_rng(43)
@@ -146,10 +171,9 @@ class TestPearson:
         with pytest.raises(ValueError, match="permutations must be at least 1"):
             correlate(x, y, permutations=permutations)
 
-    @pytest.mark.parametrize("correlate", [pearson, spearman])
-    def test_needs_three_points(self, correlate):
+    def test_needs_three_points(self):
         with pytest.raises(ValueError, match="need at least 3 observations, got 2"):
-            correlate([1.0, 2.0], [1.0, 2.0])
+            pearson([1.0, 2.0], [1.0, 2.0])
 
     @pytest.mark.parametrize("correlate", [pearson, spearman])
     def test_unequal_lengths_rejected(self, correlate):
@@ -157,7 +181,34 @@ class TestPearson:
             correlate([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
 
 
+class TestStudentTTail:
+    """The permutation p-value, with the Student-t tail as the reference for
+    independent normal pairs."""
+
+    def test_matches_reference_tail(self):
+        permutations = 20000
+        for n in [20, 50, 200, 1000]:
+            df = n - 2
+            for t in [1.0, 2.0, 2.5]:
+                x, y = correlated(n, t / math.sqrt(df + t * t), seed=n)
+                got = pearson(x, y, permutations=permutations, seed=n).p_value
+                ref = 2.0 * float(stats.t.sf(t, df))
+                assert near_t_tail(got, ref, permutations), (n, t, got, ref)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-12, 0.3, -0.7, 0.999999, 1.0 - 1e-15, 1.0, -1.0])
+    @pytest.mark.parametrize("n", [3, 4, 25, 1225, 100_000])
+    def test_p_in_unit_interval(self, r, n):
+        x, y = correlated(n, r)
+        result = pearson(x, y, permutations=99, seed=n)
+        assert result.coefficient == pytest.approx(r, abs=1e-9)
+        assert 1.0 / 100 <= result.p_value <= 1.0
+
+
 class TestSpearman:
+    def test_needs_three_points(self):
+        with pytest.raises(ValueError, match="need at least 3 observations, got 2"):
+            spearman([1.0, 2.0], [1.0, 2.0])
+
     def test_monotone_increasing(self):
         x = [1.0, 2.0, 5.0, 9.0]
         assert spearman(x, [math.exp(v) for v in x], permutations=1).coefficient == 1.0

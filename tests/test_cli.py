@@ -527,7 +527,8 @@ class TestSimilarityAndDecay:
         assert "--permutations" in capsys.readouterr().err
         assert sorted(pipeline_dir.iterdir()) == before
 
-    def test_decay_p_method_option_is_gone(self, pipeline_dir, capsys):
+    def test_decay_t_approximation(self, pipeline_dir, capsys):
+        # the t approximation is gone: --p-method is no longer an option
         run("similarity", "--out", pipeline_dir, "--method", "count")
         before = sorted(pipeline_dir.iterdir())
         with pytest.raises(SystemExit) as exc:
