@@ -138,15 +138,13 @@ def pearson(
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n; tied values share the mean of their rank positions."""
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # each tie group holds sorted positions starts[g]..ends[g] - 1 and gets
+    # their mean rank; -0.0 == 0.0, so the two tie
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = mean_rank
-        i = j + 1
+    ranks[order] = np.repeat((starts + (ends - 1)) / 2.0 + 1.0, ends - starts)
     return ranks
 
 

@@ -318,6 +318,10 @@ def cmd_local_terms(args: argparse.Namespace) -> int:
         )
         _write_text(terms_dir / f"{slug}.tsv", lines)
         print(f"{region}: {len(term_set.terms)} local terms -> local_terms/{slug}.tsv")
+    # tables of regions an earlier ingest had and this one does not
+    for stale in terms_dir.glob("*.tsv"):
+        if stale.stem not in owners and stale.is_file():
+            stale.unlink()
 
     _write_manifest(outdir, "local_terms", args, {"pois": outdir / POIS_ARTIFACT})
     return 0
@@ -441,7 +445,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     if args.method == "embedding":
         model_path = read["model"] = _require(outdir / MODEL_ARTIFACT, "embed")
         try:
-            model = load_model(model_path, words=False)
+            model = load_model(model_path)
         except ValueError as exc:  # includes UnicodeDecodeError
             raise IngestError(f"malformed model {model_path}: {exc}") from exc
         # a model from an earlier ingest may name other regions

@@ -29,6 +29,10 @@ LON_MIN, LON_MAX = -180.0, 180.0
 # written into tab-separated, line-oriented artifacts.
 _LABEL_FORBIDDEN = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
+# A JSON escape of one half of a surrogate pair (\ud800 alone) decodes to a
+# lone surrogate, which UTF-8 cannot encode, so no artifact could hold it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 _NO_CATEGORIES: frozenset[str] = frozenset()
 
 
@@ -225,9 +229,10 @@ def load_pois(
     """Read newline-delimited JSON records into PoiRecords.
 
     Invalid records are rejected with a reason, never silently dropped.
-    An unreadable or non-UTF-8 source, or a region label (from the record
-    or the mapping) holding a control character, raises IngestError. A
-    leading UTF-8 byte order mark in a file is dropped.
+    An unreadable or non-UTF-8 source, a region label (from the record
+    or the mapping) holding a control character, or a lone surrogate
+    escape in a name, region, city, state or category raises IngestError.
+    A leading UTF-8 byte order mark in a file is dropped.
     """
     result = LoadResult(records=[])
     if isinstance(source, (str, Path)):
@@ -291,6 +296,12 @@ def _load_one(
         return "malformed record"
     if not isinstance(raw, dict):
         return "record is not an object"
+    if "\\u" in line:  # only an escape can decode to a surrogate
+        for key in ("name", "region", "city", "state", "categories"):
+            bad = _SURROGATE.search(json.dumps(raw.get(key), ensure_ascii=False))
+            if bad:
+                raise IngestError(f"input line {lineno}: field {key!r} holds a lone surrogate "
+                                  f"U+{ord(bad.group()):04X}, which is not valid Unicode")
 
     name = raw.get("name")
     if not isinstance(name, str) or not name.strip():

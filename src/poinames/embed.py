@@ -379,35 +379,31 @@ def train(
 
 
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
-    """Write the model as text: a header line, then one vector per line.
+    """Write the region vectors as text: a header line, then one per line.
 
-    Values carry 17 significant digits so save/load round-trips are
-    bit-exact. Lines are written one at a time, each from one row template.
+    Word vectors are not written: no stage reads them, as word2vec keeps
+    only its input vectors, so a loaded model has none. Values carry 17
+    significant digits so save/load round-trips are bit-exact. Lines are
+    written one at a time, each from one row template.
     """
     d = model.config.dimension
-    row = "%s\t%s\t" + " ".join(["%.17g"] * d) + "\n"
+    row = "r\t%s\t" + " ".join(["%.17g"] * d) + "\n"
+    vectors = model.region_vectors
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
-            "dim=%d\twords=%d\tregions=%d\tseed=%d\tvariant=%s\n"
-            % (d, len(model.word_vectors), len(model.region_vectors), model.config.seed,
-               MODEL_VARIANT)
+            "dim=%d\tregions=%d\tseed=%d\tvariant=%s\n"
+            % (d, len(vectors), model.config.seed, MODEL_VARIANT)
         )
-        for kind, vectors in (("r", model.region_vectors), ("w", model.word_vectors)):
-            for name in sorted(vectors):
-                fh.write(row % (kind, name, *vectors[name].tolist()))
+        for name in sorted(vectors):
+            fh.write(row % (name, *vectors[name].tolist()))
 
 
-def load_model(path: str | Path, *, words: bool = True) -> EmbeddingModel:
+def load_model(path: str | Path) -> EmbeddingModel:
     """Read a model written by save_model, one line at a time.
 
-    With ``words=False`` the word rows are checked only for their kind and
-    their number of values, and counted against the header; their values
-    are not converted, and ``word_vectors`` comes back empty. The header
-    and every region row are checked as with ``words=True``.
+    Every row must be a region (``r``) row; ``word_vectors`` comes back empty.
     """
     region_vectors: dict[str, np.ndarray] = {}
-    word_vectors: dict[str, np.ndarray] = {}
-    unread_words: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if not first:
@@ -418,7 +414,6 @@ def load_model(path: str | Path, *, words: bool = True) -> EmbeddingModel:
             header[key] = value
         try:
             dim = int(header["dim"])
-            n_words = int(header["words"])
             n_regions = int(header["regions"])
             seed = int(header["seed"])
         except (KeyError, ValueError) as exc:
@@ -426,13 +421,9 @@ def load_model(path: str | Path, *, words: bool = True) -> EmbeddingModel:
 
         for lineno, line in enumerate(fh, start=2):
             kind, _, rest = line.rstrip("\n").partition("\t")
+            if kind != "r":
+                raise ValueError(f"{path}:{lineno}: unknown vector kind {kind!r}")
             name, _, values = rest.partition("\t")
-            if kind == "w" and not words:
-                found = values.count(" ") + 1
-                if found != dim:
-                    raise ValueError(f"{path}:{lineno}: expected {dim} values, got {found}")
-                unread_words.add(name)
-                continue
             try:
                 vec = np.fromiter(map(float, values.split(" ")), dtype=np.float64)
             except ValueError as exc:
@@ -441,20 +432,13 @@ def load_model(path: str | Path, *, words: bool = True) -> EmbeddingModel:
                 raise ValueError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
             if not np.isfinite(vec).all():
                 raise ValueError(f"{path}:{lineno}: non-finite value in vector {name!r}")
-            if kind == "r":
-                region_vectors[name] = vec
-            elif kind == "w":
-                word_vectors[name] = vec
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown vector kind {kind!r}")
-    found_words = len(word_vectors) + len(unread_words)
-    if len(region_vectors) != n_regions or found_words != n_words:
+            region_vectors[name] = vec
+    if len(region_vectors) != n_regions:
         raise ValueError(
-            f"{path}: header promises {n_regions} regions / {n_words} words, "
-            f"found {len(region_vectors)} / {found_words}"
+            f"{path}: header promises {n_regions} regions, found {len(region_vectors)}"
         )
     return EmbeddingModel(
         region_vectors=region_vectors,
-        word_vectors=word_vectors,
+        word_vectors={},
         config=EmbeddingConfig(dimension=dim, seed=seed),
     )

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from poinames import analysis
@@ -243,6 +244,14 @@ class TestSpearman:
             got = spearman(x, y, permutations=1).coefficient
             ref = stats.spearmanr(x, y).statistic
             assert got == pytest.approx(float(ref), rel=1e-12)
+
+    # few distinct values, so most draws hold ties, and -0.0 next to 0.0
+    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0, 1e300]), max_size=40)
+           | st.lists(st.floats(allow_nan=False), max_size=40))
+    def test_average_ranks_equal_rankdata(self, values):
+        ranks = analysis._average_ranks(np.array(values, dtype=np.float64))
+        assert ranks.dtype == np.float64
+        assert ranks.tobytes() == stats.rankdata(values).astype(np.float64).tobytes()
 
 
 def obs(pairs):

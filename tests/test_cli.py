@@ -223,6 +223,19 @@ class TestIngest:
         assert str(path) in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("field", ["name", "region", "categories"])
+    def test_lone_surrogate_exits_2_before_writing(self, tmp_path, capsys, field):
+        out = write_regions(tmp_path, {"a": ["alpha cafe"], "b": ["beta cafe"]})
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        records = [{"name": f"cafe {i}", "region": "a", "categories": ["Food"],
+                    "latitude": 30.0, "longitude": -100.0} for i in range(3)]
+        records[1][field] = ["Caf\ud800"] if field == "categories" else "x\ud800"
+        input_path = tmp_path / "surrogate.ndjson"
+        input_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
+        assert run("ingest", "--input", input_path, "--out", out) == 2
+        assert f"input line 2: field '{field}' holds a lone surrogate U+D800" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
     def test_pois_artifact_is_normalized(self, pipeline_dir):
         first = json.loads((pipeline_dir / "pois.ndjson").read_text().splitlines()[0])
         assert set(first) == {"name", "region", "latitude", "longitude", "categories"}
@@ -242,6 +255,20 @@ class TestStageOrdering:
         assert run("zipf", "--out", pipeline_dir) == 2
         err = capsys.readouterr().err
         assert f"{path} is corrupt: 2 records failed to parse; first at line 3: malformed record" in err
+
+    @pytest.mark.parametrize("stage", ["zipf", "local-terms", "type-usage", "vectors", "embed",
+                                       "similarity"])
+    def test_pois_artifact_with_lone_surrogate_exits_2(self, pipeline_dir, capsys, stage):
+        path = pipeline_dir / "pois.ndjson"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["name"] += "\ud800"
+        lines[1] = json.dumps(record)  # ASCII, with the surrogate as an escape
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        before = sorted(pipeline_dir.iterdir())
+        assert run(stage, "--out", pipeline_dir) == 2
+        assert "input line 2: field 'name' holds a lone surrogate U+D800" in capsys.readouterr().err
+        assert sorted(pipeline_dir.iterdir()) == before
 
     def test_decay_before_similarity_exits_2(self, pipeline_dir, capsys):
         assert run("decay", "--out", pipeline_dir, "--method", "embedding") == 2
@@ -323,6 +350,19 @@ class TestLocalTerms:
         }
         assert {"desert", "cactus", "dunes"} <= desert_terms
         assert "megamart" not in desert_terms  # present in every region
+
+    def test_tables_of_dropped_regions_are_deleted(self, tmp_path):
+        out = write_regions(tmp_path, {r: [f"{r} cafe", "common cafe"]
+                                       for r in ("alpha", "beta", "gamma")})
+        assert run("local-terms", "--out", out) == 0
+        terms_dir = out / "local_terms"
+        (terms_dir / "notes.txt").write_text("kept\n")
+        (terms_dir / "sub.tsv").mkdir()
+        # ingest again into the same directory with fewer regions
+        write_regions(tmp_path, {r: [f"{r} cafe", "common cafe"] for r in ("alpha", "delta")})
+        assert run("local-terms", "--out", out) == 0
+        assert sorted(f.name for f in terms_dir.iterdir()) == [
+            "alpha.tsv", "delta.tsv", "notes.txt", "sub.tsv"]
 
 
 def write_input(tmp_path: Path, names: dict[str, list[str]], categories=()) -> Path:
@@ -416,10 +456,10 @@ class TestVectors:
         assert all(float(v) == 0.0 for v in by_term["megamart"])
 
 
-def damage_middle_word_row(text: str, damage) -> str:
-    """`text` of a model.txt with `damage` applied to the middle row of its word block."""
+def damage_middle_region_row(text: str, damage) -> str:
+    """`text` of a model.txt with `damage` applied to the middle one of its region rows."""
     lines = text.split("\n")
-    rows = [i for i, line in enumerate(lines) if line.startswith("w\t")]
+    rows = [i for i, line in enumerate(lines) if line.startswith("r\t")]
     assert len(rows) >= 3
     i = rows[len(rows) // 2]
     lines[i] = damage(lines[i])
@@ -558,12 +598,15 @@ class TestSimilarityAndDecay:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda text: text[: text.index("\nw\t") + 1],
+            lambda text: text[: text.rindex("\nr\t") + 1],
             lambda text: text[: text.rindex(" ")] + "\n",
-            lambda text: damage_middle_word_row(text, lambda row: row[: row.rindex(" ")]),
-            lambda text: damage_middle_word_row(text, lambda row: "x" + row[1:]),
+            lambda text: damage_middle_region_row(text, lambda row: row[: row.rindex(" ")]),
+            lambda text: damage_middle_region_row(text, lambda row: "x" + row[1:]),
+            # the word row of a model.txt written before word vectors were dropped
+            lambda text: text + "w" + text[text.rindex("\nr\t") + 2 :],
         ],
-        ids=["words-missing", "line-cut", "word-value-dropped", "word-kind-changed"],
+        ids=["region-missing", "line-cut", "region-value-dropped", "region-kind-changed",
+             "word-row-appended"],
     )
     def test_similarity_rejects_truncated_model(self, pipeline_dir, capsys, damage):
         assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "3", "--seed", "7") == 0

@@ -147,6 +147,33 @@ class TestLoadPois:
         with pytest.raises(IngestError, match="input line 1: region label"):
             load_pois([line], region_mapping=mapping)
 
+    @pytest.mark.parametrize(
+        "field,value,code",
+        [
+            ("name", "caf\ud800", "D800"),
+            ("region", "\udfffville", "DFFF"),
+            ("categories", "Food,Caf\udc00", "DC00"),
+            ("categories", ["Food", "Caf\udc00"], "DC00"),
+            ("city", "dune\ud800", "D800"),
+            ("state", "D\ud800", "D800"),
+        ],
+        ids=["name", "region", "categories-string", "categories-list", "city", "state"],
+    )
+    def test_lone_surrogate_escape_is_fatal(self, field, value, code):
+        good = json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a"})
+        record = {"name": "y", "latitude": 1.0, "longitude": 2.0, "city": "c", "state": "s"}
+        record[field] = value
+        with pytest.raises(IngestError, match=f"^input line 2: field '{field}' holds a lone "
+                                              f"surrogate U\\+{code}"):
+            load_pois([good, json.dumps(record), good])
+
+    def test_surrogate_pair_escape_is_one_character(self):
+        line = json.dumps({"name": "\U0001f600 cafe", "latitude": 1.0, "longitude": 2.0,
+                           "region": "a"})
+        assert "\\ud83d\\ude00" in line
+        (record,) = load_pois([line]).records
+        assert record.name == "\U0001f600 cafe"
+
     def test_bad_label_seen_twice_is_named_at_its_first_line(self):
         good = json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a"})
         bad = json.dumps({"name": "y", "latitude": 1.0, "longitude": 2.0, "region": "a\tb"})

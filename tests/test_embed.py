@@ -506,10 +506,10 @@ class TestModelPersistence:
         loaded = load_model(path)
         assert loaded.config.dimension == 8
         assert loaded.config.seed == 77
+        assert loaded.region_vectors.keys() == model.region_vectors.keys()
         for region, v in model.region_vectors.items():
             assert np.array_equal(loaded.region_vectors[region], v)
-        for term, v in model.word_vectors.items():
-            assert np.array_equal(loaded.word_vectors[term], v)
+        assert loaded.word_vectors == {}
         resaved = tmp_path / "resaved.txt"
         save_model(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
@@ -518,51 +518,32 @@ class TestModelPersistence:
         edges = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1, -1 / 3, 123456789.0]
         model = EmbeddingModel(
             region_vectors={"b": np.array(edges[:4]), "a": np.array(edges[4:])},
+            # word vectors are not written
             word_vectors={"zz": np.array(edges[::2]), "yy": np.array(edges[1::2])},
             config=EmbeddingConfig(dimension=4, seed=3),
         )
         path = tmp_path / "model.txt"
         save_model(model, path)
         fmt = lambda v: " ".join("%.17g" % x for x in v)
-        expected = ["dim=4\twords=2\tregions=2\tseed=3\tvariant=sgns"]
+        expected = ["dim=4\tregions=2\tseed=3\tvariant=sgns"]
         expected += [f"r\t{r}\t{fmt(model.region_vectors[r])}" for r in ("a", "b")]
-        expected += [f"w\t{t}\t{fmt(model.word_vectors[t])}" for t in ("yy", "zz")]
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
-    def test_region_rows_only_match_the_full_read(self, tmp_path):
-        _, vocab, pairs = toy_setup()
-        model = train(pairs, vocab, EmbeddingConfig(dimension=8, epochs=2, seed=77))
+    def test_word_row_is_rejected(self, tmp_path):
+        # a model.txt from before word rows were dropped must be rebuilt
         path = tmp_path / "model.txt"
-        save_model(model, path)
-        full = load_model(path)
-        regions = load_model(path, words=False)
-        assert regions.word_vectors == {}
-        assert regions.config == full.config
-        assert regions.region_vectors.keys() == full.region_vectors.keys()
-        for region, v in full.region_vectors.items():
-            assert np.array_equal(regions.region_vectors[region], v)
-
-    @pytest.mark.parametrize("value", ["abc", "nan", "1e999"])
-    def test_full_read_checks_every_word_value(self, tmp_path, value):
-        path = tmp_path / "model.txt"
-        path.write_text("dim=2\twords=3\tregions=1\tseed=0\tvariant=sgns\nr\ta\t0 1\n"
-                        f"w\tx\t1 2\nw\ty\t{value} 2\nw\tz\t3 4\n")
-        reason = "could not convert string to float" if value == "abc" else "non-finite value"
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:4: {reason}')}"):
+        path.write_text("dim=2\twords=1\tregions=1\tseed=0\tvariant=sgns\nr\ta\t0 1\nw\tx\t1 2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: unknown vector kind')}"):
             load_model(path)
-        # words=False leaves the word values unread
-        assert load_model(path, words=False).region_vectors.keys() == {"a"}
 
-    @pytest.mark.parametrize("words", [True, False], ids=["words", "regions-only"])
-    def test_malformed_header(self, tmp_path, words):
+    def test_malformed_header(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("not a header\n")
         with pytest.raises(ValueError, match="header"):
-            load_model(path, words=words)
+            load_model(path)
 
-    @pytest.mark.parametrize("words", [True, False], ids=["words", "regions-only"])
-    def test_count_mismatch(self, tmp_path, words):
+    def test_count_mismatch(self, tmp_path):
         path = tmp_path / "model.txt"
-        path.write_text("dim=2\twords=5\tregions=1\tseed=0\tvariant=sgns\nr\ta\t0 0\n")
+        path.write_text("dim=2\tregions=5\tseed=0\tvariant=sgns\nr\ta\t0 0\n")
         with pytest.raises(ValueError, match="promises"):
-            load_model(path, words=words)
+            load_model(path)
