@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -39,10 +40,12 @@ from .corpus import (
     LoadResult,
     PoiRecord,
     build_vocabulary,
+    corpus_lines,
     load_pois,
     partition_by_region,
+    read_corpus,
     read_region_mapping,
-    tokenize,
+    tokenize,  # no stage calls it, but bench/traced_stage.py wraps this name
     typed_subsets,
 )
 from .embed import EmbeddingConfig, build_training_pairs, load_model, save_model, train
@@ -66,6 +69,7 @@ from .regionvec import (
 from .termstats import fit_zipf, rank_terms, term_frequencies
 
 POIS_ARTIFACT = "pois.ndjson"
+CORPUS_ARTIFACT = "corpus.tsv"
 MODEL_ARTIFACT = "model.txt"
 DISTANCES_ARTIFACT = "distances.tsv"
 
@@ -77,11 +81,22 @@ def _fmt(x: float) -> str:
 
 
 def _write_text(path: Path, lines: Iterable[str]) -> None:
-    """Write each line followed by "\n", one line at a time."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    """Write each line followed by "\n", one line at a time, replacing ``path`` at once.
+
+    The lines go to a hidden ".<name>.tmp" file beside ``path``, which then
+    replaces it, so a failed write leaves the earlier file as it was and no
+    reader sees a file cut short at a line boundary.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _sha256(path: Path) -> str:
@@ -120,15 +135,8 @@ def _require(path: Path, produced_by: str) -> Path:
 
 
 def _read_pois(outdir: Path) -> list[PoiRecord]:
-    path = _require(outdir / POIS_ARTIFACT, "ingest")
-    result = load_pois(path)
-    if result.rejections:
-        first = result.rejections[0]
-        raise IngestError(
-            f"{path} is corrupt: {result.rejected} records failed to parse; "
-            f"first at line {first.line}: {first.reason}"
-        )
-    return result.records
+    """The records ingest wrote, with their tokens, from corpus.tsv."""
+    return read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest"))
 
 
 def _slug(label: str) -> str:
@@ -219,7 +227,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     empty_names = 0
     for record in result.records:
         per_region[record.region_id] += 1
-        if tokenize(record.name):
+        if record.tokens:
             with_tokens.add(record.region_id)
         else:
             empty_names += 1
@@ -242,6 +250,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         for r in result.records
     )
     _write_text(outdir / POIS_ARTIFACT, pois_lines)
+    _write_text(outdir / CORPUS_ARTIFACT, corpus_lines(result.records))
 
     rejection_lines = ["line\treason"]
     rejection_lines.extend(f"{r.line}\t{r.reason}" for r in result.rejections)
@@ -279,7 +288,7 @@ def cmd_zipf(args: argparse.Namespace) -> int:
         f"n_terms={len(ranked)}",
     ]
     _write_text(outdir / "zipf_fit.txt", fit_lines)
-    _write_manifest(outdir, "zipf", args, {"pois": outdir / POIS_ARTIFACT})
+    _write_manifest(outdir, "zipf", args, {"corpus": outdir / CORPUS_ARTIFACT})
     for line in fit_lines:
         print(line)
     return 0
@@ -323,7 +332,7 @@ def cmd_local_terms(args: argparse.Namespace) -> int:
         if stale.stem not in owners and stale.is_file():
             stale.unlink()
 
-    _write_manifest(outdir, "local_terms", args, {"pois": outdir / POIS_ARTIFACT})
+    _write_manifest(outdir, "local_terms", args, {"corpus": outdir / CORPUS_ARTIFACT})
     return 0
 
 
@@ -362,39 +371,41 @@ def cmd_type_usage(args: argparse.Namespace) -> int:
         f"mean_jsd_bits={_fmt(mean_bits)}",
     ]
     _write_text(outdir / "jsd_summary.txt", jsd_lines)
-    _write_manifest(outdir, "type_usage", args, {"pois": outdir / POIS_ARTIFACT})
+    _write_manifest(outdir, "type_usage", args, {"corpus": outdir / CORPUS_ARTIFACT})
     for line in jsd_lines:
         print(line)
     return 0
 
 
-def _region_vectors(records: list[PoiRecord], method: str, variant: str):
+def _region_vectors(records: list[PoiRecord], method: str, variant: str) -> list[RegionVector]:
     corpora = partition_by_region(records, dedup=False)
     vocab = build_vocabulary(corpora.values())
     regions = sorted(corpora)
     if method == "count":
-        vectors = [count_vector(corpora[r], vocab) for r in regions]
-    else:
-        table = geo_tfidf(corpora, variant=variant)
-        vectors = [tfidf_vector(corpora[r], vocab, table) for r in regions]
-    return vocab, regions, vectors
+        return [count_vector(corpora[r], vocab) for r in regions]
+    table = geo_tfidf(corpora, variant=variant)
+    return [tfidf_vector(corpora[r], vocab, table) for r in regions]
 
 
 def cmd_vectors(args: argparse.Namespace) -> int:
-    load_numpy()
     outdir = Path(args.out)
-    records = _read_pois(outdir)
-    vocab, regions, vectors = _region_vectors(records, args.mode, args.idf_variant)
-
-    # one row per term, each formatted from the Python floats of one tolist()
-    grid = np.column_stack([v.values for v in vectors])
-    cell = (lambda v: str(int(v))) if args.mode == "count" else repr
-    lines = ["term\t" + "\t".join(regions)]
-    lines.extend(
-        term + "\t" + "\t".join(map(cell, row.tolist())) for term, row in zip(vocab.terms, grid)
+    corpora = partition_by_region(_read_pois(outdir), dedup=False)
+    vocab = build_vocabulary(corpora.values())
+    regions = sorted(corpora)
+    # each cell is formatted straight from a region's counts or weights, the
+    # values count_vector and tfidf_vector would place, so numpy never loads
+    if args.mode == "count":
+        columns, absent = [corpora[r].counts for r in regions], 0
+    else:
+        table = geo_tfidf(corpora, variant=args.idf_variant)
+        columns, absent = [table.weights[r] for r in regions], 0.0
+    lines = itertools.chain(
+        ["term\t" + "\t".join(regions)],
+        (term + "\t" + "\t".join([repr(c.get(term, absent)) for c in columns])
+         for term in vocab.terms),
     )
     _write_text(outdir / f"vectors_{args.mode}.tsv", lines)
-    _write_manifest(outdir, f"vectors_{args.mode}", args, {"pois": outdir / POIS_ARTIFACT})
+    _write_manifest(outdir, f"vectors_{args.mode}", args, {"corpus": outdir / CORPUS_ARTIFACT})
     print(f"wrote vectors_{args.mode}.tsv ({len(vocab)} terms x {len(regions)} regions)")
     return 0
 
@@ -427,7 +438,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         "epoch_losses=" + ",".join(_fmt(l) for l in model.epoch_losses),
     ]
     _write_text(outdir / "embed_summary.txt", summary)
-    _write_manifest(outdir, "embed", args, {"pois": outdir / POIS_ARTIFACT})
+    _write_manifest(outdir, "embed", args, {"corpus": outdir / CORPUS_ARTIFACT})
     for line in summary[:7]:
         print(line)
     return 0
@@ -437,7 +448,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     load_numpy()
     outdir = Path(args.out)
     records = _read_pois(outdir)
-    read = {"pois": outdir / POIS_ARTIFACT}
+    read = {"corpus": outdir / CORPUS_ARTIFACT}
     by_region: dict[str, list[PoiRecord]] = defaultdict(list)
     for record in records:
         by_region[record.region_id].append(record)
@@ -453,15 +464,15 @@ def cmd_similarity(args: argparse.Namespace) -> int:
         extra = sorted(model.region_vectors.keys() - by_region.keys())
         if missing or extra:
             raise IngestError(
-                f"{model_path} and {POIS_ARTIFACT} name different regions: "
-                f"missing from the model {missing}, not in {POIS_ARTIFACT} {extra}"
+                f"{model_path} and {CORPUS_ARTIFACT} name different regions: "
+                f"missing from the model {missing}, not in {CORPUS_ARTIFACT} {extra}"
             )
         vectors = [
             RegionVector(region_id=r, values=model.region_vectors[r])
             for r in sorted(model.region_vectors)
         ]
     else:
-        _, _, vectors = _region_vectors(records, args.method, args.idf_variant)
+        vectors = _region_vectors(records, args.method, args.idf_variant)
     sim = similarity_matrix(vectors)
     _write_text(
         outdir / f"similarity_{args.method}.tsv", _table_lines(sim.regions, sim.regions, sim.values)

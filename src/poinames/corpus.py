@@ -3,6 +3,10 @@
 Records arrive as newline-delimited JSON. Each record needs a name,
 coordinates, and a resolvable region: either an explicit region field or a
 (city, state) pair looked up in an external region mapping.
+
+Accepted records, with the tokens of each name, are written once as a
+tab-separated corpus file (corpus_lines) that later stages read back with
+read_corpus, so no stage parses JSON or tokenizes a name again.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyCorpusError, IngestError
 
@@ -36,12 +40,22 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _NO_CATEGORIES: frozenset[str] = frozenset()
 
 
+def _check_no_surrogate(text: str, what: str) -> None:
+    """Raise ValueError naming ``what`` if ``text`` holds a lone surrogate."""
+    bad = _SURROGATE.search(text)
+    if bad:
+        raise ValueError(f"{what} holds a lone surrogate U+{ord(bad.group()):04X}, "
+                         "which is not valid Unicode")
+
+
 @dataclass(frozen=True, slots=True)
 class PoiRecord:
     """One point of interest: raw name, region label, coordinates, categories.
 
-    Records loaded by one load_pois call share their region label and
-    category set objects with every other record holding an equal value.
+    ``tokens`` is the tokenized name; a record built without it takes
+    ``tokenize(name)``. Records loaded by one load_pois or read_corpus call
+    share their region label and category set objects with every other
+    record holding an equal value.
     """
 
     name: str
@@ -49,6 +63,11 @@ class PoiRecord:
     latitude: float
     longitude: float
     categories: frozenset[str] = _NO_CATEGORIES
+    tokens: tuple[str, ...] = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.tokens is None:
+            object.__setattr__(self, "tokens", tokenize(self.name))
 
 
 @dataclass
@@ -231,21 +250,23 @@ def load_pois(
     Invalid records are rejected with a reason, never silently dropped.
     An unreadable or non-UTF-8 source, a region label (from the record
     or the mapping) holding a control character, or a lone surrogate
-    escape in a name, region, city, state or category raises IngestError.
-    A leading UTF-8 byte order mark in a file is dropped.
+    escape in a name, region, city, state or category raises IngestError,
+    naming the record as ``<path>:N`` for a file and ``input line N`` for
+    an iterable of lines. A leading UTF-8 byte order mark in a file is
+    dropped. Each accepted name is tokenized here, once.
     """
     result = LoadResult(records=[])
     if isinstance(source, (str, Path)):
         try:
             with open(source, encoding="utf-8-sig") as lines:
-                _load_lines(lines, region_mapping, result)
+                _load_lines(lines, region_mapping, result, f"{source}:")
         except UnicodeDecodeError as exc:
             where = _locate_bad_byte(source)
             raise IngestError(f"cannot read POI source {source}: {where}") from exc
         except OSError as exc:
             raise IngestError(f"cannot read POI source {source}: {exc}") from exc
     else:
-        _load_lines(source, region_mapping, result)
+        _load_lines(source, region_mapping, result, "input line ")
     return result
 
 
@@ -269,7 +290,9 @@ def _load_lines(
     lines: Iterable[str],
     mapping: Mapping[tuple[str, str], str] | None,
     result: LoadResult,
+    where: str,
 ) -> None:
+    """Load each line into ``result``; ``where`` prefixes a line number in errors."""
     # One table per kind of shared value: a label and a categories string
     # that are equal must still give a str and a frozenset respectively.
     labels: dict[str, str] = {}
@@ -277,13 +300,14 @@ def _load_lines(
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        reason = _load_one(line, lineno, mapping, labels, category_sets, result.records)
+        reason = _load_one(line, where, lineno, mapping, labels, category_sets, result.records)
         if reason is not None:
             result.rejections.append(RejectedRecord(line=lineno, reason=reason))
 
 
 def _load_one(
     line: str,
+    where: str,
     lineno: int,
     mapping: Mapping[tuple[str, str], str] | None,
     labels: dict[str, str],
@@ -298,10 +322,10 @@ def _load_one(
         return "record is not an object"
     if "\\u" in line:  # only an escape can decode to a surrogate
         for key in ("name", "region", "city", "state", "categories"):
-            bad = _SURROGATE.search(json.dumps(raw.get(key), ensure_ascii=False))
-            if bad:
-                raise IngestError(f"input line {lineno}: field {key!r} holds a lone surrogate "
-                                  f"U+{ord(bad.group()):04X}, which is not valid Unicode")
+            try:
+                _check_no_surrogate(json.dumps(raw.get(key), ensure_ascii=False), f"field {key!r}")
+            except ValueError as exc:
+                raise IngestError(f"{where}{lineno}: {exc}") from None
 
     name = raw.get("name")
     if not isinstance(name, str) or not name.strip():
@@ -326,20 +350,139 @@ def _load_one(
         # checked on first sight, so a bad label is named at its first line
         if _LABEL_FORBIDDEN.search(region):
             raise IngestError(
-                f"input line {lineno}: region label {region!r} contains a control character"
+                f"{where}{lineno}: region label {region!r} contains a control character"
             )
         label = labels[region] = region
 
+    name = name.strip()
     out.append(
         PoiRecord(
-            name=name.strip(),
+            name=name,
             region_id=label,
             latitude=lat,
             longitude=lon,
             categories=_categories(raw.get("categories"), category_sets),
+            tokens=tokenize(name),
         )
     )
     return None
+
+
+CORPUS_HEADER = "region\tlatitude\tlongitude\tcategories\ttokens\tname"
+
+
+def corpus_lines(records: Iterable[PoiRecord]) -> Iterator[str]:
+    r"""The lines of a corpus file holding ``records``, without line ends.
+
+    A header, then one tab-separated row per record: the region label, the
+    coordinates as repr, the categories as a sorted JSON list, the tokens
+    joined by single spaces, and the name. The name comes last, so it may
+    hold tabs; it is written as a JSON string if it holds "\n" or "\r" or
+    starts with '"'. Labels must pass ingest's label rule.
+    """
+    yield CORPUS_HEADER
+    category_cells: dict[frozenset[str], str] = {}
+    for r in records:
+        categories = category_cells.get(r.categories)
+        if categories is None:
+            categories = category_cells[r.categories] = json.dumps(
+                sorted(r.categories), ensure_ascii=False
+            )
+        name = r.name
+        if "\n" in name or "\r" in name or name.startswith('"'):
+            name = json.dumps(name, ensure_ascii=False)
+        tokens = " ".join(r.tokens)
+        yield f"{r.region_id}\t{r.latitude!r}\t{r.longitude!r}\t{categories}\t{tokens}\t{name}"
+
+
+def read_corpus(path: str | Path) -> list[PoiRecord]:
+    """Read a corpus file written from corpus_lines back into PoiRecords.
+
+    Every row is checked: a wrong header or column count, a line without
+    its line end, a bad coordinate, label, categories cell, token or name,
+    or a byte that is not UTF-8 raises IngestError naming ``<path>:<line>``.
+    Records share their label and category set objects as load_pois's do.
+    """
+    records: list[PoiRecord] = []
+    labels: dict[str, str] = {}
+    category_sets: dict[str, frozenset[str]] = {}
+    try:
+        # lines end at "\n" only; any other line separator stays in its cell
+        with open(path, encoding="utf-8", newline="\n") as lines:
+            if next(lines, "") != CORPUS_HEADER + "\n":
+                raise IngestError(f"{path}:1: expected the header {CORPUS_HEADER!r}")
+            for lineno, line in enumerate(lines, start=2):
+                try:
+                    records.append(_corpus_record(line, labels, category_sets))
+                except ValueError as exc:
+                    raise IngestError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"cannot read {path}: {_locate_bad_byte(path)}") from exc
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    return records
+
+
+def _corpus_record(
+    line: str, labels: dict[str, str], category_sets: dict[str, frozenset[str]]
+) -> PoiRecord:
+    """One corpus row as a record; a ValueError says what is wrong with the row."""
+    cells = line.split("\t", 5)
+    if len(cells) != 6:
+        raise ValueError(f"expected 6 tab-separated columns, got {len(cells)}")
+    region, lat_cell, lon_cell, categories_cell, tokens_cell, name = cells
+    if not name.endswith("\n"):
+        raise ValueError("the last line has no line end, so the file is cut short")
+    name = name[:-1]
+
+    label = labels.get(region)
+    if label is None:
+        if not region.strip():
+            raise ValueError("empty region label")
+        if _LABEL_FORBIDDEN.search(region):
+            raise ValueError(f"region label {region!r} contains a control character")
+        label = labels[region] = region
+
+    try:
+        lat, lon = float(lat_cell), float(lon_cell)
+    except ValueError:
+        raise ValueError(f"coordinates {lat_cell!r}, {lon_cell!r} are not numbers") from None
+    if not (LAT_MIN <= lat <= LAT_MAX and LON_MIN <= lon <= LON_MAX):
+        raise ValueError(f"coordinates {lat_cell}, {lon_cell} are not finite or out of range")
+
+    categories = category_sets.get(categories_cell)
+    if categories is None:
+        categories = category_sets[categories_cell] = _category_set(categories_cell)
+
+    tokens = tuple(map(sys.intern, tokens_cell.split(" "))) if tokens_cell else ()
+    if "" in tokens:
+        raise ValueError(f"tokens {tokens_cell!r} are not separated by single spaces")
+
+    if name.startswith('"'):
+        try:
+            name = json.loads(name)
+        except json.JSONDecodeError:
+            name = None
+        if not isinstance(name, str):
+            raise ValueError("a name starting with '\"' must be one JSON string")
+        _check_no_surrogate(name, "name")
+    if not name.strip():
+        raise ValueError("empty name")
+
+    return PoiRecord(name, label, lat, lon, categories, tokens)
+
+
+def _category_set(cell: str) -> frozenset[str]:
+    """The categories of one corpus cell, a JSON list of strings."""
+    try:
+        value = json.loads(cell)
+    except json.JSONDecodeError:
+        value = None
+    if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+        raise ValueError(f"categories {cell!r} are not a JSON list of strings")
+    for category in value:
+        _check_no_surrogate(category, f"category {category!r}")
+    return frozenset(value)
 
 
 def partition_by_region(
@@ -356,7 +499,7 @@ def partition_by_region(
     by_region: dict[str, list[tuple[str, ...]]] = defaultdict(list)
     seen: dict[str, set[tuple[str, ...]]] = defaultdict(set)
     for record in records:
-        doc = tokenize(record.name)
+        doc = record.tokens
         if dedup:
             if doc in seen[record.region_id]:
                 continue
@@ -413,10 +556,9 @@ def typed_subsets(
     for record in records:
         if record.region_id not in region_set:
             continue
-        doc = tokenize(record.name)
         for category in record.categories:
             if category in kept_set:
-                docs[(record.region_id, category)].append(doc)
+                docs[(record.region_id, category)].append(record.tokens)
 
     return [
         TypedSubset(region_id=region, category=cat, documents=docs[(region, cat)])

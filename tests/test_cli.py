@@ -13,7 +13,8 @@ import pytest
 
 import poinames
 import poinames.cli
-from poinames.cli import build_parser, main
+from poinames.cli import _write_text, build_parser, main
+from poinames.corpus import load_pois, read_corpus, tokenize
 
 from conftest import write_dataset
 from test_acceptance import STAGES, _run_pipeline
@@ -32,6 +33,12 @@ def pipeline_dir(tmp_path, dataset):
     out = tmp_path / "artifacts"
     assert run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out) == 0
     return out
+
+
+def snapshot(out: Path) -> dict[str, bytes | None]:
+    """Every path under ``out``, relative, with a file's bytes or None for a directory."""
+    return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
+            for p in sorted(out.rglob("*"))}
 
 
 def read_kv(path: Path) -> dict[str, str]:
@@ -91,10 +98,13 @@ def test_text_stages_never_execute_numpy(tmp_path, dataset):
         ["zipf", "--out", out],
         ["local-terms", "--top", "10", "--out", out],
         ["type-usage", "--top", "20", "--min-count", "5", "--out", out],
+        ["vectors", "--mode", "count", "--out", out],
+        ["vectors", "--mode", "tfidf", "--out", out],
     ]
     for argv in text_stages:
         assert fresh_python(NUMPY_PROBE, *argv).splitlines()[-1] == "0 0", argv
-    code, submodules = fresh_python(NUMPY_PROBE, "vectors", "--out", out).splitlines()[-1].split()
+    code, submodules = fresh_python(
+        NUMPY_PROBE, "embed", "--dim", "4", "--epochs", "1", "--out", out).splitlines()[-1].split()
     assert code == "0" and int(submodules) > 0
 
 
@@ -176,7 +186,7 @@ class TestIngest:
         )
         out = tmp_path / "o"
         assert run("ingest", "--input", input_path, "--out", out) == 2
-        assert "input line 2" in capsys.readouterr().err
+        assert f"{input_path}:2" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_region_without_tokens_exits_2_before_writing(self, tmp_path, capsys):
@@ -210,7 +220,7 @@ class TestIngest:
                                 encoding="utf-8")
         out = tmp_path / "o"
         assert run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out) == 2
-        assert f"input line 1: region label {label!r}" in capsys.readouterr().err
+        assert f"{input_path}:1: region label {label!r}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("damaged", ["input", "mapping"])
@@ -233,12 +243,75 @@ class TestIngest:
         input_path = tmp_path / "surrogate.ndjson"
         input_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
         assert run("ingest", "--input", input_path, "--out", out) == 2
-        assert f"input line 2: field '{field}' holds a lone surrogate U+D800" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{input_path}:2: field '{field}' holds a lone surrogate U+D800" in err
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
     def test_pois_artifact_is_normalized(self, pipeline_dir):
         first = json.loads((pipeline_dir / "pois.ndjson").read_text().splitlines()[0])
         assert set(first) == {"name", "region", "latitude", "longitude", "categories"}
+
+    def test_corpus_artifact_holds_the_records_of_the_pois_artifact(self, pipeline_dir):
+        records = read_corpus(pipeline_dir / "corpus.tsv")
+        assert len(records) == 3 * 39
+        assert records == load_pois(pipeline_dir / "pois.ndjson").records
+        assert all(r.tokens == tokenize(r.name) for r in records)
+
+
+def set_cell(lines: list[str], lineno: int, column: int, value: str) -> None:
+    """Replace one tab-separated cell of the 1-based line ``lineno``."""
+    cells = lines[lineno - 1].split("\t", 5)
+    cells[column] = value
+    lines[lineno - 1] = "\t".join(cells)
+
+
+def cut_last_line(lines: list[str], columns: int) -> None:
+    """Keep the first ``columns`` cells of the last line and drop the final line end."""
+    lines[-2:] = ["\t".join(lines[-2].split("\t")[:columns])]
+
+
+# damage to corpus.tsv, given as its lines (the last one empty), and the
+# message that names it; {last} is the number of the file's last line
+CORPUS_DAMAGE = {
+    "header": (lambda lines: set_cell(lines, 1, 4, "words"),
+               "{path}:1: expected the header 'region\\tlatitude"),
+    "truncated-last-line": (lambda lines: cut_last_line(lines, 3),
+                            "{path}:{last}: expected 6 tab-separated columns, got 3"),
+    "last-line-without-line-end": (lambda lines: cut_last_line(lines, 6),
+                                   "{path}:{last}: the last line has no line end"),
+    "extra-line-end": (lambda lines: lines.insert(3, ""),
+                       "{path}:4: expected 6 tab-separated columns, got 1"),
+    "latitude-not-a-number": (lambda lines: set_cell(lines, 3, 1, "north"),
+                              "{path}:3: coordinates 'north', "),
+    "latitude-nan": (lambda lines: set_cell(lines, 3, 1, "nan"),
+                     "{path}:3: coordinates nan, "),
+    "longitude-infinite": (lambda lines: set_cell(lines, 3, 2, "-inf"),
+                           "{path}:3: coordinates 33.46, -inf are not finite or out of range"),
+    "latitude-out-of-range": (lambda lines: set_cell(lines, 3, 1, "90.5"),
+                              "{path}:3: coordinates 90.5, "),
+    "empty-label": (lambda lines: set_cell(lines, 3, 0, " "), "{path}:3: empty region label"),
+    "label-with-control-character": (
+        lambda lines: set_cell(lines, 3, 0, "desert\x0bville"),
+        "{path}:3: region label 'desert\\x0bville' contains a control character"),
+    "categories-not-json": (lambda lines: set_cell(lines, 3, 3, '["Food"'),
+                            "{path}:3: categories '[\"Food\"' are not a JSON list of strings"),
+    "categories-not-a-list": (lambda lines: set_cell(lines, 3, 3, '"Food"'),
+                              "are not a JSON list of strings"),
+    "category-not-a-string": (lambda lines: set_cell(lines, 3, 3, '["Food", 3]'),
+                              "are not a JSON list of strings"),
+    "category-with-lone-surrogate": (
+        lambda lines: set_cell(lines, 3, 3, '["Caf\\ud800"]'),
+        "{path}:3: category 'Caf\\ud800' holds a lone surrogate U+D800"),
+    "empty-token": (lambda lines: set_cell(lines, 3, 4, "grand  hotel"),
+                    "{path}:3: tokens 'grand  hotel' are not separated by single spaces"),
+    "leading-space-in-tokens": (lambda lines: set_cell(lines, 3, 4, " hotel"),
+                                "are not separated by single spaces"),
+    "quoted-name-not-json": (lambda lines: set_cell(lines, 3, 5, '"Grand Hotel'),
+                             "{path}:3: a name starting with '\"' must be one JSON string"),
+    "empty-name": (lambda lines: set_cell(lines, 3, 5, "  "), "{path}:3: empty name"),
+    "invalid-utf8": (lambda lines: set_cell(lines, 3, 5, "Caf\udcff"),
+                     "cannot read {path}: line 3, byte offset "),
+}
 
 
 class TestStageOrdering:
@@ -247,28 +320,56 @@ class TestStageOrdering:
         assert "poinames ingest" in capsys.readouterr().err
 
     def test_corrupt_pois_artifact_exits_2_naming_the_first_bad_line(self, pipeline_dir, capsys):
-        path = pipeline_dir / "pois.ndjson"
+        # corpus.tsv is the records file every later stage reads
+        path = pipeline_dir / "corpus.tsv"
         lines = path.read_text(encoding="utf-8").splitlines()
-        lines[2] = lines[2][:-1]
+        lines[2] = lines[2].replace("\t", " ", 1)
         lines[4] = "[]"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        before = snapshot(pipeline_dir)
         assert run("zipf", "--out", pipeline_dir) == 2
         err = capsys.readouterr().err
-        assert f"{path} is corrupt: 2 records failed to parse; first at line 3: malformed record" in err
+        assert f"{path}:3: expected 6 tab-separated columns, got 5" in err
+        assert snapshot(pipeline_dir) == before
 
     @pytest.mark.parametrize("stage", ["zipf", "local-terms", "type-usage", "vectors", "embed",
                                        "similarity"])
     def test_pois_artifact_with_lone_surrogate_exits_2(self, pipeline_dir, capsys, stage):
-        path = pipeline_dir / "pois.ndjson"
+        path = pipeline_dir / "corpus.tsv"
         lines = path.read_text(encoding="utf-8").splitlines()
-        record = json.loads(lines[1])
-        record["name"] += "\ud800"
-        lines[1] = json.dumps(record)  # ASCII, with the surrogate as an escape
+        *cells, name = lines[1].split("\t", 5)
+        lines[1] = "\t".join([*cells, json.dumps(name + "\ud800")])  # the surrogate as an escape
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        before = sorted(pipeline_dir.iterdir())
+        before = snapshot(pipeline_dir)
         assert run(stage, "--out", pipeline_dir) == 2
-        assert "input line 2: field 'name' holds a lone surrogate U+D800" in capsys.readouterr().err
-        assert sorted(pipeline_dir.iterdir()) == before
+        assert f"{path}:2: name holds a lone surrogate U+D800" in capsys.readouterr().err
+        assert snapshot(pipeline_dir) == before
+
+    @pytest.mark.parametrize("stage", ["zipf", "local-terms", "type-usage", "vectors", "embed",
+                                       "similarity"])
+    def test_directory_without_corpus_artifact_exits_2(self, pipeline_dir, capsys, stage):
+        # an --out directory ingested before corpus.tsv existed holds only pois.ndjson
+        (pipeline_dir / "corpus.tsv").unlink()
+        before = snapshot(pipeline_dir)
+        assert run(stage, "--out", pipeline_dir) == 2
+        err = capsys.readouterr().err
+        assert f"missing artifact {pipeline_dir / 'corpus.tsv'}: run 'poinames ingest' first" in err
+        assert snapshot(pipeline_dir) == before
+
+    @pytest.mark.parametrize("damage,message", list(CORPUS_DAMAGE.values()), ids=list(CORPUS_DAMAGE))
+    def test_damaged_corpus_artifact_exits_2_naming_the_line(self, pipeline_dir, capsys, damage,
+                                                             message):
+        path = pipeline_dir / "corpus.tsv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        last = len(lines) - 1
+        damage(lines)
+        # "\udcff" stands for the byte 0xff, which is not UTF-8
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+        before = snapshot(pipeline_dir)
+        assert run("local-terms", "--out", pipeline_dir) == 2
+        err = capsys.readouterr().err
+        assert message.format(path=path, last=last) in err
+        assert snapshot(pipeline_dir) == before
 
     def test_decay_before_similarity_exits_2(self, pipeline_dir, capsys):
         assert run("decay", "--out", pipeline_dir, "--method", "embedding") == 2
@@ -644,7 +745,7 @@ class TestSimilarityAndDecay:
                         encoding="utf-8")
         before = sorted(out.iterdir())
         assert run("similarity", "--out", out, "--method", "embedding") == 2
-        assert "missing from the model ['d'], not in pois.ndjson []" in capsys.readouterr().err
+        assert "missing from the model ['d'], not in corpus.tsv []" in capsys.readouterr().err
         assert sorted(out.iterdir()) == before
 
     def test_similarity_rejects_model_of_an_earlier_ingest(self, pipeline_dir, tmp_path, capsys):
@@ -655,7 +756,7 @@ class TestSimilarityAndDecay:
         before = sorted(pipeline_dir.iterdir())
         assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 2
         err = capsys.readouterr().err
-        assert "missing from the model ['newtown'], not in pois.ndjson ['hillton', 'lakecity']" in err
+        assert "missing from the model ['newtown'], not in corpus.tsv ['hillton', 'lakecity']" in err
         assert sorted(pipeline_dir.iterdir()) == before
 
     def test_embedding_similarity(self, pipeline_dir):
@@ -697,6 +798,26 @@ class TestDeterminism:
         assert before == after
 
 
+class TestWriteText:
+    def test_failed_write_leaves_the_earlier_file_and_no_temporary_file(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_bytes(b"old\n")
+        seen = {}
+
+        def lines():
+            yield "new"
+            seen["files"] = sorted(p.name for p in tmp_path.iterdir())
+            # local-terms deletes every *.tsv it did not write
+            seen["tables"] = sorted(p.name for p in tmp_path.glob("*.tsv"))
+            raise RuntimeError("generator failed midway")
+
+        with pytest.raises(RuntimeError, match="generator failed midway"):
+            _write_text(path, lines())
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
+        assert seen == {"files": [".table.tsv.tmp", "table.tsv"], "tables": ["table.tsv"]}
+
+
 def test_every_manifest_hashes_what_its_stage_read_and_records_its_options(tmp_path):
     input_path, mapping_path = write_dataset(tmp_path)
     out = tmp_path / "artifacts"
@@ -711,7 +832,7 @@ def test_every_manifest_hashes_what_its_stage_read_and_records_its_options(tmp_p
             read = {"similarity": out / f"similarity_{args.method}.tsv",
                     "distances": out / "distances.tsv"}
         else:
-            read = {"pois": out / "pois.ndjson"}
+            read = {"corpus": out / "corpus.tsv"}
             if getattr(args, "method", None) == "embedding":
                 read["model"] = out / "model.txt"
         suffix = getattr(args, "mode", None) or getattr(args, "method", None)

@@ -1,6 +1,8 @@
 import json
+import tempfile
 import tracemalloc
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +10,10 @@ from hypothesis import given, strategies as st
 from poinames.corpus import (
     PoiRecord,
     build_vocabulary,
+    corpus_lines,
     load_pois,
     partition_by_region,
+    read_corpus,
     read_region_mapping,
     tokenize,
     typed_subsets,
@@ -66,7 +70,40 @@ class TestTokenize:
             assert not any(ch.isspace() for ch in token)
 
 
+class TestPoiRecord:
+    def test_tokens_derive_from_the_name(self):
+        assert rec("Bob's Pizza & Grill").tokens == ("bob", "s", "pizza", "grill")
+        assert rec("!!!").tokens == ()
+
+    def test_given_tokens_are_kept(self):
+        record = PoiRecord(name="Bob's", region_id="a", latitude=0.0, longitude=0.0,
+                           tokens=("bob",))
+        assert record.tokens == ("bob",)
+
+
 class TestLoadPois:
+    def test_each_accepted_name_is_tokenized(self):
+        line = json.dumps({"name": "  CMS Auto-Care ", "latitude": 35.9, "longitude": -83.9,
+                           "region": "knoxville"})
+        (record,) = load_pois([line]).records
+        assert record.name == "CMS Auto-Care"
+        assert record.tokens == ("cms", "auto", "care")
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("region", "a\tb", "region label 'a\\tb' contains a control character"),
+         ("name", "caf\ud800", "field 'name' holds a lone surrogate U+D800")],
+        ids=["label", "surrogate"],
+    )
+    def test_errors_in_a_file_name_the_file_and_line(self, tmp_path, field, value, message):
+        good = {"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a"}
+        path = tmp_path / "pois.ndjson"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n",
+                        encoding="ascii")
+        with pytest.raises(IngestError) as exc:
+            load_pois(path)
+        assert str(exc.value).startswith(f"{path}:2: {message}")
+
     def test_direct_field_mapping(self):
         line = json.dumps({"name": "CMS Auto Care", "latitude": 35.9, "longitude": -83.9,
                            "region": "knoxville", "categories": ["Automotive"]})
@@ -215,8 +252,9 @@ class TestLoadPois:
         ]
 
     def test_held_bytes_per_record(self):
-        # about 190 B per record when labels and category sets are shared,
-        # about 600 B when every record holds its own copies
+        # about 360 B per record, its tokens included, when labels and
+        # category sets are shared, and about 400 B more when every record
+        # holds its own copies
         labels = [f"region{r}" for r in range(10)]
         categories = [["Food", f"Kind {c}"] for c in range(20)]
         lines = [
@@ -257,6 +295,57 @@ class TestLoadPois:
         message = str(exc.value)
         assert str(path) in message
         assert "line 401, byte offset 13: 0xff is not valid UTF-8" in message
+
+
+# text drawn with the characters the corpus file format must carry: tabs,
+# line ends and separators, quotes, backslashes and non-ASCII text
+_AWKWARD = st.one_of(
+    st.sampled_from(["\t", "\n", "\r", "\u2028", "\x85", "\x0b", '"', "\\", ",", " ", "é", "東"]),
+    st.characters(blacklist_categories=("Cs",)),
+)
+_NAMES = st.text(_AWKWARD, min_size=1, max_size=16).filter(str.strip)
+_LABELS = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="\u2028\u2029"),
+    min_size=1, max_size=8,
+).filter(str.strip)
+
+
+@st.composite
+def poi_records(draw):
+    return PoiRecord(
+        name=draw(st.one_of(_NAMES, _NAMES.map(lambda name: '"' + name))),
+        region_id=draw(_LABELS),
+        latitude=draw(st.floats(min_value=-90.0, max_value=90.0)),
+        longitude=draw(st.floats(min_value=-180.0, max_value=180.0)),
+        categories=draw(st.frozensets(st.text(_AWKWARD, max_size=8), max_size=3)),
+    )
+
+
+def _fields(record: PoiRecord) -> tuple:
+    # float.hex tells -0.0 from 0.0 and shows every bit
+    return (record.name, record.region_id, record.latitude.hex(), record.longitude.hex(),
+            record.categories, record.tokens)
+
+
+class TestCorpusFile:
+    @given(st.lists(poi_records(), max_size=8))
+    def test_round_trip(self, records):
+        lines = list(corpus_lines(records))
+        # no line end inside a line, for readers that also end lines at "\r"
+        assert not [line for line in lines if "\n" in line or "\r" in line]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.tsv"
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(line + "\n" for line in lines)
+            back = read_corpus(path)
+        assert [_fields(r) for r in back] == [_fields(r) for r in records]
+
+    def test_equal_labels_and_categories_share_one_object(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        records = [rec(f"n{i}", region="lakecity", categories={"Food", "Bars"}) for i in range(2)]
+        path.write_text("".join(line + "\n" for line in corpus_lines(records)), encoding="utf-8")
+        a, b = read_corpus(path)
+        assert a.region_id is b.region_id and a.categories is b.categories
 
 
 class TestRegionMappingFile:
