@@ -95,13 +95,13 @@ def _permutation_p(
     return (1 + hits) / (1 + permutations)
 
 
-def _correlate(
+def pearson(
     x: Sequence[float],
     y: Sequence[float],
-    method: str,
-    permutations: int,
-    seed: int,
+    permutations: int = DEFAULT_PERMUTATIONS,
+    seed: int = 0,
 ) -> CorrelationResult:
+    """Sample Pearson correlation with a two-sided permutation p-value."""
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape:
@@ -111,9 +111,6 @@ def _correlate(
         raise ValueError(f"need at least 3 observations, got {n}")
     if permutations < 1:
         raise ValueError(f"permutations must be at least 1, got {permutations}")
-    if method == "spearman":
-        xa = _average_ranks(xa)
-        ya = _average_ranks(ya)
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     sxx = float(np.sum(xc * xc))
@@ -125,18 +122,9 @@ def _correlate(
     return CorrelationResult(r, _permutation_p(xc, yc, denom, r, permutations, seed))
 
 
-def pearson(
-    x: Sequence[float],
-    y: Sequence[float],
-    permutations: int = DEFAULT_PERMUTATIONS,
-    seed: int = 0,
-) -> CorrelationResult:
-    """Sample Pearson correlation with a two-sided permutation p-value."""
-    return _correlate(x, y, "pearson", permutations, seed)
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
     """Ranks 1..n; tied values share the mean of their rank positions."""
+    values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     # each tie group holds sorted positions starts[g]..ends[g] - 1 and gets
@@ -154,8 +142,8 @@ def spearman(
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
 ) -> CorrelationResult:
-    """Spearman rank correlation (average ranks for ties)."""
-    return _correlate(x, y, "spearman", permutations, seed)
+    """Spearman rank correlation: pearson on average ranks, with the same draws."""
+    return pearson(_average_ranks(x), _average_ranks(y), permutations, seed)
 
 
 def fit_distance_decay(observations: Sequence[PairObservation]) -> LineFit:

@@ -19,7 +19,6 @@ import sys
 import unicodedata
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable
 
 # numpy's OpenBLAS starts one worker thread per core when numpy executes,
 # which happens at a stage's first use of numpy (see _numpy.py). Every BLAS
@@ -47,6 +46,7 @@ from .corpus import (
     read_region_mapping,
     tokenize,  # no stage calls it, but bench/traced_stage.py wraps this name
     typed_subsets,
+    write_lines,
 )
 from .embed import EmbeddingConfig, build_training_pairs, load_model, save_model, train
 from .errors import EmptyCorpusError, IngestError
@@ -80,25 +80,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_text(path: Path, lines: Iterable[str]) -> None:
-    """Write each line followed by "\n", one line at a time, replacing ``path`` at once.
-
-    The lines go to a hidden ".<name>.tmp" file beside ``path``, which then
-    replaces it, so a failed write leaves the earlier file as it was and no
-    reader sees a file cut short at a line boundary.
-    """
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -123,7 +104,7 @@ def _write_manifest(
         for key, value in vars(args).items()
         if key not in ("command", "func")
     )
-    _write_text(outdir / f"manifest_{stage}.txt", lines)
+    write_lines(outdir / f"manifest_{stage}.txt", lines)
 
 
 def _require(path: Path, produced_by: str) -> Path:
@@ -249,12 +230,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         )
         for r in result.records
     )
-    _write_text(outdir / POIS_ARTIFACT, pois_lines)
-    _write_text(outdir / CORPUS_ARTIFACT, corpus_lines(result.records))
+    write_lines(outdir / POIS_ARTIFACT, pois_lines)
+    write_lines(outdir / CORPUS_ARTIFACT, corpus_lines(result.records))
 
     rejection_lines = ["line\treason"]
     rejection_lines.extend(f"{r.line}\t{r.reason}" for r in result.rejections)
-    _write_text(outdir / "rejections.tsv", rejection_lines)
+    write_lines(outdir / "rejections.tsv", rejection_lines)
 
     summary = [
         f"accepted={result.accepted}",
@@ -263,7 +244,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"regions={len(per_region)}",
     ]
     summary.extend(f"region.{r}={per_region[r]}" for r in sorted(per_region))
-    _write_text(outdir / "ingest_summary.txt", summary)
+    write_lines(outdir / "ingest_summary.txt", summary)
 
     _write_manifest(outdir, "ingest", args, read)
     for line in summary:
@@ -280,14 +261,14 @@ def cmd_zipf(args: argparse.Namespace) -> int:
 
     lines = ["rank\tterm\tfrequency"]
     lines.extend(f"{e.rank}\t{e.term}\t{e.frequency}" for e in ranked.entries)
-    _write_text(outdir / "zipf_terms.tsv", lines)
+    write_lines(outdir / "zipf_terms.tsv", lines)
     fit_lines = [
         f"A={_fmt(fit.intercept)}",
         f"b={_fmt(fit.slope)}",
         f"r2={_fmt(fit.r_squared)}",
         f"n_terms={len(ranked)}",
     ]
-    _write_text(outdir / "zipf_fit.txt", fit_lines)
+    write_lines(outdir / "zipf_fit.txt", fit_lines)
     _write_manifest(outdir, "zipf", args, {"corpus": outdir / CORPUS_ARTIFACT})
     for line in fit_lines:
         print(line)
@@ -325,7 +306,7 @@ def cmd_local_terms(args: argparse.Namespace) -> int:
             f"{i}\t{t}\t{_fmt(w)}"
             for i, (t, w) in enumerate(zip(term_set.terms, term_set.weights), start=1)
         )
-        _write_text(terms_dir / f"{slug}.tsv", lines)
+        write_lines(terms_dir / f"{slug}.tsv", lines)
         print(f"{region}: {len(term_set.terms)} local terms -> local_terms/{slug}.tsv")
     # tables of regions an earlier ingest had and this one does not
     for stale in terms_dir.glob("*.tsv"):
@@ -348,7 +329,7 @@ def cmd_type_usage(args: argparse.Namespace) -> int:
     mean_bits = mean_pairwise_jsd(distributions, base=2)
     n_regions = len(matrix.regions)
 
-    _write_text(
+    write_lines(
         outdir / "usage_matrix.tsv",
         _table_lines(matrix.regions, matrix.categories, matrix.shares()),
     )
@@ -357,8 +338,8 @@ def cmd_type_usage(args: argparse.Namespace) -> int:
         count_lines.extend(
             f"{region}\t{c}\t{h}\t{t}" for c, h, t in zip(matrix.categories, hits, totals)
         )
-    _write_text(outdir / "usage_counts.tsv", count_lines)
-    _write_text(
+    write_lines(outdir / "usage_counts.tsv", count_lines)
+    write_lines(
         outdir / "usage_normalized.tsv",
         _table_lines(matrix.regions, matrix.categories, distributions),
     )
@@ -370,7 +351,7 @@ def cmd_type_usage(args: argparse.Namespace) -> int:
         f"mean_jsd_nats={_fmt(mean_nats)}",
         f"mean_jsd_bits={_fmt(mean_bits)}",
     ]
-    _write_text(outdir / "jsd_summary.txt", jsd_lines)
+    write_lines(outdir / "jsd_summary.txt", jsd_lines)
     _write_manifest(outdir, "type_usage", args, {"corpus": outdir / CORPUS_ARTIFACT})
     for line in jsd_lines:
         print(line)
@@ -404,7 +385,7 @@ def cmd_vectors(args: argparse.Namespace) -> int:
         (term + "\t" + "\t".join([repr(c.get(term, absent)) for c in columns])
          for term in vocab.terms),
     )
-    _write_text(outdir / f"vectors_{args.mode}.tsv", lines)
+    write_lines(outdir / f"vectors_{args.mode}.tsv", lines)
     _write_manifest(outdir, f"vectors_{args.mode}", args, {"corpus": outdir / CORPUS_ARTIFACT})
     print(f"wrote vectors_{args.mode}.tsv ({len(vocab)} terms x {len(regions)} regions)")
     return 0
@@ -437,7 +418,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         f"final_loss={_fmt(model.epoch_losses[-1])}",
         "epoch_losses=" + ",".join(_fmt(l) for l in model.epoch_losses),
     ]
-    _write_text(outdir / "embed_summary.txt", summary)
+    write_lines(outdir / "embed_summary.txt", summary)
     _write_manifest(outdir, "embed", args, {"corpus": outdir / CORPUS_ARTIFACT})
     for line in summary[:7]:
         print(line)
@@ -474,7 +455,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     else:
         vectors = _region_vectors(records, args.method, args.idf_variant)
     sim = similarity_matrix(vectors)
-    _write_text(
+    write_lines(
         outdir / f"similarity_{args.method}.tsv", _table_lines(sim.regions, sim.regions, sim.values)
     )
 
@@ -484,9 +465,9 @@ def cmd_similarity(args: argparse.Namespace) -> int:
         f"{r}\t{_fmt(centroids[r].latitude)}\t{_fmt(centroids[r].longitude)}"
         for r in sorted(centroids)
     )
-    _write_text(outdir / "centroids.tsv", centroid_lines)
+    write_lines(outdir / "centroids.tsv", centroid_lines)
     dist = distance_matrix(centroids)
-    _write_text(outdir / DISTANCES_ARTIFACT, _table_lines(dist.regions, dist.regions, dist.values))
+    write_lines(outdir / DISTANCES_ARTIFACT, _table_lines(dist.regions, dist.regions, dist.values))
 
     _write_manifest(outdir, f"similarity_{args.method}", args, read)
     print(f"wrote similarity_{args.method}.tsv and {DISTANCES_ARTIFACT} ({len(sim.regions)} regions)")
@@ -545,8 +526,8 @@ def cmd_decay(args: argparse.Namespace) -> int:
         f"fit_beta={_fmt(fit.slope)}",
         f"fit_r2={_fmt(fit.r_squared)}",
     ]
-    _write_text(outdir / f"decay_observations_{args.method}.tsv", obs_lines)
-    _write_text(outdir / f"decay_results_{args.method}.txt", result_lines)
+    write_lines(outdir / f"decay_observations_{args.method}.tsv", obs_lines)
+    write_lines(outdir / f"decay_results_{args.method}.txt", result_lines)
     _write_manifest(
         outdir, f"decay_{args.method}", args, {"similarity": sim_path, "distances": dist_path}
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import sys
 import unicodedata
@@ -38,6 +39,34 @@ _LABEL_FORBIDDEN = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 _NO_CATEGORIES: frozenset[str] = frozenset()
+
+
+# what _loads returns for a text json.loads cannot decode; JSON null is None
+_UNDECODABLE = object()
+
+
+def _loads(text: str) -> object:
+    """The value of a JSON text, or _UNDECODABLE if json.loads cannot decode it.
+
+    Besides malformed JSON, that is an integer longer than
+    sys.get_int_max_str_digits() and nesting past the recursion limit.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+        return _UNDECODABLE
+
+
+def _label(region: str, labels: dict[str, str]) -> str:
+    """The shared object for a region label, checked on first sight: ValueError if bad."""
+    label = labels.get(region)
+    if label is None:
+        if not region.strip():
+            raise ValueError("empty region label")
+        if _LABEL_FORBIDDEN.search(region):
+            raise ValueError(f"region label {region!r} contains a control character")
+        label = labels[region] = region
+    return label
 
 
 def _check_no_surrogate(text: str, what: str) -> None:
@@ -169,7 +198,9 @@ def read_region_mapping(path: str | Path) -> dict[tuple[str, str], str]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"cannot read region mapping {path}: {_locate_bad_byte(path)}") from exc
+    except OSError as exc:
         raise IngestError(f"cannot read region mapping {path}: {exc}") from exc
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -195,7 +226,7 @@ def _as_float(value: object) -> float | None:
         return None
     try:
         return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
 
 
@@ -300,32 +331,30 @@ def _load_lines(
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        reason = _load_one(line, where, lineno, mapping, labels, category_sets, result.records)
+        try:
+            reason = _load_one(line, mapping, labels, category_sets, result.records)
+        except ValueError as exc:
+            raise IngestError(f"{where}{lineno}: {exc}") from None
         if reason is not None:
             result.rejections.append(RejectedRecord(line=lineno, reason=reason))
 
 
 def _load_one(
     line: str,
-    where: str,
-    lineno: int,
     mapping: Mapping[tuple[str, str], str] | None,
     labels: dict[str, str],
     category_sets: dict[str | tuple[str, ...], frozenset[str]],
     out: list[PoiRecord],
 ) -> str | None:
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError:
+    """Append one line's record to ``out`` or return why it is rejected; ValueError if fatal."""
+    raw = _loads(line)
+    if raw is _UNDECODABLE:
         return "malformed record"
     if not isinstance(raw, dict):
         return "record is not an object"
     if "\\u" in line:  # only an escape can decode to a surrogate
         for key in ("name", "region", "city", "state", "categories"):
-            try:
-                _check_no_surrogate(json.dumps(raw.get(key), ensure_ascii=False), f"field {key!r}")
-            except ValueError as exc:
-                raise IngestError(f"{where}{lineno}: {exc}") from None
+            _check_no_surrogate(json.dumps(raw.get(key), ensure_ascii=False), f"field {key!r}")
 
     name = raw.get("name")
     if not isinstance(name, str) or not name.strip():
@@ -345,20 +374,12 @@ def _load_one(
     region, reason = _resolve_region(raw, mapping)
     if region is None:
         return reason
-    label = labels.get(region)
-    if label is None:
-        # checked on first sight, so a bad label is named at its first line
-        if _LABEL_FORBIDDEN.search(region):
-            raise IngestError(
-                f"{where}{lineno}: region label {region!r} contains a control character"
-            )
-        label = labels[region] = region
 
     name = name.strip()
     out.append(
         PoiRecord(
             name=name,
-            region_id=label,
+            region_id=_label(region, labels),
             latitude=lat,
             longitude=lon,
             categories=_categories(raw.get("categories"), category_sets),
@@ -393,6 +414,26 @@ def corpus_lines(records: Iterable[PoiRecord]) -> Iterator[str]:
             name = json.dumps(name, ensure_ascii=False)
         tokens = " ".join(r.tokens)
         yield f"{r.region_id}\t{r.latitude!r}\t{r.longitude!r}\t{categories}\t{tokens}\t{name}"
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line followed by "\n", one line at a time, replacing ``path`` at once.
+
+    The lines go to a hidden ".<name>.tmp" file beside ``path``, which then
+    replaces it, so a failed write leaves the earlier file as it was and no
+    reader sees a file cut short at a line boundary.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_corpus(path: str | Path) -> list[PoiRecord]:
@@ -435,13 +476,7 @@ def _corpus_record(
         raise ValueError("the last line has no line end, so the file is cut short")
     name = name[:-1]
 
-    label = labels.get(region)
-    if label is None:
-        if not region.strip():
-            raise ValueError("empty region label")
-        if _LABEL_FORBIDDEN.search(region):
-            raise ValueError(f"region label {region!r} contains a control character")
-        label = labels[region] = region
+    label = _label(region, labels)
 
     try:
         lat, lon = float(lat_cell), float(lon_cell)
@@ -459,10 +494,7 @@ def _corpus_record(
         raise ValueError(f"tokens {tokens_cell!r} are not separated by single spaces")
 
     if name.startswith('"'):
-        try:
-            name = json.loads(name)
-        except json.JSONDecodeError:
-            name = None
+        name = _loads(name)
         if not isinstance(name, str):
             raise ValueError("a name starting with '\"' must be one JSON string")
         _check_no_surrogate(name, "name")
@@ -474,10 +506,7 @@ def _corpus_record(
 
 def _category_set(cell: str) -> frozenset[str]:
     """The categories of one corpus cell, a JSON list of strings."""
-    try:
-        value = json.loads(cell)
-    except json.JSONDecodeError:
-        value = None
+    value = _loads(cell)
     if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
         raise ValueError(f"categories {cell!r} are not a JSON list of strings")
     for category in value:

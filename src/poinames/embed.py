@@ -15,6 +15,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ._numpy import np
-from .corpus import RegionCorpus, Vocabulary
+from .corpus import RegionCorpus, Vocabulary, write_lines
 from .errors import EmptyCorpusError
 
 log = logging.getLogger(__name__)
@@ -383,19 +384,18 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 
     Word vectors are not written: no stage reads them, as word2vec keeps
     only its input vectors, so a loaded model has none. Values carry 17
-    significant digits so save/load round-trips are bit-exact. Lines are
-    written one at a time, each from one row template.
+    significant digits so save/load round-trips are bit-exact. Rows are
+    made one at a time from one row template and written by write_lines,
+    as every artifact is, so a failed save leaves the earlier file as it was.
     """
     d = model.config.dimension
-    row = "r\t%s\t" + " ".join(["%.17g"] * d) + "\n"
+    row = "r\t%s\t" + " ".join(["%.17g"] * d)
     vectors = model.region_vectors
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "dim=%d\tregions=%d\tseed=%d\tvariant=%s\n"
-            % (d, len(vectors), model.config.seed, MODEL_VARIANT)
-        )
-        for name in sorted(vectors):
-            fh.write(row % (name, *vectors[name].tolist()))
+    header = "dim=%d\tregions=%d\tseed=%d\tvariant=%s" % (
+        d, len(vectors), model.config.seed, MODEL_VARIANT
+    )
+    rows = (row % (name, *vectors[name].tolist()) for name in sorted(vectors))
+    write_lines(path, itertools.chain([header], rows))
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

@@ -245,6 +245,19 @@ class TestSpearman:
             ref = stats.spearmanr(x, y).statistic
             assert got == pytest.approx(float(ref), rel=1e-12)
 
+    # 3 pairs, then the region pairs of 10 and of 50 regions
+    @pytest.mark.parametrize("n", [3, 45, 1225])
+    def test_is_pearson_on_average_ranks(self, n):
+        rng = np.random.default_rng(n)
+        # few distinct values, so most hold ties, with -0.0 beside 0.0
+        values = np.array([-1.5, -0.0, 0.0, 0.0, 2.0, 7.25])
+        x, y = rng.choice(values, n), rng.choice(values, n)
+        x[:3], y[:3] = [-0.0, 0.0, 2.0], [7.25, -0.0, -0.0]  # x and y vary even at n = 3
+        got = spearman(x, y, permutations=999, seed=n)
+        ref = pearson(analysis._average_ranks(x), analysis._average_ranks(y), 999, n)
+        assert got.coefficient.hex() == ref.coefficient.hex()
+        assert got.p_value.hex() == ref.p_value.hex()
+
     # few distinct values, so most draws hold ties, and -0.0 next to 0.0
     @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0, 1e300]), max_size=40)
            | st.lists(st.floats(allow_nan=False), max_size=40))

@@ -13,13 +13,15 @@ import pytest
 
 import poinames
 import poinames.cli
-from poinames.cli import _write_text, build_parser, main
-from poinames.corpus import load_pois, read_corpus, tokenize
+from poinames.cli import build_parser, main
+from poinames.corpus import load_pois, read_corpus, tokenize, write_lines
 
 from conftest import write_dataset
 from test_acceptance import STAGES, _run_pipeline
 
 TRACED_STAGE = Path(__file__).resolve().parents[1] / "bench" / "traced_stage.py"
+# the longest integer str() and int() convert (Python 3.10.7 and later); 0 means no limit
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def run(*argv):
@@ -227,11 +229,40 @@ class TestIngest:
     def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys, damaged):
         input_path, mapping_path = write_dataset(tmp_path)
         path = {"input": input_path, "mapping": mapping_path}[damaged]
-        path.write_bytes(path.read_bytes() + b"\xff\n")
+        content = path.read_bytes()
+        assert content.endswith(b"\n")
+        path.write_bytes(content + b"\xff\n")
         out = tmp_path / "o"
         assert run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out) == 2
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err
+        bad_line = content.count(b"\n") + 1
+        assert f"line {bad_line}, byte offset 0: 0xff is not valid UTF-8" in err
         assert not out.exists() or not any(out.iterdir())
+
+    # numbers and nesting json.loads cannot turn into a record: an integer
+    # beyond the float range, one longer than the interpreter's digit limit
+    # (0 means none), and nesting past the recursion limit
+    @pytest.mark.parametrize("latitude,categories,reason", [
+        ("1" + "0" * 400, "[]", "missing or invalid latitude"),
+        pytest.param("1" * (INT_DIGIT_LIMIT + 1), "[]", "malformed record",
+                     marks=pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no digit limit")),
+        ("30.0", "[" * 200_000 + "]" * 200_000, "malformed record"),
+    ], ids=["integer-beyond-float", "integer-past-digit-limit", "deep-nesting"])
+    def test_number_or_nesting_json_cannot_hold_is_rejected(self, tmp_path, latitude, categories,
+                                                            reason):
+        input_path, mapping_path = write_dataset(tmp_path)
+        record = ('{"name": "Hostile Cafe", "city": "dunecity", "state": "DZ", '
+                  f'"latitude": {latitude}, "longitude": 10.0, "categories": {categories}}}')
+        content = input_path.read_text(encoding="utf-8")
+        input_path.write_text(content + record + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out) == 0
+        rejections = (out / "rejections.tsv").read_text(encoding="utf-8").splitlines()
+        bad_line = content.count("\n") + 1
+        assert rejections[-1] == f"{bad_line}\t{reason}"
+        assert read_kv(out / "ingest_summary.txt")["rejected"] == "4"
+        assert "Hostile Cafe" not in (out / "corpus.tsv").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("field", ["name", "region", "categories"])
     def test_lone_surrogate_exits_2_before_writing(self, tmp_path, capsys, field):
@@ -311,6 +342,9 @@ CORPUS_DAMAGE = {
     "empty-name": (lambda lines: set_cell(lines, 3, 5, "  "), "{path}:3: empty name"),
     "invalid-utf8": (lambda lines: set_cell(lines, 3, 5, "Caf\udcff"),
                      "cannot read {path}: line 3, byte offset "),
+    "categories-nested-past-the-recursion-limit": (
+        lambda lines: set_cell(lines, 2, 3, "[" * 200_000 + "]" * 200_000),
+        "{path}:2: categories '[[[["),
 }
 
 
@@ -812,10 +846,28 @@ class TestWriteText:
             raise RuntimeError("generator failed midway")
 
         with pytest.raises(RuntimeError, match="generator failed midway"):
-            _write_text(path, lines())
+            write_lines(path, lines())
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
         assert seen == {"files": [".table.tsv.tmp", "table.tsv"], "tables": ["table.tsv"]}
+
+
+def test_every_artifact_is_put_in_place_by_a_replace(tmp_path, monkeypatch):
+    # write_lines is the only writer: it writes a hidden file, then renames it
+    replaced = set()
+    replace = os.replace
+
+    def recording_replace(src, dst, **kwargs):
+        replaced.add(Path(dst))
+        replace(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    input_path, mapping_path = write_dataset(tmp_path)
+    out = tmp_path / "artifacts"
+    _run_pipeline(input_path, mapping_path, out)
+    files = {p for p in out.rglob("*") if p.is_file()}
+    assert len(files) > 20 and out / "model.txt" in files
+    assert sorted(str(p.relative_to(out)) for p in files - replaced) == []
 
 
 def test_every_manifest_hashes_what_its_stage_read_and_records_its_options(tmp_path):

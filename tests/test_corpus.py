@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from poinames.corpus import (
     PoiRecord,
+    RejectedRecord,
     build_vocabulary,
     corpus_lines,
     load_pois,
@@ -145,6 +146,19 @@ class TestLoadPois:
         result = load_pois(["{not json", good])
         assert len(result.records) == 1
         assert result.rejections[0].reason == "malformed record"
+
+    # the other values json.loads cannot turn into a record are ingest tests;
+    # JSON null decodes, so it is not a malformed record
+    @pytest.mark.parametrize("line,reason", [
+        ('{"name": "x", "latitude": 1.0, "longitude": -1%s, "region": "a"}' % ("0" * 400),
+         "missing or invalid longitude"),
+        ("null", "record is not an object"),
+    ], ids=["longitude-beyond-float", "null"])
+    def test_longitude_beyond_float_and_json_null_are_rejected(self, line, reason):
+        good = json.dumps({"name": "y", "latitude": 1.0, "longitude": 2.0, "region": "a"})
+        result = load_pois([good, line, good])
+        assert [r.name for r in result.records] == ["y", "y"]
+        assert result.rejections == [RejectedRecord(line=2, reason=reason)]
 
     def test_categories_from_comma_string(self):
         line = json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a",

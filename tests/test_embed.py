@@ -529,6 +529,22 @@ class TestModelPersistence:
         expected += [f"r\t{r}\t{fmt(model.region_vectors[r])}" for r in ("a", "b")]
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
+    def test_failed_save_leaves_the_earlier_model_and_no_temporary_file(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"dim=2\tregions=1\tseed=0\tvariant=sgns\nr\ta\t0 1\n")
+        before = path.read_bytes()
+        # region b's vector is one value short of the row template, so its
+        # row fails to format after the header and row a have been made
+        model = EmbeddingModel(
+            region_vectors={"a": np.array([1.0, 2.0]), "b": np.array([3.0])},
+            word_vectors={},
+            config=EmbeddingConfig(dimension=2),
+        )
+        with pytest.raises(TypeError, match="not enough arguments"):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.txt"]
+
     def test_word_row_is_rejected(self, tmp_path):
         # a model.txt from before word rows were dropped must be rebuilt
         path = tmp_path / "model.txt"
