@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import reprlib
 import sys
 import unicodedata
 from collections import defaultdict
@@ -41,8 +42,10 @@ from .corpus import (
     build_vocabulary,
     corpus_lines,
     load_pois,
+    parse_numbers,
     partition_by_region,
     read_corpus,
+    read_lines,
     read_region_mapping,
     tokenize,  # no stage calls it, but bench/traced_stage.py wraps this name
     typed_subsets,
@@ -139,18 +142,13 @@ def _table_lines(labels, columns, rows) -> list[str]:
 
 def _read_matrix(path: Path) -> RegionMatrix:
     """Read a square matrix written by _table_lines, rejecting any other shape."""
-    try:
-        lines = path.read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: {exc}") from exc
-    if lines[-1] == "":
-        lines.pop()
+    lines = [line for _, line in read_lines(path, artifact=True)]
     if not lines:
         raise IngestError(f"{path}: empty matrix file")
     regions = tuple(lines[0].split("\t")[1:])
     if len(set(regions)) != len(regions):
         repeated = sorted({r for r in regions if regions.count(r) > 1})
-        raise IngestError(f"{path}:1: header repeats region label(s) {repeated}")
+        raise IngestError(f"{path}:1: header repeats region label(s) {reprlib.repr(repeated)}")
     rows = lines[1:]
     if len(rows) != len(regions):
         raise IngestError(
@@ -161,18 +159,13 @@ def _read_matrix(path: Path) -> RegionMatrix:
         label, *cells = line.split("\t")
         if label != regions[i]:
             raise IngestError(
-                f"{path}:{i + 2}: row label {label!r} differs from header label {regions[i]!r}"
-            )
-        if len(cells) != len(regions):
-            raise IngestError(
-                f"{path}:{i + 2}: expected {len(regions)} values, got {len(cells)}"
+                f"{path}:{i + 2}: row label {reprlib.repr(label)} differs from header label "
+                f"{reprlib.repr(regions[i])}"
             )
         try:
-            values[i] = [float(c) for c in cells]
+            values[i] = parse_numbers(cells, len(regions))
         except ValueError as exc:
             raise IngestError(f"{path}:{i + 2}: {exc}") from exc
-        if not np.isfinite(values[i]).all():
-            raise IngestError(f"{path}:{i + 2}: non-finite value")
     return RegionMatrix(regions=regions, values=values)
 
 
@@ -438,15 +431,16 @@ def cmd_similarity(args: argparse.Namespace) -> int:
         model_path = read["model"] = _require(outdir / MODEL_ARTIFACT, "embed")
         try:
             model = load_model(model_path)
-        except ValueError as exc:  # includes UnicodeDecodeError
-            raise IngestError(f"malformed model {model_path}: {exc}") from exc
+        except ValueError as exc:  # every message names model_path
+            raise IngestError(str(exc)) from exc
         # a model from an earlier ingest may name other regions
         missing = sorted(by_region.keys() - model.region_vectors.keys())
         extra = sorted(model.region_vectors.keys() - by_region.keys())
         if missing or extra:
             raise IngestError(
                 f"{model_path} and {CORPUS_ARTIFACT} name different regions: "
-                f"missing from the model {missing}, not in {CORPUS_ARTIFACT} {extra}"
+                f"missing from the model {reprlib.repr(missing)}, "
+                f"not in {CORPUS_ARTIFACT} {reprlib.repr(extra)}"
             )
         vectors = [
             RegionVector(region_id=r, values=model.region_vectors[r])
@@ -493,7 +487,8 @@ def cmd_decay(args: argparse.Namespace) -> int:
     if missing or extra:
         raise IngestError(
             f"{sim_path} and {dist_path} name different regions: "
-            f"missing from {DISTANCES_ARTIFACT} {missing}, not in {sim_path.name} {extra}"
+            f"missing from {DISTANCES_ARTIFACT} {reprlib.repr(missing)}, "
+            f"not in {sim_path.name} {reprlib.repr(extra)}"
         )
     observations = pair_observations(sim, dist)
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
+import reprlib
 import sys
 import unicodedata
 from collections import Counter, defaultdict
@@ -64,7 +66,7 @@ def _label(region: str, labels: dict[str, str]) -> str:
         if not region.strip():
             raise ValueError("empty region label")
         if _LABEL_FORBIDDEN.search(region):
-            raise ValueError(f"region label {region!r} contains a control character")
+            raise ValueError(f"region label {reprlib.repr(region)} contains a control character")
         label = labels[region] = region
     return label
 
@@ -190,19 +192,12 @@ def read_region_mapping(path: str | Path) -> dict[tuple[str, str], str]:
     Two tab-separated columns per line: "city,state" and the region label.
     A city of "*" matches every city in that state. Keys are matched
     case-insensitively; blank lines and lines starting with # are skipped.
-    A leading UTF-8 byte order mark is dropped. Lines end at "\n" only, so
-    any other separator str.splitlines knows stays inside its label, where
-    the region-label rule rejects it.
+    The file is read with read_lines as a user file, so any other separator
+    str.splitlines knows, a bare "\r" included, stays inside its label,
+    where the region-label rule rejects it.
     """
     mapping: dict[tuple[str, str], str] = {}
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"cannot read region mapping {path}: {_locate_bad_byte(path)}") from exc
-    except OSError as exc:
-        raise IngestError(f"cannot read region mapping {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in read_lines(path, artifact=False):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -214,7 +209,7 @@ def read_region_mapping(path: str | Path) -> dict[tuple[str, str], str]:
         key, region = parts
         city, sep, state = key.rpartition(",")
         if not sep or not state.strip() or not region.strip():
-            raise IngestError(f"{path}:{lineno}: malformed mapping line {raw!r}")
+            raise IngestError(f"{path}:{lineno}: malformed mapping line {reprlib.repr(raw)}")
         mapping[(city.strip().lower(), state.strip().lower())] = region.strip()
     if not mapping:
         raise IngestError(f"region mapping {path} is empty")
@@ -279,64 +274,32 @@ def load_pois(
     """Read newline-delimited JSON records into PoiRecords.
 
     Invalid records are rejected with a reason, never silently dropped.
-    An unreadable or non-UTF-8 source, a region label (from the record
-    or the mapping) holding a control character, or a lone surrogate
-    escape in a name, region, city, state or category raises IngestError,
-    naming the record as ``<path>:N`` for a file and ``input line N`` for
-    an iterable of lines. A leading UTF-8 byte order mark in a file is
-    dropped. Each accepted name is tokenized here, once.
+    A file is read with read_lines as a user file. An unreadable or
+    non-UTF-8 source, a region label (from the record or the mapping)
+    holding a control character, or a lone surrogate escape in a name,
+    region, city, state or category raises IngestError, naming the record
+    as ``<path>:N`` for a file and ``input line N`` for an iterable of
+    lines. Each accepted name is tokenized here, once.
     """
-    result = LoadResult(records=[])
     if isinstance(source, (str, Path)):
-        try:
-            with open(source, encoding="utf-8-sig") as lines:
-                _load_lines(lines, region_mapping, result, f"{source}:")
-        except UnicodeDecodeError as exc:
-            where = _locate_bad_byte(source)
-            raise IngestError(f"cannot read POI source {source}: {where}") from exc
-        except OSError as exc:
-            raise IngestError(f"cannot read POI source {source}: {exc}") from exc
+        lines, where = read_lines(source, artifact=False), f"{source}:"
     else:
-        _load_lines(source, region_mapping, result, "input line ")
-    return result
-
-
-def _locate_bad_byte(path: str | Path) -> str:
-    """Name the line and in-line byte offset of a file's first non-UTF-8 byte.
-
-    The decoder reports positions within its read chunk, so the file is
-    read again with each undecodable byte escaped to U+DC80..U+DCFF.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape") as lines:
-        for lineno, line in enumerate(lines, start=1):
-            bad = re.search("[\udc80-\udcff]", line)
-            if bad:
-                offset = len(line[: bad.start()].encode("utf-8"))
-                byte = ord(bad.group()) - 0xDC00
-                return f"line {lineno}, byte offset {offset}: 0x{byte:02x} is not valid UTF-8"
-    return "not valid UTF-8"
-
-
-def _load_lines(
-    lines: Iterable[str],
-    mapping: Mapping[tuple[str, str], str] | None,
-    result: LoadResult,
-    where: str,
-) -> None:
-    """Load each line into ``result``; ``where`` prefixes a line number in errors."""
+        lines, where = enumerate(source, start=1), "input line "
+    result = LoadResult(records=[])
     # One table per kind of shared value: a label and a categories string
     # that are equal must still give a str and a frozenset respectively.
     labels: dict[str, str] = {}
     category_sets: dict[str | tuple[str, ...], frozenset[str]] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         if not line.strip():
             continue
         try:
-            reason = _load_one(line, mapping, labels, category_sets, result.records)
+            reason = _load_one(line, region_mapping, labels, category_sets, result.records)
         except ValueError as exc:
             raise IngestError(f"{where}{lineno}: {exc}") from None
         if reason is not None:
             result.rejections.append(RejectedRecord(line=lineno, reason=reason))
+    return result
 
 
 def _load_one(
@@ -436,31 +399,60 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         raise
 
 
+def read_lines(path: str | Path, *, artifact: bool) -> Iterator[tuple[int, str]]:
+    r"""Yield (line number, line without its "\n") for each line of a UTF-8 file.
+
+    Lines end at "\n" only, so a "\r" stays in its line. A byte that is not
+    UTF-8 raises IngestError naming the line and the byte offset within it.
+    A user file (``artifact=False``) may start with a byte order mark, which
+    is dropped, and may end without "\n". An artifact, as write_lines writes
+    it, may not: IngestError says it is cut short once its last line is checked.
+    """
+    try:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise IngestError(
+                        f"cannot read {path}: line {lineno}, byte offset {exc.start}: "
+                        f"0x{raw[exc.start]:02x} is not valid UTF-8"
+                    ) from None
+                if lineno == 1 and not artifact:
+                    line = line.removeprefix("\ufeff")
+                if line.endswith("\n"):
+                    yield lineno, line[:-1]
+                else:
+                    yield lineno, line
+                    if artifact:
+                        raise IngestError(
+                            f"{path}:{lineno}: the last line has no line end, "
+                            "so the file is cut short"
+                        )
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+
+
 def read_corpus(path: str | Path) -> list[PoiRecord]:
     """Read a corpus file written from corpus_lines back into PoiRecords.
 
-    Every row is checked: a wrong header or column count, a line without
-    its line end, a bad coordinate, label, categories cell, token or name,
-    or a byte that is not UTF-8 raises IngestError naming ``<path>:<line>``.
-    Records share their label and category set objects as load_pois's do.
+    The file is read with read_lines as an artifact. Every row is checked:
+    a wrong header or column count, a raw "\r", a bad coordinate, label,
+    categories cell, token or name raises IngestError naming
+    ``<path>:<line>``. Records share their label and category set objects
+    as load_pois's do.
     """
     records: list[PoiRecord] = []
     labels: dict[str, str] = {}
     category_sets: dict[str, frozenset[str]] = {}
-    try:
-        # lines end at "\n" only; any other line separator stays in its cell
-        with open(path, encoding="utf-8", newline="\n") as lines:
-            if next(lines, "") != CORPUS_HEADER + "\n":
-                raise IngestError(f"{path}:1: expected the header {CORPUS_HEADER!r}")
-            for lineno, line in enumerate(lines, start=2):
-                try:
-                    records.append(_corpus_record(line, labels, category_sets))
-                except ValueError as exc:
-                    raise IngestError(f"{path}:{lineno}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"cannot read {path}: {_locate_bad_byte(path)}") from exc
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
+    lines = read_lines(path, artifact=True)
+    if next(lines, (1, None))[1] != CORPUS_HEADER:
+        raise IngestError(f"{path}:1: expected the header {CORPUS_HEADER!r}")
+    for lineno, line in lines:
+        try:
+            records.append(_corpus_record(line, labels, category_sets))
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
@@ -468,22 +460,23 @@ def _corpus_record(
     line: str, labels: dict[str, str], category_sets: dict[str, frozenset[str]]
 ) -> PoiRecord:
     """One corpus row as a record; a ValueError says what is wrong with the row."""
+    if "\r" in line:  # corpus_lines writes a name holding one as a JSON string
+        raise ValueError("the row holds a raw carriage return, which corpus_lines never writes")
     cells = line.split("\t", 5)
     if len(cells) != 6:
         raise ValueError(f"expected 6 tab-separated columns, got {len(cells)}")
     region, lat_cell, lon_cell, categories_cell, tokens_cell, name = cells
-    if not name.endswith("\n"):
-        raise ValueError("the last line has no line end, so the file is cut short")
-    name = name[:-1]
 
     label = _label(region, labels)
 
     try:
         lat, lon = float(lat_cell), float(lon_cell)
     except ValueError:
-        raise ValueError(f"coordinates {lat_cell!r}, {lon_cell!r} are not numbers") from None
+        raise ValueError(
+            f"coordinates {reprlib.repr(lat_cell)}, {reprlib.repr(lon_cell)} are not numbers"
+        ) from None
     if not (LAT_MIN <= lat <= LAT_MAX and LON_MIN <= lon <= LON_MAX):
-        raise ValueError(f"coordinates {lat_cell}, {lon_cell} are not finite or out of range")
+        raise ValueError(f"coordinates {lat}, {lon} are not finite or out of range")
 
     categories = category_sets.get(categories_cell)
     if categories is None:
@@ -491,7 +484,7 @@ def _corpus_record(
 
     tokens = tuple(map(sys.intern, tokens_cell.split(" "))) if tokens_cell else ()
     if "" in tokens:
-        raise ValueError(f"tokens {tokens_cell!r} are not separated by single spaces")
+        raise ValueError(f"tokens {reprlib.repr(tokens_cell)} are not separated by single spaces")
 
     if name.startswith('"'):
         name = _loads(name)
@@ -508,10 +501,24 @@ def _category_set(cell: str) -> frozenset[str]:
     """The categories of one corpus cell, a JSON list of strings."""
     value = _loads(cell)
     if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
-        raise ValueError(f"categories {cell!r} are not a JSON list of strings")
+        raise ValueError(f"categories {reprlib.repr(cell)} are not a JSON list of strings")
     for category in value:
-        _check_no_surrogate(category, f"category {category!r}")
+        _check_no_surrogate(category, f"category {reprlib.repr(category)}")
     return frozenset(value)
+
+
+def parse_numbers(cells: Sequence[str], count: int) -> list[float]:
+    """The ``count`` finite numbers in ``cells``; a ValueError quotes a bad cell shortened."""
+    if len(cells) != count:
+        raise ValueError(f"expected {count} values, got {len(cells)}")
+    try:
+        numbers = [float(c) for c in cells]
+    except ValueError:
+        bad = next(c for c in cells if _as_float(c) is None)
+        raise ValueError(f"could not convert string to float: {reprlib.repr(bad)}") from None
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError("non-finite value")
+    return numbers
 
 
 def partition_by_region(

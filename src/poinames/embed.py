@@ -18,12 +18,13 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from ._numpy import np
-from .corpus import RegionCorpus, Vocabulary, write_lines
+from .corpus import RegionCorpus, Vocabulary, parse_numbers, read_lines, write_lines
 from .errors import EmptyCorpusError
 
 log = logging.getLogger(__name__)
@@ -401,44 +402,37 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> EmbeddingModel:
     """Read a model written by save_model, one line at a time.
 
-    Every row must be a region (``r``) row; ``word_vectors`` comes back empty.
+    The file is read with read_lines as an artifact, which raises
+    IngestError for a byte that is not UTF-8 or a file cut short; bad
+    content raises ValueError naming ``path``. Every row must be a region
+    (``r``) row; ``word_vectors`` comes back empty.
     """
     region_vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if not first:
-            raise ValueError(f"empty model file {path}")
-        header: dict[str, str] = {}
-        for part in first.split("\t"):
-            key, _, value = part.partition("=")
-            header[key] = value
-        try:
-            dim = int(header["dim"])
-            n_regions = int(header["regions"])
-            seed = int(header["seed"])
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"malformed model header in {path}: {first!r}") from exc
+    lines = read_lines(path, artifact=True)
+    _, first = next(lines, (1, ""))
+    if not first:
+        raise ValueError(f"empty model file {path}")
+    header: dict[str, str] = {}
+    for part in first.split("\t"):
+        key, _, value = part.partition("=")
+        header[key] = value
+    try:
+        config = EmbeddingConfig(dimension=int(header["dim"]), seed=int(header["seed"]))
+        n_regions = int(header["regions"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"malformed model header in {path}: {reprlib.repr(first)}") from exc
 
-        for lineno, line in enumerate(fh, start=2):
-            kind, _, rest = line.rstrip("\n").partition("\t")
-            if kind != "r":
-                raise ValueError(f"{path}:{lineno}: unknown vector kind {kind!r}")
-            name, _, values = rest.partition("\t")
-            try:
-                vec = np.fromiter(map(float, values.split(" ")), dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if vec.shape != (dim,):
-                raise ValueError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}:{lineno}: non-finite value in vector {name!r}")
-            region_vectors[name] = vec
+    for lineno, line in lines:
+        kind, _, rest = line.partition("\t")
+        if kind != "r":
+            raise ValueError(f"{path}:{lineno}: unknown vector kind {reprlib.repr(kind)}")
+        name, _, values = rest.partition("\t")
+        try:
+            region_vectors[name] = np.array(parse_numbers(values.split(" "), config.dimension))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if len(region_vectors) != n_regions:
         raise ValueError(
             f"{path}: header promises {n_regions} regions, found {len(region_vectors)}"
         )
-    return EmbeddingModel(
-        region_vectors=region_vectors,
-        word_vectors={},
-        config=EmbeddingConfig(dimension=dim, seed=seed),
-    )
+    return EmbeddingModel(region_vectors=region_vectors, word_vectors={}, config=config)

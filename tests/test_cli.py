@@ -212,8 +212,8 @@ class TestIngest:
     # inside the label for the label rule to reject
     @pytest.mark.parametrize(
         "char",
-        ["\x01", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
-        ids=["x01", "x0b", "x0c", "x1c", "x1d", "x1e", "x85", "u2028", "u2029"],
+        ["\x01", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["x01", "x0b", "x0c", "x0d", "x1c", "x1d", "x1e", "x85", "u2028", "u2029"],
     )
     def test_mapped_region_label_with_control_character_exits_2(self, tmp_path, capsys, char):
         input_path, mapping_path = write_dataset(tmp_path)
@@ -342,6 +342,8 @@ CORPUS_DAMAGE = {
     "empty-name": (lambda lines: set_cell(lines, 3, 5, "  "), "{path}:3: empty name"),
     "invalid-utf8": (lambda lines: set_cell(lines, 3, 5, "Caf\udcff"),
                      "cannot read {path}: line 3, byte offset "),
+    "raw-carriage-return": (lambda lines: set_cell(lines, 3, 5, "n0\rx"),
+                            "{path}:3: the row holds a raw carriage return"),
     "categories-nested-past-the-recursion-limit": (
         lambda lines: set_cell(lines, 2, 3, "[" * 200_000 + "]" * 200_000),
         "{path}:2: categories '[[[["),
@@ -403,6 +405,8 @@ class TestStageOrdering:
         assert run("local-terms", "--out", pipeline_dir) == 2
         err = capsys.readouterr().err
         assert message.format(path=path, last=last) in err
+        # a cell is quoted shortened, however long the damaged cell is
+        assert len(err.encode("utf-8")) < 1024
         assert snapshot(pipeline_dir) == before
 
     def test_decay_before_similarity_exits_2(self, pipeline_dir, capsys):
@@ -640,38 +644,65 @@ class TestSimilarityAndDecay:
         assert "distances_km" in out
         assert (pipeline_dir / "distances.tsv").read_bytes() == meters  # files stay meters
 
+    # damage to similarity_count.tsv, given as its lines, and the message that
+    # names it; {offset} is the length in bytes of the original last line
     @pytest.mark.parametrize(
-        "damage",
+        "damage,message",
         [
-            lambda lines: lines[:-1],
-            lambda lines: lines + [lines[-1]],
-            lambda lines: [lines[0], lines[2], lines[1], lines[3]],
-            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0]],
-            lambda lines: lines[:-1] + [lines[-1] + "\t0.5"],
-            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tabc"],
-            lambda lines: [],
-            lambda lines: lines[:-1] + [lines[-1] + "\udcff"],
-            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tnan"],
-            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tinf"],
-            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\t-inf"],
-            lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\t1e999"],
-            lambda lines: [line.replace("lakecity", "hillton") for line in lines],
-            lambda lines: [line.replace("lakecity", "newtown") for line in lines],
+            pytest.param(lambda lines: lines[:-1],
+                         "{path}: header names 3 regions but the file has 2 rows",
+                         id="row-missing"),
+            pytest.param(lambda lines: lines + [lines[-1]],
+                         "{path}: header names 3 regions but the file has 4 rows",
+                         id="row-extra"),
+            pytest.param(lambda lines: [lines[0], lines[2], lines[1], lines[3]],
+                         "{path}:2: row label 'hillton' differs from header label 'desertville'",
+                         id="rows-out-of-order"),
+            pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0]],
+                         "{path}:4: expected 3 values, got 2", id="cell-missing"),
+            pytest.param(lambda lines: lines[:-1] + [lines[-1] + "\t0.5"],
+                         "{path}:4: expected 3 values, got 4", id="cell-extra"),
+            pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tabc"],
+                         "{path}:4: could not convert string to float: 'abc'", id="not-a-number"),
+            pytest.param(
+                lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\t" + "x" * 100_000],
+                "{path}:4: could not convert string to float: 'xxxxxxxxxxxx...",
+                id="long-not-a-number"),
+            pytest.param(lambda lines: [], "{path}: empty matrix file", id="empty"),
+            pytest.param(lambda lines: lines[:-1] + [lines[-1] + "\udcff"],
+                         "cannot read {path}: line 4, byte offset {offset}: 0xff is not "
+                         "valid UTF-8",
+                         id="not-utf8"),
+            pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tnan"],
+                         "{path}:4: non-finite value", id="nan"),
+            pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tinf"],
+                         "{path}:4: non-finite value", id="inf"),
+            pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\t-inf"],
+                         "{path}:4: non-finite value", id="minus-inf"),
+            pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\t1e999"],
+                         "{path}:4: non-finite value", id="overflow"),
+            pytest.param(lambda lines: [line.replace("lakecity", "hillton") for line in lines],
+                         "{path}:1: header repeats region label(s) ['hillton']",
+                         id="label-repeated"),
+            pytest.param(lambda lines: [line.replace("lakecity", "newtown") for line in lines],
+                         "{path} and ", id="label-renamed"),
+            pytest.param(lambda lines: [line.replace("lakecity", "z" * 100_000) for line in lines],
+                         "{path} and ", id="label-renamed-long"),
         ],
-        ids=["row-missing", "row-extra", "rows-out-of-order", "cell-missing", "cell-extra",
-             "not-a-number", "empty", "not-utf8", "nan", "inf", "minus-inf", "overflow",
-             "label-repeated", "label-renamed"],
     )
-    def test_decay_rejects_malformed_matrix(self, pipeline_dir, capsys, damage):
+    def test_decay_rejects_malformed_matrix(self, pipeline_dir, capsys, damage, message):
         run("similarity", "--out", pipeline_dir, "--method", "count")
         path = pipeline_dir / "similarity_count.tsv"
-        lines = damage(path.read_text().splitlines())
+        original = path.read_text().splitlines()
+        lines = damage(original)
         # surrogateescape writes "\udcff" as the byte 0xff, which is not UTF-8
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8",
                         errors="surrogateescape")
         assert run("decay", "--out", pipeline_dir, "--method", "count",
                    "--permutations", "100") == 2
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message.format(path=path, offset=len(original[-1].encode("utf-8"))) in err
+        assert len(err.encode("utf-8")) < 1024
         assert not (pipeline_dir / "decay_results_count.txt").exists()
 
     def test_failed_decay_leaves_earlier_outputs_unchanged(self, pipeline_dir, capsys):
@@ -730,26 +761,47 @@ class TestSimilarityAndDecay:
         expected = message.format(sim=path, dist=pipeline_dir / "distances.tsv")
         assert expected in capsys.readouterr().err
 
+    # damage to a model.txt of three regions and dimension 8, given as its
+    # text, and the message that names it
     @pytest.mark.parametrize(
-        "damage",
+        "damage,message",
         [
-            lambda text: text[: text.rindex("\nr\t") + 1],
-            lambda text: text[: text.rindex(" ")] + "\n",
-            lambda text: damage_middle_region_row(text, lambda row: row[: row.rindex(" ")]),
-            lambda text: damage_middle_region_row(text, lambda row: "x" + row[1:]),
+            pytest.param(lambda text: text[: text.rindex("\nr\t") + 1],
+                         "{path}: header promises 3 regions, found 2", id="region-missing"),
+            pytest.param(lambda text: text[: text.rindex(" ")] + "\n",
+                         "{path}:4: expected 8 values, got 7", id="line-cut"),
+            pytest.param(
+                lambda text: damage_middle_region_row(text, lambda row: row[: row.rindex(" ")]),
+                "{path}:3: expected 8 values, got 7", id="region-value-dropped"),
+            pytest.param(lambda text: damage_middle_region_row(text, lambda row: "x" + row[1:]),
+                         "{path}:3: unknown vector kind 'x'", id="region-kind-changed"),
             # the word row of a model.txt written before word vectors were dropped
-            lambda text: text + "w" + text[text.rindex("\nr\t") + 2 :],
+            pytest.param(lambda text: text + "w" + text[text.rindex("\nr\t") + 2 :],
+                         "{path}:5: unknown vector kind 'w'", id="word-row-appended"),
+            pytest.param(
+                lambda text: damage_middle_region_row(
+                    text, lambda row: row[:2] + "\udcff" + row[2:]),
+                "cannot read {path}: line 3, byte offset 2: 0xff is not valid UTF-8",
+                id="not-utf8"),
+            pytest.param(
+                lambda text: damage_middle_region_row(
+                    text, lambda row: row[: row.rindex(" ")] + " " + "x" * 100_000),
+                "{path}:3: could not convert string to float: 'xxxxxxxxxxxx...",
+                id="long-not-a-number"),
         ],
-        ids=["region-missing", "line-cut", "region-value-dropped", "region-kind-changed",
-             "word-row-appended"],
     )
-    def test_similarity_rejects_truncated_model(self, pipeline_dir, capsys, damage):
+    def test_similarity_rejects_truncated_model(self, pipeline_dir, capsys, damage, message):
         assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "3", "--seed", "7") == 0
         path = pipeline_dir / "model.txt"
-        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        # surrogateescape writes "\udcff" as the byte 0xff, which is not UTF-8
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8",
+                        errors="surrogateescape")
         before = sorted(pipeline_dir.iterdir())
         assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 2
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message.format(path=path) in err
+        assert err.count(str(path)) == 1
+        assert len(err.encode("utf-8")) < 1024
         assert sorted(pipeline_dir.iterdir()) == before
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "abc"])
@@ -762,9 +814,32 @@ class TestSimilarityAndDecay:
         path.write_text("\n".join([header, first, rest]), encoding="utf-8")
         before = sorted(pipeline_dir.iterdir())
         assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 2
+        err = capsys.readouterr().err
         reason = "could not convert string to float: 'abc'" if value == "abc" else "non-finite value"
-        assert f"{path}:2: {reason}" in capsys.readouterr().err
+        assert f"{path}:2: {reason}" in err
+        assert err.count(str(path)) == 1
         assert sorted(pipeline_dir.iterdir()) == before
+
+    # the stage that reads each artifact; each file's last number is cut
+    # short by one digit, and its final line end is gone
+    @pytest.mark.parametrize("name,stage", [
+        ("model.txt", ["similarity", "--method", "embedding"]),
+        ("similarity_count.tsv", ["decay", "--method", "count", "--permutations", "100"]),
+        ("distances.tsv", ["decay", "--method", "count", "--permutations", "100"]),
+    ], ids=["model", "similarity", "distances"])
+    def test_artifact_cut_inside_its_last_number_exits_2(self, pipeline_dir, capsys, name, stage):
+        assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "3", "--seed", "7") == 0
+        assert run("similarity", "--out", pipeline_dir, "--method", "count") == 0
+        path = pipeline_dir / name
+        content = path.read_bytes()
+        assert content[-2:-1].isdigit() and content.endswith(b"\n")
+        path.write_bytes(content[:-2])
+        before = snapshot(pipeline_dir)
+        assert run(*stage, "--out", pipeline_dir) == 2
+        last = content.count(b"\n")
+        assert (f"{path}:{last}: the last line has no line end, so the file is cut short"
+                in capsys.readouterr().err)
+        assert snapshot(pipeline_dir) == before
 
     def test_similarity_rejects_model_missing_a_region(self, tmp_path, capsys):
         names = {r: [f"{r}{i} common cafe" for i in range(20)] for r in "abcd"}
@@ -868,6 +943,30 @@ def test_every_artifact_is_put_in_place_by_a_replace(tmp_path, monkeypatch):
     files = {p for p in out.rglob("*") if p.is_file()}
     assert len(files) > 20 and out / "model.txt" in files
     assert sorted(str(p.relative_to(out)) for p in files - replaced) == []
+
+
+def test_only_read_lines_and_write_lines_open_files():
+    # one reader and one writer: no other function of the package opens a
+    # file, and none but read_lines decodes one; _sha256 hashes raw bytes
+    package = Path(poinames.__file__).resolve().parent
+    allowed = {("corpus", "read_lines"), ("corpus", "write_lines"), ("cli", "_sha256")}
+    opening = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+    found = []
+    for source in sorted(package.glob("*.py")):
+        for function in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    reads = getattr(callee, "id", getattr(callee, "attr", None)) in opening
+                elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    reads = "UnicodeDecodeError" in ast.unparse(node.type)
+                else:
+                    continue
+                if reads and (source.stem, function.name) not in allowed:
+                    found.append(f"{source.name}:{node.lineno} {function.name}")
+    assert found == []
 
 
 def test_every_manifest_hashes_what_its_stage_read_and_records_its_options(tmp_path):

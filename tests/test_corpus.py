@@ -293,6 +293,28 @@ class TestLoadPois:
         assert result.rejections == []
         assert [r.name for r in result.records] == ["x", "x"]
 
+    def test_bare_carriage_return_is_not_a_line_end(self, tmp_path):
+        # JSON reads "\r" between tokens as whitespace, so the first line is
+        # one record, and the rejection on the next line is named line 2
+        good = json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a"})
+        bad = json.dumps({"name": "", "latitude": 1.0, "longitude": 2.0, "region": "a"})
+        path = tmp_path / "pois.ndjson"
+        path.write_bytes((good.replace(", ", ",\r", 1) + "\n" + bad + "\n").encode("utf-8"))
+        result = load_pois(path)
+        assert [r.name for r in result.records] == ["x"]
+        assert result.rejections == [RejectedRecord(line=2, reason="missing or empty name")]
+
+    def test_crlf_line_ends_load_as_lf_line_ends(self, tmp_path):
+        lines = [json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a"}),
+                 json.dumps({"name": "", "latitude": 1.0, "longitude": 2.0, "region": "a"}),
+                 json.dumps({"name": "y", "latitude": 3.0, "longitude": 4.0, "region": "b"})]
+        crlf, lf = tmp_path / "crlf.ndjson", tmp_path / "lf.ndjson"
+        crlf.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+        lf.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+        result = load_pois(crlf)
+        assert result == load_pois(lf)
+        assert result.rejections == [RejectedRecord(line=2, reason="missing or empty name")]
+
     def test_unreadable_source_is_fatal(self, tmp_path):
         with pytest.raises(IngestError):
             load_pois(tmp_path / "does_not_exist.ndjson")
@@ -345,7 +367,7 @@ class TestCorpusFile:
     @given(st.lists(poi_records(), max_size=8))
     def test_round_trip(self, records):
         lines = list(corpus_lines(records))
-        # no line end inside a line, for readers that also end lines at "\r"
+        # no "\n" inside a line, and no raw "\r", which read_corpus rejects
         assert not [line for line in lines if "\n" in line or "\r" in line]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.tsv"
