@@ -81,24 +81,19 @@ def _check_no_surrogate(text: str, what: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class PoiRecord:
-    """One point of interest: raw name, region label, coordinates, categories.
+    """One point of interest: raw name, region label, coordinates, categories, tokens.
 
-    ``tokens`` is the tokenized name; a record built without it takes
-    ``tokenize(name)``. Records loaded by one load_pois or read_corpus call
-    share their region label and category set objects with every other
-    record holding an equal value.
+    ``tokens`` is ``tokenize(name)``, computed once at ingest. Records loaded
+    by one load_pois or read_corpus call share their region label and
+    category set objects with every other record holding an equal value.
     """
 
     name: str
     region_id: str
     latitude: float
     longitude: float
-    categories: frozenset[str] = _NO_CATEGORIES
-    tokens: tuple[str, ...] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.tokens is None:
-            object.__setattr__(self, "tokens", tokenize(self.name))
+    categories: frozenset[str]
+    tokens: tuple[str, ...]
 
 
 @dataclass
@@ -192,11 +187,13 @@ def read_region_mapping(path: str | Path) -> dict[tuple[str, str], str]:
     Two tab-separated columns per line: "city,state" and the region label.
     A city of "*" matches every city in that state. Keys are matched
     case-insensitively; blank lines and lines starting with # are skipped.
+    A key given again with another label raises IngestError naming both lines.
     The file is read with read_lines as a user file, so any other separator
     str.splitlines knows, a bare "\r" included, stays inside its label,
     where the region-label rule rejects it.
     """
     mapping: dict[tuple[str, str], str] = {}
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, raw in read_lines(path, artifact=False):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -206,11 +203,17 @@ def read_region_mapping(path: str | Path) -> dict[tuple[str, str], str]:
             raise IngestError(
                 f"{path}:{lineno}: expected two tab-separated columns, got {len(parts)}"
             )
-        key, region = parts
-        city, sep, state = key.rpartition(",")
-        if not sep or not state.strip() or not region.strip():
+        city, sep, state = parts[0].rpartition(",")
+        region = parts[1].strip()
+        if not sep or not state.strip() or not region:
             raise IngestError(f"{path}:{lineno}: malformed mapping line {reprlib.repr(raw)}")
-        mapping[(city.strip().lower(), state.strip().lower())] = region.strip()
+        key = (city.strip().lower(), state.strip().lower())
+        if mapping.setdefault(key, region) != region:
+            raise IngestError(
+                f"{path}:{lineno}: {reprlib.repr(','.join(key))} maps to {reprlib.repr(region)}, "
+                f"but line {first_line[key]} maps it to {reprlib.repr(mapping[key])}"
+            )
+        first_line.setdefault(key, lineno)
     if not mapping:
         raise IngestError(f"region mapping {path} is empty")
     return mapping
@@ -564,37 +567,23 @@ def typed_subsets(
     if not regions:
         raise EmptyCorpusError("no regions to build typed subsets from")
 
-    counts: dict[tuple[str, str], int] = defaultdict(int)
-    categories: set[str] = set()
     region_set = set(regions)
+    docs: dict[tuple[str, str], list[tuple[str, ...]]] = defaultdict(list)
     for record in records:
-        if record.region_id not in region_set:
-            continue
-        for category in record.categories:
-            counts[(record.region_id, category)] += 1
-            categories.add(category)
+        if record.region_id in region_set:
+            for category in record.categories:
+                docs[(record.region_id, category)].append(record.tokens)
 
     kept = sorted(
         cat
-        for cat in categories
-        if all(counts[(region, cat)] >= min_count for region in regions)
+        for cat in {cat for _, cat in docs}
+        if all(len(docs.get((region, cat), ())) >= min_count for region in regions)
     )
     if not kept:
         log.warning(
             "no category reaches %d POIs in all %d regions", min_count, len(regions)
         )
         return []
-
-    docs: dict[tuple[str, str], list[tuple[str, ...]]] = {
-        (region, cat): [] for cat in kept for region in regions
-    }
-    kept_set = set(kept)
-    for record in records:
-        if record.region_id not in region_set:
-            continue
-        for category in record.categories:
-            if category in kept_set:
-                docs[(record.region_id, category)].append(record.tokens)
 
     return [
         TypedSubset(region_id=region, category=cat, documents=docs[(region, cat)])

@@ -405,7 +405,7 @@ def load_model(path: str | Path) -> EmbeddingModel:
     The file is read with read_lines as an artifact, which raises
     IngestError for a byte that is not UTF-8 or a file cut short; bad
     content raises ValueError naming ``path``. Every row must be a region
-    (``r``) row; ``word_vectors`` comes back empty.
+    (``r``) row, each region given once; ``word_vectors`` comes back empty.
     """
     region_vectors: dict[str, np.ndarray] = {}
     lines = read_lines(path, artifact=True)
@@ -427,6 +427,11 @@ def load_model(path: str | Path) -> EmbeddingModel:
         if kind != "r":
             raise ValueError(f"{path}:{lineno}: unknown vector kind {reprlib.repr(kind)}")
         name, _, values = rest.partition("\t")
+        if name in region_vectors:
+            # every line after the header is an r row, so the n-th region is on line n + 1
+            first = list(region_vectors).index(name) + 2
+            raise ValueError(f"{path}:{lineno}: region {reprlib.repr(name)} is given twice "
+                             f"(first at line {first})")
         try:
             region_vectors[name] = np.array(parse_numbers(values.split(" "), config.dimension))
         except ValueError as exc:

@@ -54,6 +54,7 @@ def synthetic_records() -> list[PoiRecord]:
                     latitude=lat + (i % 7) * 0.01,
                     longitude=lon + (i % 5) * 0.01,
                     categories=frozenset({category}),
+                    tokens=tokenize(name),
                 )
             )
         # repeated chain outlets: identical names that dedup collapses
@@ -65,6 +66,7 @@ def synthetic_records() -> list[PoiRecord]:
                     latitude=lat,
                     longitude=lon + j * 0.001,
                     categories=frozenset({"Food"}),
+                    tokens=tokenize("MegaMart"),
                 )
             )
     return records

@@ -77,6 +77,13 @@ def test_package_import_loads_no_numpy():
     assert fresh_python("import sys, poinames; print('numpy' in sys.modules)") == "False"
 
 
+def test_text_stage_modules_load_no_numpy():
+    # ingest, zipf, local-terms and type-usage run on these modules alone
+    code = ("import sys, poinames.corpus, poinames.termstats, poinames.linfit, "
+            "poinames.localness; print('numpy' in sys.modules)")
+    assert fresh_python(code) == "False"
+
+
 # runs the CLI on its arguments, then prints the exit code and how many
 # numpy submodules are loaded; 'numpy' itself is in sys.modules as soon as a
 # numpy-backed module is imported, but its submodules appear only once it runs
@@ -788,6 +795,10 @@ class TestSimilarityAndDecay:
                     text, lambda row: row[: row.rindex(" ")] + " " + "x" * 100_000),
                 "{path}:3: could not convert string to float: 'xxxxxxxxxxxx...",
                 id="long-not-a-number"),
+            # the header still promises 3 regions, and 4 rows name 3 of them
+            pytest.param(lambda text: text + text.split("\n")[1] + "\n",
+                         "{path}:5: region 'desertville' is given twice (first at line 2)",
+                         id="region-row-repeated"),
         ],
     )
     def test_similarity_rejects_truncated_model(self, pipeline_dir, capsys, damage, message):

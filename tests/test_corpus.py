@@ -25,7 +25,7 @@ from poinames.errors import EmptyCorpusError, IngestError
 def rec(name, region="a", lat=35.0, lon=-80.0, categories=()):
     return PoiRecord(
         name=name, region_id=region, latitude=lat, longitude=lon,
-        categories=frozenset(categories),
+        categories=frozenset(categories), tokens=tokenize(name),
     )
 
 
@@ -48,6 +48,10 @@ class TestTokenize:
     def test_whitespace_runs_collapse(self):
         assert tokenize("  The   Corner\tShop ") == ("the", "corner", "shop")
 
+    def test_tokens_derive_from_the_name(self):
+        assert tokenize("Bob's Pizza & Grill") == ("bob", "s", "pizza", "grill")
+        assert tokenize("!!!") == ()
+
     @given(st.text(min_size=1, max_size=60))
     def test_idempotent_over_its_own_output(self, text):
         tokens = tokenize(text)
@@ -69,17 +73,6 @@ class TestTokenize:
             assert token
             assert token == token.lower()
             assert not any(ch.isspace() for ch in token)
-
-
-class TestPoiRecord:
-    def test_tokens_derive_from_the_name(self):
-        assert rec("Bob's Pizza & Grill").tokens == ("bob", "s", "pizza", "grill")
-        assert rec("!!!").tokens == ()
-
-    def test_given_tokens_are_kept(self):
-        record = PoiRecord(name="Bob's", region_id="a", latitude=0.0, longitude=0.0,
-                           tokens=("bob",))
-        assert record.tokens == ("bob",)
 
 
 class TestLoadPois:
@@ -348,12 +341,14 @@ _LABELS = st.text(
 
 @st.composite
 def poi_records(draw):
+    name = draw(st.one_of(_NAMES, _NAMES.map(lambda name: '"' + name)))
     return PoiRecord(
-        name=draw(st.one_of(_NAMES, _NAMES.map(lambda name: '"' + name))),
+        name=name,
         region_id=draw(_LABELS),
         latitude=draw(st.floats(min_value=-90.0, max_value=90.0)),
         longitude=draw(st.floats(min_value=-180.0, max_value=180.0)),
         categories=draw(st.frozensets(st.text(_AWKWARD, max_size=8), max_size=3)),
+        tokens=tokenize(name),
     )
 
 
@@ -407,6 +402,19 @@ class TestRegionMappingFile:
         path.write_text("no-comma-or-tab\n")
         with pytest.raises(IngestError):
             read_region_mapping(path)
+
+    def test_key_given_again_with_another_label_names_both_lines(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text("mesa,az\tphoenix\n# comment\n Mesa , AZ\ttucson\n")
+        with pytest.raises(IngestError) as exc:
+            read_region_mapping(path)
+        assert str(exc.value) == (
+            f"{path}:3: 'mesa,az' maps to 'tucson', but line 1 maps it to 'phoenix'")
+
+    def test_exact_repeat_is_accepted(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text("mesa,az\tphoenix\nMESA,az\t phoenix\n")
+        assert read_region_mapping(path) == {("mesa", "az"): "phoenix"}
 
     def test_empty_mapping(self, tmp_path):
         path = tmp_path / "map.tsv"
@@ -483,6 +491,31 @@ class TestTypedSubsets:
         records = [rec("Same Name", categories={"Food"}) for _ in range(4)]
         subsets = typed_subsets(records, min_count=4, required_regions={"a"})
         assert len(subsets[0].documents) == 4
+
+    @given(
+        st.lists(st.tuples(st.sampled_from("abc"), st.frozensets(st.sampled_from("FSN"))),
+                 max_size=30),
+        st.sets(st.sampled_from("abc"), min_size=1),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_matches_brute_force(self, rows, required, min_count):
+        # each name is distinct, so the documents show the record order
+        records = [rec(f"n{i}", region=region, categories=categories)
+                   for i, (region, categories) in enumerate(rows)]
+
+        def documents(region, category):
+            return [r.tokens for r in records
+                    if r.region_id == region and category in r.categories]
+
+        regions = sorted(required)
+        expected = [
+            (region, category, documents(region, category))
+            for category in sorted({c for r in records for c in r.categories})
+            if all(len(documents(region, category)) >= min_count for region in regions)
+            for region in regions
+        ]
+        subsets = typed_subsets(records, required_regions=required, min_count=min_count)
+        assert [(s.region_id, s.category, s.documents) for s in subsets] == expected
 
 
 class TestVocabulary:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from poinames.corpus import PoiRecord
+from poinames.corpus import PoiRecord, tokenize
 from poinames.geo import (
     WGS84_A,
     WGS84_F,
@@ -19,7 +19,8 @@ REFERENCE_TABLE = Path(__file__).parent / "data" / "geodesic_reference.tsv"
 
 
 def poi(lat, lon):
-    return PoiRecord(name="x", region_id="a", latitude=lat, longitude=lon)
+    return PoiRecord(name="x", region_id="a", latitude=lat, longitude=lon,
+                     categories=frozenset(), tokens=tokenize("x"))
 
 
 class TestGeoPoint:
