@@ -52,7 +52,7 @@ from .corpus import (
     write_lines,
 )
 from .embed import EmbeddingConfig, build_training_pairs, load_model, save_model, train
-from .errors import EmptyCorpusError, IngestError
+from .errors import EmptyCorpusError, IngestError, PoiNamesError
 from .geo import distance_matrix, region_centroid
 from .localness import (
     IDF_VARIANTS,
@@ -184,11 +184,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             raise FileNotFoundError(f"mapping file not found: {mapping_path}")
         mapping = read_region_mapping(mapping_path)
         read["mapping"] = mapping_path
-    outdir = Path(args.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # e.g. --out names a file
-        raise IngestError(f"--out {outdir}: cannot create the directory: {exc.strerror}") from exc
 
     result: LoadResult = load_pois(input_path, region_mapping=mapping)
     if not result.records:
@@ -208,6 +203,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     tokenless = sorted(per_region.keys() - with_tokens)
     if tokenless:
         raise IngestError(f"{input_path}: no name in region(s) {tokenless} has any tokens")
+
+    # --out is made only once the input has passed, so a rejected input
+    # leaves no directory behind
+    outdir = Path(args.out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file
+        raise IngestError(f"--out {outdir}: cannot create the directory: {exc.strerror}") from exc
 
     pois_lines = (
         json.dumps(
@@ -253,7 +256,7 @@ def cmd_zipf(args: argparse.Namespace) -> int:
     fit = fit_zipf(ranked)
 
     lines = ["rank\tterm\tfrequency"]
-    lines.extend(f"{e.rank}\t{e.term}\t{e.frequency}" for e in ranked.entries)
+    lines.extend(f"{e.rank}\t{e.term}\t{e.frequency}" for e in ranked)
     write_lines(outdir / "zipf_terms.tsv", lines)
     fit_lines = [
         f"A={_fmt(fit.intercept)}",
@@ -429,10 +432,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 
     if args.method == "embedding":
         model_path = read["model"] = _require(outdir / MODEL_ARTIFACT, "embed")
-        try:
-            model = load_model(model_path)
-        except ValueError as exc:  # every message names model_path
-            raise IngestError(str(exc)) from exc
+        model = load_model(model_path)
         # a model from an earlier ingest may name other regions
         missing = sorted(by_region.keys() - model.region_vectors.keys())
         extra = sorted(model.region_vectors.keys() - by_region.keys())
@@ -449,18 +449,20 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     else:
         vectors = _region_vectors(records, args.method, args.idf_variant)
     sim = similarity_matrix(vectors)
+    centroids = {r: region_centroid(pois) for r, pois in by_region.items()}
+    dist = distance_matrix(centroids)
+
+    # every result is computed before the first write, so a failed run
+    # leaves the three files of an earlier run as they were, in step
     write_lines(
         outdir / f"similarity_{args.method}.tsv", _table_lines(sim.regions, sim.regions, sim.values)
     )
-
-    centroids = {r: region_centroid(pois) for r, pois in by_region.items()}
     centroid_lines = ["region\tlatitude\tlongitude"]
     centroid_lines.extend(
         f"{r}\t{_fmt(centroids[r].latitude)}\t{_fmt(centroids[r].longitude)}"
         for r in sorted(centroids)
     )
     write_lines(outdir / "centroids.tsv", centroid_lines)
-    dist = distance_matrix(centroids)
     write_lines(outdir / DISTANCES_ARTIFACT, _table_lines(dist.regions, dist.regions, dist.values))
 
     _write_manifest(outdir, f"similarity_{args.method}", args, read)
@@ -634,10 +636,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one stage; the only place an exception becomes an exit code and an error line.
+
+    An error of this package or of the file system (any OSError, such as an
+    artifact's name taken by a directory) exits 2; a computation error exits 1.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, EmptyCorpusError, FileNotFoundError) as exc:
+    except (PoiNamesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, KeyError) as exc:

@@ -12,7 +12,6 @@ read_corpus, so no stage parses JSON or tokenizes a name again.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import re
@@ -25,8 +24,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyCorpusError, IngestError
-
-log = logging.getLogger(__name__)
 
 LAT_MIN, LAT_MAX = -90.0, 90.0
 LON_MIN, LON_MAX = -180.0, 180.0
@@ -433,7 +430,7 @@ def read_lines(path: str | Path, *, artifact: bool) -> Iterator[tuple[int, str]]
                             "so the file is cut short"
                         )
     except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
+        raise IngestError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def read_corpus(path: str | Path) -> list[PoiRecord]:
@@ -559,7 +556,8 @@ def typed_subsets(
 
     Only categories present with at least ``min_count`` POIs in *every*
     required region survive; a POI carrying several categories lands in
-    several subsets. Returned subsets are ordered by (category, region).
+    several subsets. Returned subsets are ordered by (category, region),
+    and are empty when no category survives.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
@@ -579,12 +577,6 @@ def typed_subsets(
         for cat in {cat for _, cat in docs}
         if all(len(docs.get((region, cat), ())) >= min_count for region in regions)
     )
-    if not kept:
-        log.warning(
-            "no category reaches %d POIs in all %d regions", min_count, len(regions)
-        )
-        return []
-
     return [
         TypedSubset(region_id=region, category=cat, documents=docs[(region, cat)])
         for cat in kept

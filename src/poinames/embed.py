@@ -25,7 +25,7 @@ from typing import Mapping
 
 from ._numpy import np
 from .corpus import RegionCorpus, Vocabulary, parse_numbers, read_lines, write_lines
-from .errors import EmptyCorpusError
+from .errors import EmptyCorpusError, IngestError
 
 log = logging.getLogger(__name__)
 
@@ -402,16 +402,17 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> EmbeddingModel:
     """Read a model written by save_model, one line at a time.
 
-    The file is read with read_lines as an artifact, which raises
-    IngestError for a byte that is not UTF-8 or a file cut short; bad
-    content raises ValueError naming ``path``. Every row must be a region
-    (``r``) row, each region given once; ``word_vectors`` comes back empty.
+    The file is read with read_lines as an artifact. Bad content, a byte
+    that is not UTF-8 and a file cut short each raise IngestError naming
+    ``path``. The header must name variant MODEL_VARIANT. Every row must be
+    a region (``r``) row, each region given once; ``word_vectors`` comes
+    back empty.
     """
     region_vectors: dict[str, np.ndarray] = {}
     lines = read_lines(path, artifact=True)
     _, first = next(lines, (1, ""))
     if not first:
-        raise ValueError(f"empty model file {path}")
+        raise IngestError(f"empty model file {path}")
     header: dict[str, str] = {}
     for part in first.split("\t"):
         key, _, value = part.partition("=")
@@ -419,25 +420,27 @@ def load_model(path: str | Path) -> EmbeddingModel:
     try:
         config = EmbeddingConfig(dimension=int(header["dim"]), seed=int(header["seed"]))
         n_regions = int(header["regions"])
+        if header["variant"] != MODEL_VARIANT:
+            raise ValueError(f"variant {header['variant']!r}")
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed model header in {path}: {reprlib.repr(first)}") from exc
+        raise IngestError(f"malformed model header in {path}: {reprlib.repr(first)}") from exc
 
     for lineno, line in lines:
         kind, _, rest = line.partition("\t")
         if kind != "r":
-            raise ValueError(f"{path}:{lineno}: unknown vector kind {reprlib.repr(kind)}")
+            raise IngestError(f"{path}:{lineno}: unknown vector kind {reprlib.repr(kind)}")
         name, _, values = rest.partition("\t")
         if name in region_vectors:
             # every line after the header is an r row, so the n-th region is on line n + 1
             first = list(region_vectors).index(name) + 2
-            raise ValueError(f"{path}:{lineno}: region {reprlib.repr(name)} is given twice "
-                             f"(first at line {first})")
+            raise IngestError(f"{path}:{lineno}: region {reprlib.repr(name)} is given twice "
+                              f"(first at line {first})")
         try:
             region_vectors[name] = np.array(parse_numbers(values.split(" "), config.dimension))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            raise IngestError(f"{path}:{lineno}: {exc}") from exc
     if len(region_vectors) != n_regions:
-        raise ValueError(
+        raise IngestError(
             f"{path}: header promises {n_regions} regions, found {len(region_vectors)}"
         )
     return EmbeddingModel(region_vectors=region_vectors, word_vectors={}, config=config)

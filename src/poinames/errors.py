@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: input-side problems (bad files, empty
-or unmapped data) exit with 2, computation failures with 1.
+cli.main, the only place an error becomes an exit code, exits 2 on any of
+these (bad files, empty or unmapped data) and on any OSError, and 1 on a
+computation failure.
 """
 
 

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import log
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import RegionCorpus
 from .errors import EmptyCorpusError
@@ -16,16 +15,6 @@ class RankedTerm(NamedTuple):
     term: str
     frequency: float
     rank: int
-
-
-@dataclass(frozen=True)
-class RankedTerms:
-    """Terms ordered by descending frequency, ranks 1..n."""
-
-    entries: tuple[RankedTerm, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def term_frequencies(corpora: Iterable[RegionCorpus]) -> dict[str, int]:
@@ -40,23 +29,20 @@ def term_frequencies(corpora: Iterable[RegionCorpus]) -> dict[str, int]:
     return dict(counts)
 
 
-def rank_terms(counts: Mapping[str, int]) -> RankedTerms:
-    """Order terms by descending count; ties break lexicographically."""
+def rank_terms(counts: Mapping[str, int]) -> tuple[RankedTerm, ...]:
+    """Terms by descending count, ranks 1..n; ties break lexicographically."""
     if not counts:
         raise EmptyCorpusError("empty frequency table")
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return RankedTerms(
-        entries=tuple(
-            RankedTerm(term=t, frequency=f, rank=i)
-            for i, (t, f) in enumerate(ordered, start=1)
-        )
+    return tuple(
+        RankedTerm(term=t, frequency=f, rank=i) for i, (t, f) in enumerate(ordered, start=1)
     )
 
 
-def fit_zipf(ranked: RankedTerms) -> LineFit:
+def fit_zipf(ranked: Sequence[RankedTerm]) -> LineFit:
     """OLS of ln(frequency) on ln(rank) over the ranked terms."""
     if len(ranked) < 2:
         raise ValueError("degenerate regression: need at least 2 ranked terms")
-    ln_r = [log(entry.rank) for entry in ranked.entries]
-    ln_f = [log(entry.frequency) for entry in ranked.entries]
+    ln_r = [log(entry.rank) for entry in ranked]
+    ln_f = [log(entry.frequency) for entry in ranked]
     return line_fit(ln_r, ln_f)

@@ -35,7 +35,7 @@ from poinames.localness import (
     usage_percentages,
 )
 from poinames.regionvec import count_vector, similarity_matrix
-from poinames.termstats import RankedTerm, RankedTerms, fit_zipf, rank_terms, term_frequencies
+from poinames.termstats import RankedTerm, fit_zipf, rank_terms, term_frequencies
 from poinames.cli import main as cli_main
 
 from conftest import corpora_from, write_dataset
@@ -98,7 +98,7 @@ def test_c01_zipf_on_dataset(yelp_records):
     with criterion("C1", "Zipf reproduction on the POI corpus", budget_s=120):
         corpora = partition_by_region(yelp_records, dedup=False)
         ranked = rank_terms(term_frequencies(corpora.values()))
-        top10 = [e.term for e in ranked.entries[:10]]
+        top10 = [e.term for e in ranked[:10]]
         assert top10 == [
             "the", "and", "of", "center", "pizza",
             "grill", "spa", "bar", "auto", "restaurant",
@@ -109,9 +109,9 @@ def test_c01_zipf_on_dataset(yelp_records):
 
 def test_c02_zipf_power_law_fixture():
     with criterion("C2", "exact power-law fixture recovers slope -1, R^2 = 1", budget_s=1):
-        ranked = RankedTerms(entries=tuple(
+        ranked = tuple(
             RankedTerm(term=f"t{r}", frequency=1000.0 / r, rank=r) for r in range(1, 101)
-        ))
+        )
         fit = fit_zipf(ranked)
         assert abs(fit.slope - (-1.0)) < 1e-9
         assert abs(fit.r_squared - 1.0) < 1e-9

@@ -3,9 +3,11 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,7 @@ class TestIngest:
         empty.write_text("")
         assert run("ingest", "--input", empty, "--out", tmp_path / "o") == 2
         assert "empty corpus" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_region_label_with_tab_exits_2_before_writing(self, tmp_path, capsys):
         input_path = tmp_path / "in.ndjson"
@@ -196,7 +199,7 @@ class TestIngest:
         out = tmp_path / "o"
         assert run("ingest", "--input", input_path, "--out", out) == 2
         assert f"{input_path}:2" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_region_without_tokens_exits_2_before_writing(self, tmp_path, capsys):
         # every name of region d tokenizes to nothing
@@ -205,7 +208,7 @@ class TestIngest:
         out = tmp_path / "o"
         assert run("ingest", "--input", write_input(tmp_path, names), "--out", out) == 2
         assert "no name in region(s) ['d'] has any tokens" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_every_region_without_tokens_is_named(self, tmp_path, capsys):
         # region c has some names without tokens, which is allowed
@@ -230,7 +233,7 @@ class TestIngest:
         out = tmp_path / "o"
         assert run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out) == 2
         assert f"{input_path}:1: region label {label!r}" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("damaged", ["input", "mapping"])
     def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys, damaged):
@@ -245,7 +248,7 @@ class TestIngest:
         assert str(path) in err
         bad_line = content.count(b"\n") + 1
         assert f"line {bad_line}, byte offset 0: 0xff is not valid UTF-8" in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     # numbers and nesting json.loads cannot turn into a record: an integer
     # beyond the float range, one longer than the interpreter's digit limit
@@ -284,6 +287,8 @@ class TestIngest:
         err = capsys.readouterr().err
         assert f"{input_path}:2: field '{field}' holds a lone surrogate U+D800" in err
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        assert run("ingest", "--input", input_path, "--out", tmp_path / "new") == 2
+        assert not (tmp_path / "new").exists()
 
     def test_pois_artifact_is_normalized(self, pipeline_dir):
         first = json.loads((pipeline_dir / "pois.ndjson").read_text().splitlines()[0])
@@ -575,7 +580,14 @@ class TestTypeUsage:
             assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_unreachable_threshold_exits_1(self, pipeline_dir):
-        assert run("type-usage", "--out", pipeline_dir, "--min-count", "10000") == 1
+        # in a fresh interpreter, as for a user, a logged warning would reach
+        # stderr through logging's last-resort handler: only the error may
+        env = {**os.environ, "PYTHONPATH": str(Path(poinames.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "poinames.cli", "type-usage", "--out", str(pipeline_dir),
+             "--min-count", "10000"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: no category has at least 10000 POIs in every region\n"
 
     def test_region_without_local_term_use_exits_1(self, tmp_path, capsys):
         # every token of region c occurs in every region, so c has no local term
@@ -630,6 +642,24 @@ class TestSimilarityAndDecay:
         _, dist = read_matrix(pipeline_dir / "distances.tsv")
         assert np.all(np.diag(dist) == 0.0)
         assert dist[0, 1] > 1e5  # different metros are far apart
+
+    def test_failed_similarity_leaves_the_earlier_files_in_step(self, tmp_path, capsys):
+        out = write_regions(tmp_path, {r: [f"{r} cafe", "common cafe"] for r in "abc"})
+        assert run("similarity", "--out", out, "--method", "count") == 0
+        outputs = ["similarity_count.tsv", "centroids.tsv", "distances.tsv"]
+        before = {name: (out / name).read_bytes() for name in outputs}
+        # centroids (0, 0) and (0.5, 179.7) are near-antipodal, where
+        # Vincenty's iteration does not converge
+        coords = {"a": (0.0, 0.0), "b": (0.5, 179.7), "c": (10.0, 10.0)}
+        input_path = tmp_path / "antipodal.ndjson"
+        input_path.write_text("".join(
+            json.dumps({"name": f"{r} cafe", "region": r, "latitude": lat, "longitude": lon}) + "\n"
+            for r, (lat, lon) in coords.items()), encoding="utf-8")
+        assert run("ingest", "--input", input_path, "--out", out) == 0
+        assert run("similarity", "--out", out, "--method", "count") == 1
+        assert "vincenty did not converge" in capsys.readouterr().err
+        # so a later decay cannot pair a new similarity file with old distances
+        assert {name: (out / name).read_bytes() for name in outputs} == before
 
     def test_decay_count(self, pipeline_dir):
         run("similarity", "--out", pipeline_dir, "--method", "count")
@@ -782,6 +812,8 @@ class TestSimilarityAndDecay:
                 "{path}:3: expected 8 values, got 7", id="region-value-dropped"),
             pytest.param(lambda text: damage_middle_region_row(text, lambda row: "x" + row[1:]),
                          "{path}:3: unknown vector kind 'x'", id="region-kind-changed"),
+            pytest.param(lambda text: text.replace("\tvariant=sgns\n", "\tvariant=glove\n", 1),
+                         "malformed model header in {path}: ", id="variant-changed"),
             # the word row of a model.txt written before word vectors were dropped
             pytest.param(lambda text: text + "w" + text[text.rindex("\nr\t") + 2 :],
                          "{path}:5: unknown vector kind 'w'", id="word-row-appended"),
@@ -980,6 +1012,12 @@ def test_only_read_lines_and_write_lines_open_files():
     assert found == []
 
 
+def stage_name(args) -> str:
+    """The name of a parsed stage's manifest, manifest_<name>.txt."""
+    suffix = getattr(args, "mode", None) or getattr(args, "method", None)
+    return args.command.replace("-", "_") + (f"_{suffix}" if suffix else "")
+
+
 def test_every_manifest_hashes_what_its_stage_read_and_records_its_options(tmp_path):
     input_path, mapping_path = write_dataset(tmp_path)
     out = tmp_path / "artifacts"
@@ -997,8 +1035,7 @@ def test_every_manifest_hashes_what_its_stage_read_and_records_its_options(tmp_p
             read = {"corpus": out / "corpus.tsv"}
             if getattr(args, "method", None) == "embedding":
                 read["model"] = out / "model.txt"
-        suffix = getattr(args, "mode", None) or getattr(args, "method", None)
-        name = args.command.replace("-", "_") + (f"_{suffix}" if suffix else "")
+        name = stage_name(args)
         lines = (out / f"manifest_{name}.txt").read_text(encoding="utf-8").splitlines()
         assert lines[:3] == ["tool=poinames", f"version={poinames.__version__}", f"stage={name}"]
         entries = [line.partition("=")[::2] for line in lines[3:]]
@@ -1046,3 +1083,53 @@ def test_every_traced_name_is_a_callable_of_the_cli():
     names = traced_names() + ["tokenize"]
     assert len(names) > 20
     assert [n for n in names if not callable(getattr(poinames.cli, n, None))] == []
+
+
+@pytest.fixture(scope="module")
+def fixture_pipeline(tmp_path_factory):
+    """The C10 fixture input and the artifacts of every stage, made once for the module."""
+    tmp = tmp_path_factory.mktemp("pipeline")
+    input_path, mapping_path = write_dataset(tmp)
+    out = tmp / "artifacts"
+    _run_pipeline(input_path, mapping_path, out)
+    return input_path, mapping_path, out
+
+
+@pytest.mark.parametrize("stage", [["ingest"]] + STAGES, ids=" ".join)
+def test_a_file_name_taken_by_a_directory_exits_2_with_one_error_line(fixture_pipeline, tmp_path,
+                                                                      capsys, stage):
+    input_path, mapping_path, done = fixture_pipeline
+    out = tmp_path / "artifacts"
+    shutil.copytree(done, out)
+    if stage == ["ingest"]:
+        stage = ["ingest", "--input", str(input_path), "--mapping", str(mapping_path)]
+    argv = stage + ["--out", str(out)]
+    args = build_parser().parse_args(argv)
+    if args.command == "local-terms":
+        taken = out / "local_terms"
+        shutil.rmtree(taken)
+        taken.write_text("")
+    else:
+        taken = out / f"manifest_{stage_name(args)}.txt"
+        taken.unlink()
+        taken.mkdir()
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(str(p) for p in out.rglob(".*.tmp")) == []
+
+
+def test_only_main_maps_errors_to_exit_codes():
+    # every other function of the CLI lets an exception rise to main, except
+    # where it adds what the message needs: _read_matrix the file and line,
+    # cmd_ingest the --out it cannot make, and the argparse type functions
+    # a usage error, which argparse reports before main's try
+    tree = ast.parse(Path(poinames.cli.__file__).read_text(encoding="utf-8"))
+    handlers = Counter()
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef):
+            handlers[function.name] += sum(isinstance(node, ast.ExceptHandler)
+                                           for node in ast.walk(function))
+    assert +handlers == {"main": 2, "_read_matrix": 1, "cmd_ingest": 1,
+                         "_int_at_least": 1, "_positive_float": 1}

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import tracemalloc
 import unicodedata
@@ -309,8 +310,11 @@ class TestLoadPois:
         assert result.rejections == [RejectedRecord(line=2, reason="missing or empty name")]
 
     def test_unreadable_source_is_fatal(self, tmp_path):
-        with pytest.raises(IngestError):
-            load_pois(tmp_path / "does_not_exist.ndjson")
+        # the message names the path once, then the reason
+        path = tmp_path / "does_not_exist.ndjson"
+        with pytest.raises(IngestError,
+                           match=f"^{re.escape(f'cannot read {path}: No such file or directory')}$"):
+            load_pois(path)
 
     def test_non_utf8_byte_named_by_line_and_offset(self, tmp_path):
         # far past the decoder's first 8 KiB read, whose position is chunk-relative
@@ -473,9 +477,11 @@ class TestTypedSubsets:
         subsets = typed_subsets(records, min_count=3, required_regions={"a", "b"})
         assert all(s.category == "Food" for s in subsets)
 
-    def test_threshold_edge(self):
+    def test_threshold_edge(self, caplog):
         records = self._records({("a", "Food"): 99, ("b", "Food"): 120})
         assert typed_subsets(records, min_count=100, required_regions={"a", "b"}) == []
+        # the caller reports the failure, so nothing is logged here
+        assert caplog.records == []
 
     def test_multi_category_poi_lands_in_both_subsets(self):
         records = [rec(f"Joe {i}", categories={"Food", "Nightlife"}) for i in range(2)]

@@ -28,7 +28,7 @@ from poinames.embed import (
     sigmoid,
     train,
 )
-from poinames.errors import EmptyCorpusError
+from poinames.errors import EmptyCorpusError, IngestError
 
 from conftest import corpora_from
 
@@ -549,17 +549,27 @@ class TestModelPersistence:
         # a model.txt from before word rows were dropped must be rebuilt
         path = tmp_path / "model.txt"
         path.write_text("dim=2\twords=1\tregions=1\tseed=0\tvariant=sgns\nr\ta\t0 1\nw\tx\t1 2\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: unknown vector kind')}"):
+        with pytest.raises(IngestError, match=f"^{re.escape(f'{path}:3: unknown vector kind')}"):
             load_model(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("not a header\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(IngestError, match="header"):
+            load_model(path)
+
+    # a model of another training variant, or of none, is not read as an sgns model
+    @pytest.mark.parametrize("header", ["dim=2\tregions=1\tseed=0\tvariant=glove",
+                                        "dim=2\tregions=1\tseed=0"],
+                             ids=["variant-changed", "variant-missing"])
+    def test_other_variant_is_a_malformed_header(self, tmp_path, header):
+        path = tmp_path / "model.txt"
+        path.write_text(header + "\nr\ta\t0 1\n")
+        with pytest.raises(IngestError, match=f"^{re.escape(f'malformed model header in {path}: ')}"):
             load_model(path)
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("dim=2\tregions=5\tseed=0\tvariant=sgns\nr\ta\t0 0\n")
-        with pytest.raises(ValueError, match="promises"):
+        with pytest.raises(IngestError, match="promises"):
             load_model(path)

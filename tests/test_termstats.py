@@ -7,7 +7,6 @@ from scipy import stats
 from poinames.errors import EmptyCorpusError
 from poinames.termstats import (
     RankedTerm,
-    RankedTerms,
     fit_zipf,
     rank_terms,
     term_frequencies,
@@ -17,9 +16,9 @@ from conftest import corpora_from
 
 
 def ranked(pairs):
-    return RankedTerms(entries=tuple(
+    return tuple(
         RankedTerm(term=t, frequency=f, rank=i) for i, (t, f) in enumerate(pairs, start=1)
-    ))
+    )
 
 
 class TestTermFrequencies:
@@ -38,20 +37,20 @@ class TestTermFrequencies:
 
 class TestRankTerms:
     def test_tie_break_lexicographic(self):
-        assert rank_terms({"b": 3, "a": 3, "c": 1}).entries == (
+        assert rank_terms({"b": 3, "a": 3, "c": 1}) == (
             RankedTerm("a", 3, 1), RankedTerm("b", 3, 2), RankedTerm("c", 1, 3),
         )
 
     def test_single(self):
-        assert rank_terms({"x": 5}).entries == (RankedTerm("x", 5, 1),)
+        assert rank_terms({"x": 5}) == (RankedTerm("x", 5, 1),)
 
     def test_descending(self):
-        assert rank_terms({"p": 1, "q": 2}).entries == (RankedTerm("q", 2, 1), RankedTerm("p", 1, 2))
+        assert rank_terms({"p": 1, "q": 2}) == (RankedTerm("q", 2, 1), RankedTerm("p", 1, 2))
 
     def test_monotone_and_consecutive(self, records):
         from poinames.corpus import partition_by_region
         table = term_frequencies(partition_by_region(records, dedup=False).values())
-        entries = rank_terms(table).entries
+        entries = rank_terms(table)
         assert [e.rank for e in entries] == list(range(1, len(entries) + 1))
         assert all(entries[i].frequency >= entries[i + 1].frequency for i in range(len(entries) - 1))
 
