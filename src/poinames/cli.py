@@ -20,6 +20,7 @@ import sys
 import unicodedata
 from collections import defaultdict
 from pathlib import Path
+from typing import Iterable
 
 # numpy's OpenBLAS starts one worker thread per core when numpy executes,
 # which happens at a stage's first use of numpy (see _numpy.py). Every BLAS
@@ -85,42 +86,91 @@ def _fmt(x: float) -> str:
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
+    # a read buffer under glibc's 128 KiB mmap threshold leaves the threshold
+    # as it is; a larger one raises it, and the peak RSS of what runs after
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
 
-def _write_manifest(
-    outdir: Path, stage: str, args: argparse.Namespace, read: dict[str, Path]
-) -> None:
-    """Record what produced a stage's outputs in manifest_<stage>.txt.
-
-    One <name>_sha256 line per file the stage read, then every option as
-    the parser left it (None written as empty), so the parser stays the
-    only code that knows a stage's options.
-    """
-    lines = ["tool=poinames", f"version={__version__}", f"stage={stage}"]
-    lines.extend(f"{name}_sha256={_sha256(path)}" for name, path in read.items())
-    lines.extend(
-        f"{key}={'' if value is None else value}"
-        for key, value in vars(args).items()
-        if key not in ("command", "func")
-    )
-    write_lines(outdir / f"manifest_{stage}.txt", lines)
-
-
 def _require(path: Path, produced_by: str) -> Path:
     if not path.is_file():
-        raise FileNotFoundError(
-            f"missing artifact {path}: run 'poinames {produced_by}' first"
-        )
+        raise FileNotFoundError(f"missing artifact {path}: run 'poinames {produced_by}' first")
     return path
 
 
-def _read_pois(outdir: Path) -> list[PoiRecord]:
-    """The records ingest wrote, with their tokens, from corpus.tsv."""
-    return read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest"))
+def _read_manifest(path: Path) -> dict[str, str]:
+    """A manifest's key=value lines; a line without "=", or a key given again, raises IngestError."""
+    entries: dict[str, str] = {}
+    for lineno, line in read_lines(path, artifact=True):
+        key, sep, value = line.partition("=")
+        if not sep or key in entries:
+            fault = "has no '='" if not sep else f"gives {reprlib.repr(key)} again"
+            raise IngestError(f"{path}:{lineno}: the line {fault}")
+        entries[key] = value
+    return entries
+
+
+def _check_inputs(outdir: Path, producers: dict[str, str]) -> dict[str, tuple[Path, str]]:
+    """The path and sha256 of each artifact a stage has parsed, checked against the manifests.
+
+    ``producers`` maps each artifact, by its name under ``outdir``, to the
+    command that writes it; corpus.tsv is among them. The manifest of that
+    command, and for corpus.tsv every manifest consulted, must record this
+    sha256: another or none raises IngestError naming the command to re-run.
+    """
+    paths = {name: _require(outdir / name, command) for name, command in producers.items()}
+    read = {name: (path, _sha256(path)) for name, path in paths.items()}
+    for command in dict.fromkeys(producers.values()):
+        stage = "_".join(word for word in command.split() if not word.startswith("-"))
+        manifest = _require(outdir / f"manifest_{stage}.txt", command)
+        recorded = _read_manifest(manifest)
+        for name, (path, digest) in read.items():
+            if ((producers[name] == command or name == CORPUS_ARTIFACT)
+                    and recorded.get(f"{name}_sha256") != digest):
+                raise IngestError(f"{path} is not the file {manifest.name} records: "
+                                  f"run 'poinames {command}' again")
+    return read
+
+
+def _write_stage(args: argparse.Namespace, stage: str, read: dict[str, tuple[Path, str]],
+                 files: dict[str, Iterable[str] | None]) -> None:
+    """Write a stage's files under --out as one unit, manifest_<stage>.txt last.
+
+    ``read`` holds each input's path and sha256 by its manifest name;
+    ``files`` holds each output's lines by its name under --out, or None for
+    a file the stage has put in place itself. A target that is a directory
+    or an input raises IngestError before the first write; each file is put
+    in place only once all are written. The manifest holds a <name>_sha256
+    line per input and output, then every option as the parser left it, a
+    line break written as "\\n" so that the line stays one line.
+    """
+    outdir = Path(args.out)
+    manifest = f"manifest_{stage}.txt"
+    for target in [outdir / name for name in [*files, manifest]]:
+        if target.is_dir():
+            raise IngestError(f"cannot write {target}: a directory has its name")
+        for source, (path, _) in read.items():
+            if target.exists() and target.samefile(path):
+                raise IngestError(f"cannot write {target}: the stage reads it as its {source}")
+    temporary: dict[str, Path] = {}
+    try:
+        for name, lines in files.items():
+            if lines is not None:
+                temporary[name] = write_lines(outdir / name, lines)
+        entries = ["tool=poinames", f"version={__version__}", f"stage={stage}"]
+        entries.extend(f"{name}_sha256={digest}" for name, (_, digest) in read.items())
+        entries.extend(f"{name}_sha256={_sha256(temporary.get(name, outdir / name))}"
+                       for name in files)
+        entries.extend(f"{key}={'' if value is None else value}".replace("\n", "\\n")
+                       for key, value in vars(args).items() if key not in ("command", "func"))
+        temporary[manifest] = write_lines(outdir / manifest, entries)
+        for name, tmp in temporary.items():
+            os.replace(tmp, outdir / name)
+    finally:
+        for tmp in temporary.values():
+            tmp.unlink(missing_ok=True)
 
 
 def _slug(label: str) -> str:
@@ -213,26 +263,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise IngestError(f"--out {outdir}: cannot create the directory: {exc.strerror}") from exc
 
     pois_lines = (
-        json.dumps(
-            {
-                "name": r.name,
-                "region": r.region_id,
-                "latitude": r.latitude,
-                "longitude": r.longitude,
-                "categories": sorted(r.categories),
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        json.dumps({"name": r.name, "region": r.region_id, "latitude": r.latitude,
+                    "longitude": r.longitude, "categories": sorted(r.categories)},
+                   sort_keys=True, ensure_ascii=False)
         for r in result.records
     )
-    write_lines(outdir / POIS_ARTIFACT, pois_lines)
-    write_lines(outdir / CORPUS_ARTIFACT, corpus_lines(result.records))
-
     rejection_lines = ["line\treason"]
     rejection_lines.extend(f"{r.line}\t{r.reason}" for r in result.rejections)
-    write_lines(outdir / "rejections.tsv", rejection_lines)
-
     summary = [
         f"accepted={result.accepted}",
         f"rejected={result.rejected}",
@@ -240,9 +277,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"regions={len(per_region)}",
     ]
     summary.extend(f"region.{r}={per_region[r]}" for r in sorted(per_region))
-    write_lines(outdir / "ingest_summary.txt", summary)
-
-    _write_manifest(outdir, "ingest", args, read)
+    _write_stage(args, "ingest", {name: (path, _sha256(path)) for name, path in read.items()}, {
+        POIS_ARTIFACT: pois_lines,
+        CORPUS_ARTIFACT: corpus_lines(result.records),
+        "rejections.tsv": rejection_lines,
+        "ingest_summary.txt": summary,
+    })
     for line in summary:
         print(line)
     return 0
@@ -250,38 +290,39 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_zipf(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
-    records = _read_pois(outdir)
+    records = read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest"))
+    read = _check_inputs(outdir, {CORPUS_ARTIFACT: "ingest"})
     corpora = partition_by_region(records, dedup=False)
     ranked = rank_terms(term_frequencies(corpora.values()))
     fit = fit_zipf(ranked)
 
     lines = ["rank\tterm\tfrequency"]
     lines.extend(f"{e.rank}\t{e.term}\t{e.frequency}" for e in ranked)
-    write_lines(outdir / "zipf_terms.tsv", lines)
     fit_lines = [
         f"A={_fmt(fit.intercept)}",
         f"b={_fmt(fit.slope)}",
         f"r2={_fmt(fit.r_squared)}",
         f"n_terms={len(ranked)}",
     ]
-    write_lines(outdir / "zipf_fit.txt", fit_lines)
-    _write_manifest(outdir, "zipf", args, {"corpus": outdir / CORPUS_ARTIFACT})
+    _write_stage(args, "zipf", read, {"zipf_terms.tsv": lines, "zipf_fit.txt": fit_lines})
     for line in fit_lines:
         print(line)
     return 0
 
 
 def _local_terms(args: argparse.Namespace):
-    """The ingested records and each region's top --top terms by geo TF-IDF."""
-    records = _read_pois(Path(args.out))
+    """The ingested records, what _check_inputs returns, and each region's top --top terms."""
+    outdir = Path(args.out)
+    records = read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest"))
+    read = _check_inputs(outdir, {CORPUS_ARTIFACT: "ingest"})
     corpora = partition_by_region(records, dedup=True)
     table = geo_tfidf(corpora, variant=args.idf_variant)
-    return records, top_local_terms(table, k=args.top)
+    return records, read, top_local_terms(table, k=args.top)
 
 
 def cmd_local_terms(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
-    _, tops = _local_terms(args)
+    _, read, tops = _local_terms(args)
 
     owners: dict[str, str] = {}
     for region in sorted(tops):
@@ -295,27 +336,24 @@ def cmd_local_terms(args: argparse.Namespace) -> int:
 
     terms_dir = outdir / "local_terms"
     terms_dir.mkdir(exist_ok=True)
+    files = {}
     for slug, region in owners.items():
-        term_set = tops[region]
-        lines = ["rank\tterm\tweight"]
-        lines.extend(
-            f"{i}\t{t}\t{_fmt(w)}"
-            for i, (t, w) in enumerate(zip(term_set.terms, term_set.weights), start=1)
-        )
-        write_lines(terms_dir / f"{slug}.tsv", lines)
-        print(f"{region}: {len(term_set.terms)} local terms -> local_terms/{slug}.tsv")
+        terms = tops[region]
+        files[f"local_terms/{slug}.tsv"] = ["rank\tterm\tweight"] + [
+            f"{i}\t{t}\t{_fmt(w)}" for i, (t, w) in enumerate(zip(terms.terms, terms.weights), 1)
+        ]
+    _write_stage(args, "local_terms", read, files)
     # tables of regions an earlier ingest had and this one does not
     for stale in terms_dir.glob("*.tsv"):
         if stale.stem not in owners and stale.is_file():
             stale.unlink()
-
-    _write_manifest(outdir, "local_terms", args, {"corpus": outdir / CORPUS_ARTIFACT})
+    for slug, region in owners.items():
+        print(f"{region}: {len(tops[region].terms)} local terms -> local_terms/{slug}.tsv")
     return 0
 
 
 def cmd_type_usage(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    records, tops = _local_terms(args)
+    records, read, tops = _local_terms(args)
     subsets = typed_subsets(records, required_regions=sorted(tops), min_count=args.min_count)
     if not subsets:
         raise ValueError(f"no category has at least {args.min_count} POIs in every region")
@@ -325,20 +363,11 @@ def cmd_type_usage(args: argparse.Namespace) -> int:
     mean_bits = mean_pairwise_jsd(distributions, base=2)
     n_regions = len(matrix.regions)
 
-    write_lines(
-        outdir / "usage_matrix.tsv",
-        _table_lines(matrix.regions, matrix.categories, matrix.shares()),
-    )
     count_lines = ["region\tcategory\twith_local_terms\ttotal"]
     for region, hits, totals in zip(matrix.regions, matrix.hits, matrix.totals):
         count_lines.extend(
             f"{region}\t{c}\t{h}\t{t}" for c, h, t in zip(matrix.categories, hits, totals)
         )
-    write_lines(outdir / "usage_counts.tsv", count_lines)
-    write_lines(
-        outdir / "usage_normalized.tsv",
-        _table_lines(matrix.regions, matrix.categories, distributions),
-    )
 
     jsd_lines = [
         f"regions={n_regions}",
@@ -347,8 +376,12 @@ def cmd_type_usage(args: argparse.Namespace) -> int:
         f"mean_jsd_nats={_fmt(mean_nats)}",
         f"mean_jsd_bits={_fmt(mean_bits)}",
     ]
-    write_lines(outdir / "jsd_summary.txt", jsd_lines)
-    _write_manifest(outdir, "type_usage", args, {"corpus": outdir / CORPUS_ARTIFACT})
+    _write_stage(args, "type_usage", read, {
+        "usage_matrix.tsv": _table_lines(matrix.regions, matrix.categories, matrix.shares()),
+        "usage_counts.tsv": count_lines,
+        "usage_normalized.tsv": _table_lines(matrix.regions, matrix.categories, distributions),
+        "jsd_summary.txt": jsd_lines,
+    })
     for line in jsd_lines:
         print(line)
     return 0
@@ -366,7 +399,9 @@ def _region_vectors(records: list[PoiRecord], method: str, variant: str) -> list
 
 def cmd_vectors(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
-    corpora = partition_by_region(_read_pois(outdir), dedup=False)
+    corpora = partition_by_region(read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest")),
+                                  dedup=False)
+    read = _check_inputs(outdir, {CORPUS_ARTIFACT: "ingest"})
     vocab = build_vocabulary(corpora.values())
     regions = sorted(corpora)
     # each cell is formatted straight from a region's counts or weights, the
@@ -381,8 +416,7 @@ def cmd_vectors(args: argparse.Namespace) -> int:
         (term + "\t" + "\t".join([repr(c.get(term, absent)) for c in columns])
          for term in vocab.terms),
     )
-    write_lines(outdir / f"vectors_{args.mode}.tsv", lines)
-    _write_manifest(outdir, f"vectors_{args.mode}", args, {"corpus": outdir / CORPUS_ARTIFACT})
+    _write_stage(args, f"vectors_{args.mode}", read, {f"vectors_{args.mode}.tsv": lines})
     print(f"wrote vectors_{args.mode}.tsv ({len(vocab)} terms x {len(regions)} regions)")
     return 0
 
@@ -390,7 +424,8 @@ def cmd_vectors(args: argparse.Namespace) -> int:
 def cmd_embed(args: argparse.Namespace) -> int:
     load_numpy()
     outdir = Path(args.out)
-    records = _read_pois(outdir)
+    records = read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest"))
+    read = _check_inputs(outdir, {CORPUS_ARTIFACT: "ingest"})
     corpora = partition_by_region(records, dedup=False)
     vocab = build_vocabulary(corpora.values())
     pairs = build_training_pairs(corpora, vocab)
@@ -414,8 +449,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
         f"final_loss={_fmt(model.epoch_losses[-1])}",
         "epoch_losses=" + ",".join(_fmt(l) for l in model.epoch_losses),
     ]
-    write_lines(outdir / "embed_summary.txt", summary)
-    _write_manifest(outdir, "embed", args, {"corpus": outdir / CORPUS_ARTIFACT})
+    # save_model has put model.txt in place; the manifest records its sha256
+    _write_stage(args, "embed", read, {MODEL_ARTIFACT: None, "embed_summary.txt": summary})
     for line in summary[:7]:
         print(line)
     return 0
@@ -424,48 +459,35 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_similarity(args: argparse.Namespace) -> int:
     load_numpy()
     outdir = Path(args.out)
-    records = _read_pois(outdir)
-    read = {"corpus": outdir / CORPUS_ARTIFACT}
+    records = read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest"))
+    producers = {CORPUS_ARTIFACT: "ingest"}
+    if args.method == "embedding":
+        model = load_model(_require(outdir / MODEL_ARTIFACT, "embed"))
+        producers[MODEL_ARTIFACT] = "embed"
+    read = _check_inputs(outdir, producers)
     by_region: dict[str, list[PoiRecord]] = defaultdict(list)
     for record in records:
         by_region[record.region_id].append(record)
 
     if args.method == "embedding":
-        model_path = read["model"] = _require(outdir / MODEL_ARTIFACT, "embed")
-        model = load_model(model_path)
-        # a model from an earlier ingest may name other regions
-        missing = sorted(by_region.keys() - model.region_vectors.keys())
-        extra = sorted(model.region_vectors.keys() - by_region.keys())
-        if missing or extra:
-            raise IngestError(
-                f"{model_path} and {CORPUS_ARTIFACT} name different regions: "
-                f"missing from the model {reprlib.repr(missing)}, "
-                f"not in {CORPUS_ARTIFACT} {reprlib.repr(extra)}"
-            )
-        vectors = [
-            RegionVector(region_id=r, values=model.region_vectors[r])
-            for r in sorted(model.region_vectors)
-        ]
+        vectors = [RegionVector(region_id=r, values=model.region_vectors[r])
+                   for r in sorted(model.region_vectors)]
     else:
         vectors = _region_vectors(records, args.method, args.idf_variant)
     sim = similarity_matrix(vectors)
     centroids = {r: region_centroid(pois) for r, pois in by_region.items()}
     dist = distance_matrix(centroids)
 
-    # every result is computed before the first write, so a failed run
-    # leaves the three files of an earlier run as they were, in step
-    write_lines(
-        outdir / f"similarity_{args.method}.tsv", _table_lines(sim.regions, sim.regions, sim.values)
-    )
     centroid_lines = ["region\tlatitude\tlongitude"]
     centroid_lines.extend(
         f"{r}\t{_fmt(centroids[r].latitude)}\t{_fmt(centroids[r].longitude)}"
         for r in sorted(centroids)
     )
-    write_lines(outdir / "centroids.tsv", centroid_lines)
-    write_lines(outdir / DISTANCES_ARTIFACT, _table_lines(dist.regions, dist.regions, dist.values))
-
-    _write_manifest(outdir, f"similarity_{args.method}", args, read)
+    _write_stage(args, f"similarity_{args.method}", read, {
+        f"similarity_{args.method}.tsv": _table_lines(sim.regions, sim.regions, sim.values),
+        "centroids.tsv": centroid_lines,
+        DISTANCES_ARTIFACT: _table_lines(dist.regions, dist.regions, dist.values),
+    })
     print(f"wrote similarity_{args.method}.tsv and {DISTANCES_ARTIFACT} ({len(sim.regions)} regions)")
     if args.km:
         # display-only conversion; files always carry meters
@@ -479,19 +501,12 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 def cmd_decay(args: argparse.Namespace) -> int:
     load_numpy()
     outdir = Path(args.out)
-    sim_path = _require(outdir / f"similarity_{args.method}.tsv", f"similarity --method {args.method}")
-    dist_path = _require(outdir / DISTANCES_ARTIFACT, f"similarity --method {args.method}")
-    sim, dist = _read_matrix(sim_path), _read_matrix(dist_path)
-    # similarity rewrites distances.tsv, so a similarity file of an earlier
-    # ingest may name other regions
-    missing = sorted(set(sim.regions) - set(dist.regions))
-    extra = sorted(set(dist.regions) - set(sim.regions))
-    if missing or extra:
-        raise IngestError(
-            f"{sim_path} and {dist_path} name different regions: "
-            f"missing from {DISTANCES_ARTIFACT} {reprlib.repr(missing)}, "
-            f"not in {sim_path.name} {reprlib.repr(extra)}"
-        )
+    similarity, command = f"similarity_{args.method}.tsv", f"similarity --method {args.method}"
+    sim = _read_matrix(_require(outdir / similarity, command))
+    dist = _read_matrix(_require(outdir / DISTANCES_ARTIFACT, command))
+    # every similarity run rewrites distances.tsv, so this method's run must have written it
+    read = _check_inputs(outdir, {similarity: command, DISTANCES_ARTIFACT: command,
+                                  CORPUS_ARTIFACT: "ingest"})
     observations = pair_observations(sim, dist)
 
     distances = [o.distance_m for o in observations]
@@ -500,9 +515,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
     spearman_res = spearman(distances, similarities, permutations=args.permutations, seed=args.seed)
     fit = fit_distance_decay(observations)
 
-    # every number is computed before the first write, so a failed run
-    # leaves the files of an earlier run as they were; the fit has already
-    # refused a similarity of 0 or below, so every ln(similarity) exists
+    # the fit has refused a similarity of 0 or below, so every ln(similarity) exists
     obs_lines = ["region_a\tregion_b\tsimilarity\tdistance_m\tln_s\tln_d"]
     for o in observations:
         obs_lines.append(
@@ -523,11 +536,10 @@ def cmd_decay(args: argparse.Namespace) -> int:
         f"fit_beta={_fmt(fit.slope)}",
         f"fit_r2={_fmt(fit.r_squared)}",
     ]
-    write_lines(outdir / f"decay_observations_{args.method}.tsv", obs_lines)
-    write_lines(outdir / f"decay_results_{args.method}.txt", result_lines)
-    _write_manifest(
-        outdir, f"decay_{args.method}", args, {"similarity": sim_path, "distances": dist_path}
-    )
+    _write_stage(args, f"decay_{args.method}", read, {
+        f"decay_observations_{args.method}.tsv": obs_lines,
+        f"decay_results_{args.method}.txt": result_lines,
+    })
     for line in result_lines:
         print(line)
     return 0

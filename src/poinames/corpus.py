@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import reprlib
 import sys
@@ -379,12 +378,12 @@ def corpus_lines(records: Iterable[PoiRecord]) -> Iterator[str]:
         yield f"{r.region_id}\t{r.latitude!r}\t{r.longitude!r}\t{categories}\t{tokens}\t{name}"
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line followed by "\n", one line at a time, replacing ``path`` at once.
+def write_lines(path: str | Path, lines: Iterable[str]) -> Path:
+    """Write each line followed by "\n" to a hidden ".<name>.tmp" beside ``path``; return it.
 
-    The lines go to a hidden ".<name>.tmp" file beside ``path``, which then
-    replaces it, so a failed write leaves the earlier file as it was and no
-    reader sees a file cut short at a line boundary.
+    The caller puts the file in place with os.replace, so no reader sees
+    ``path`` cut short. If ``lines`` or the write fails, the hidden file is
+    removed, and an OSError raises IngestError naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
@@ -393,10 +392,12 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
             for line in lines:
                 fh.write(line)
                 fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise IngestError(f"cannot write {path}: {exc.strerror}") from exc
         raise
+    return tmp
 
 
 def read_lines(path: str | Path, *, artifact: bool) -> Iterator[tuple[int, str]]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -387,7 +388,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     only its input vectors, so a loaded model has none. Values carry 17
     significant digits so save/load round-trips are bit-exact. Rows are
     made one at a time from one row template and written by write_lines,
-    as every artifact is, so a failed save leaves the earlier file as it was.
+    whose file then replaces ``path``, so a failed save leaves it as it was.
     """
     d = model.config.dimension
     row = "r\t%s\t" + " ".join(["%.17g"] * d)
@@ -396,7 +397,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
         d, len(vectors), model.config.seed, MODEL_VARIANT
     )
     rows = (row % (name, *vectors[name].tolist()) for name in sorted(vectors))
-    write_lines(path, itertools.chain([header], rows))
+    os.replace(write_lines(path, itertools.chain([header], rows)), path)
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import poinames
 import poinames.cli
 from poinames.cli import build_parser, main
 from poinames.corpus import load_pois, read_corpus, tokenize, write_lines
+from poinames.errors import IngestError
 
 from conftest import write_dataset
 from test_acceptance import STAGES, _run_pipeline
@@ -721,10 +723,14 @@ class TestSimilarityAndDecay:
             pytest.param(lambda lines: [line.replace("lakecity", "hillton") for line in lines],
                          "{path}:1: header repeats region label(s) ['hillton']",
                          id="label-repeated"),
+            # a renamed label still parses, so the file's manifest is what refuses it
             pytest.param(lambda lines: [line.replace("lakecity", "newtown") for line in lines],
-                         "{path} and ", id="label-renamed"),
+                         "{path} is not the file manifest_similarity_count.txt records: "
+                         "run 'poinames similarity --method count' again", id="label-renamed"),
             pytest.param(lambda lines: [line.replace("lakecity", "z" * 100_000) for line in lines],
-                         "{path} and ", id="label-renamed-long"),
+                         "{path} is not the file manifest_similarity_count.txt records: "
+                         "run 'poinames similarity --method count' again",
+                         id="label-renamed-long"),
         ],
     )
     def test_decay_rejects_malformed_matrix(self, pipeline_dir, capsys, damage, message):
@@ -742,20 +748,21 @@ class TestSimilarityAndDecay:
         assert len(err.encode("utf-8")) < 1024
         assert not (pipeline_dir / "decay_results_count.txt").exists()
 
-    def test_failed_decay_leaves_earlier_outputs_unchanged(self, pipeline_dir, capsys):
-        run("similarity", "--out", pipeline_dir, "--method", "count")
-        assert run("decay", "--out", pipeline_dir, "--method", "count",
-                   "--permutations", "100") == 0
-        outputs = [pipeline_dir / "decay_observations_count.tsv",
-                   pipeline_dir / "decay_results_count.txt"]
+    def test_failed_decay_leaves_earlier_outputs_unchanged(self, tmp_path, capsys):
+        names = {"a": ["alpha cafe", "common"], "b": ["beta cafe", "beta zeta"],
+                 "c": ["gamma zeta", "common"]}
+        out = write_regions(tmp_path, names)
+        assert run("similarity", "--out", out, "--method", "count") == 0
+        assert run("decay", "--out", out, "--method", "count", "--permutations", "100") == 0
+        outputs = [out / "decay_observations_count.tsv", out / "decay_results_count.txt",
+                   out / "manifest_decay_count.txt"]
         before = [p.read_bytes() for p in outputs]
-        # a negative cosine has no logarithm, so the decay fit fails
-        path = pipeline_dir / "similarity_count.tsv"
-        rows = [line.split("\t") for line in path.read_text().splitlines()]
-        rows[1][2] = rows[2][1] = "-0.5"
-        path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
-        assert run("decay", "--out", pipeline_dir, "--method", "count",
-                   "--permutations", "100") == 1
+        # regions a and c share no term, so their count cosine is 0, which has
+        # no logarithm, and the decay fit fails
+        write_regions(tmp_path, {**names, "c": ["gamma zeta"]})
+        assert run("similarity", "--out", out, "--method", "count") == 0
+        assert read_matrix(out / "similarity_count.tsv")[1][0, 2] == 0.0
+        assert run("decay", "--out", out, "--method", "count", "--permutations", "100") == 1
         assert "error:" in capsys.readouterr().err
         assert [p.read_bytes() for p in outputs] == before
 
@@ -784,8 +791,8 @@ class TestSimilarityAndDecay:
         "new,message",
         [
             ("hillton", "{sim}:1: header repeats region label(s) ['hillton']"),
-            ("newtown", "{sim} and {dist} name different regions: missing from distances.tsv "
-                        "['newtown'], not in similarity_count.tsv ['lakecity']"),
+            ("newtown", "{sim} is not the file manifest_similarity_count.txt records: "
+                        "run 'poinames similarity --method count' again"),
         ],
         ids=["label-repeated", "label-renamed"],
     )
@@ -795,8 +802,7 @@ class TestSimilarityAndDecay:
         path.write_text(path.read_text().replace("lakecity", new), encoding="utf-8")
         assert run("decay", "--out", pipeline_dir, "--method", "count",
                    "--permutations", "100") == 2
-        expected = message.format(sim=path, dist=pipeline_dir / "distances.tsv")
-        assert expected in capsys.readouterr().err
+        assert message.format(sim=path) in capsys.readouterr().err
 
     # damage to a model.txt of three regions and dimension 8, given as its
     # text, and the message that names it
@@ -895,21 +901,23 @@ class TestSimilarityAndDecay:
         path.write_text(header.replace("\tregions=4\t", "\tregions=3\t")
                         + "".join(line for line in lines if not line.startswith("r\td\t")),
                         encoding="utf-8")
-        before = sorted(out.iterdir())
+        before = snapshot(out)
         assert run("similarity", "--out", out, "--method", "embedding") == 2
-        assert "missing from the model ['d'], not in corpus.tsv []" in capsys.readouterr().err
-        assert sorted(out.iterdir()) == before
+        assert (f"{path} is not the file manifest_embed.txt records: run 'poinames embed' again"
+                in capsys.readouterr().err)
+        assert snapshot(out) == before
 
     def test_similarity_rejects_model_of_an_earlier_ingest(self, pipeline_dir, tmp_path, capsys):
         assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "3", "--seed", "7") == 0
         names = {"desertville": ["desert cafe"], "newtown": ["new cafe"]}
         input_path = write_regions(tmp_path, names) / "pois.ndjson"
         assert run("ingest", "--input", input_path, "--out", pipeline_dir) == 0
-        before = sorted(pipeline_dir.iterdir())
+        before = snapshot(pipeline_dir)
         assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 2
         err = capsys.readouterr().err
-        assert "missing from the model ['newtown'], not in corpus.tsv ['hillton', 'lakecity']" in err
-        assert sorted(pipeline_dir.iterdir()) == before
+        assert (f"{pipeline_dir / 'corpus.tsv'} is not the file manifest_embed.txt records: "
+                "run 'poinames embed' again") in err
+        assert snapshot(pipeline_dir) == before
 
     def test_embedding_similarity(self, pipeline_dir):
         assert run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "5", "--seed", "7") == 0
@@ -968,6 +976,17 @@ class TestWriteText:
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
         assert seen == {"files": [".table.tsv.tmp", "table.tsv"], "tables": ["table.tsv"]}
+        # a write that completes leaves the earlier file too: the caller puts
+        # the hidden file it returns in place
+        assert write_lines(path, ["new"]) == tmp_path / ".table.tsv.tmp"
+        assert path.read_bytes() == b"old\n"
+        assert (tmp_path / ".table.tsv.tmp").read_bytes() == b"new\n"
+
+    def test_an_unwritable_file_is_named_without_its_temporary_file(self, tmp_path):
+        path = tmp_path / "missing" / "table.tsv"
+        with pytest.raises(IngestError) as exc:
+            write_lines(path, ["new"])
+        assert str(exc.value) == f"cannot write {path}: No such file or directory"
 
 
 def test_every_artifact_is_put_in_place_by_a_replace(tmp_path, monkeypatch):
@@ -1026,23 +1045,36 @@ def test_every_manifest_hashes_what_its_stage_read_and_records_its_options(tmp_p
     ingest = ["ingest", "--input", str(input_path), "--mapping", str(mapping_path)]
     for stage in [ingest] + STAGES:
         args = build_parser().parse_args(stage + ["--out", str(out)])
+        name, method = stage_name(args), getattr(args, "method", None)
+        # the files the stage read, by manifest name, then those it wrote
         if args.command == "ingest":
             read = {"input": input_path, "mapping": mapping_path}
-        elif args.command == "decay":
-            read = {"similarity": out / f"similarity_{args.method}.tsv",
-                    "distances": out / "distances.tsv"}
+            wrote = ["pois.ndjson", "corpus.tsv", "rejections.tsv", "ingest_summary.txt"]
         else:
-            read = {"corpus": out / "corpus.tsv"}
-            if getattr(args, "method", None) == "embedding":
-                read["model"] = out / "model.txt"
-        name = stage_name(args)
+            read = {"corpus.tsv": out / "corpus.tsv"}
+            wrote = {
+                "zipf": ["zipf_terms.tsv", "zipf_fit.txt"],
+                "local-terms": [f"local_terms/{region}.tsv"
+                                for region in ("desertville", "hillton", "lakecity")],
+                "type-usage": ["usage_matrix.tsv", "usage_counts.tsv", "usage_normalized.tsv",
+                               "jsd_summary.txt"],
+                "vectors": [f"{name}.tsv"],
+                "embed": ["model.txt", "embed_summary.txt"],
+                "similarity": [f"{name}.tsv", "centroids.tsv", "distances.tsv"],
+                "decay": [f"decay_observations_{method}.tsv", f"decay_results_{method}.txt"],
+            }[args.command]
+        if args.command == "decay":
+            for read_name in (f"similarity_{method}.tsv", "distances.tsv"):
+                read[read_name] = out / read_name
+        elif method == "embedding":
+            read["model.txt"] = out / "model.txt"
         lines = (out / f"manifest_{name}.txt").read_text(encoding="utf-8").splitlines()
         assert lines[:3] == ["tool=poinames", f"version={poinames.__version__}", f"stage={name}"]
         entries = [line.partition("=")[::2] for line in lines[3:]]
         keys = [key for key, _ in entries]
         assert len(keys) == len(set(keys)), name
         hashes = {f"{key}_sha256": hashlib.sha256(path.read_bytes()).hexdigest()
-                  for key, path in read.items()}
+                  for key, path in [*read.items(), *((w, out / w) for w in wrote)]}
         options = {key: "" if value is None else str(value)
                    for key, value in vars(args).items() if key not in ("command", "func")}
         assert dict(entries) == {**hashes, **options}, name
@@ -1133,3 +1165,139 @@ def test_only_main_maps_errors_to_exit_codes():
                                            for node in ast.walk(function))
     assert +handlers == {"main": 2, "_read_matrix": 1, "cmd_ingest": 1,
                          "_int_at_least": 1, "_positive_float": 1}
+
+
+# ---------------------------------------------------------------- provenance
+
+
+def moved_copy(fixture_pipeline, tmp_path: Path) -> tuple[Path, list[str]]:
+    """A copy of the fixture artifacts, and the ingest argv of a second corpus.
+
+    The second corpus has the fixture's region labels, with every name
+    changed and every POI moved half a degree north.
+    """
+    input_path, mapping_path, done = fixture_pipeline
+    out = tmp_path / "artifacts"
+    shutil.copytree(done, out)
+    records = [json.loads(line) for line in input_path.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        if "name" in record:
+            record["name"] = "New " + record["name"]
+        record["latitude"] += 0.5
+    moved = tmp_path / "moved.ndjson"
+    moved.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return out, ["ingest", "--input", str(moved), "--mapping", str(mapping_path)]
+
+
+@pytest.mark.parametrize("rerun,stage,stale,manifest,command", [
+    ([], ["similarity", "--method", "embedding"], "corpus.tsv", "manifest_embed.txt", "embed"),
+    ([], ["decay", "--method", "embedding"], "corpus.tsv",
+     "manifest_similarity_embedding.txt", "similarity --method embedding"),
+    (["similarity", "--method", "count"], ["decay", "--method", "embedding"], "distances.tsv",
+     "manifest_similarity_embedding.txt", "similarity --method embedding"),
+], ids=["model", "similarity", "similarity-after-another-method"])
+def test_an_input_built_from_an_earlier_corpus_exits_2_naming_the_stage_to_rerun(
+        fixture_pipeline, tmp_path, capsys, rerun, stage, stale, manifest, command):
+    out, ingest = moved_copy(fixture_pipeline, tmp_path)
+    assert main(ingest + ["--out", str(out)]) == 0
+    if rerun:
+        assert main(rerun + ["--out", str(out)]) == 0
+    before = snapshot(out)
+    capsys.readouterr()
+    assert main(stage + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {out / stale} is not the file {manifest} records: "
+                                       f"run 'poinames {command}' again\n")
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("name,stage,manifest,command", [
+    ("corpus.tsv", ["zipf"], "manifest_ingest.txt", "ingest"),
+    ("model.txt", ["similarity", "--method", "embedding"], "manifest_embed.txt", "embed"),
+    ("similarity_count.tsv", ["decay", "--method", "count"], "manifest_similarity_count.txt",
+     "similarity --method count"),
+    ("distances.tsv", ["decay", "--method", "count"], "manifest_similarity_count.txt",
+     "similarity --method count"),
+], ids=["corpus", "model", "similarity", "distances"])
+def test_an_artifact_edited_by_hand_exits_2_naming_the_stage_to_rerun(
+        fixture_pipeline, tmp_path, capsys, name, stage, manifest, command):
+    _, _, done = fixture_pipeline
+    out = tmp_path / "artifacts"
+    shutil.copytree(done, out)
+    # a 0 after the last cell still parses: a longer name, or the same number
+    path = out / name
+    content = path.read_bytes()
+    path.write_bytes(content[:-1] + b"0\n")
+    before = snapshot(out)
+    capsys.readouterr()
+    assert main(stage + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {path} is not the file {manifest} records: "
+                                       f"run 'poinames {command}' again\n")
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("stage,second", [
+    ([], "corpus.tsv"),
+    (["zipf"], "zipf_fit.txt"),
+    (["type-usage", "--top", "20", "--min-count", "5"], "usage_counts.tsv"),
+    (["similarity", "--method", "count"], "centroids.tsv"),
+    (["decay", "--method", "count", "--permutations", "100"], "decay_results_count.txt"),
+], ids=["ingest", "zipf", "type-usage", "similarity", "decay"])
+def test_a_directory_in_the_way_of_a_second_file_leaves_every_file_as_it_was(
+        fixture_pipeline, tmp_path, capsys, stage, second):
+    out, ingest = moved_copy(fixture_pipeline, tmp_path)
+    if stage:
+        assert main(ingest + ["--out", str(out)]) == 0
+        if stage[0] == "decay":
+            assert main(["similarity", "--method", "count", "--out", str(out)]) == 0
+    (out / second).unlink()
+    (out / second).mkdir()
+    before = snapshot(out)
+    capsys.readouterr()
+    assert main((stage or ingest) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / second}: a directory has its name\n"
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("option,name", [("--input", "pois.ndjson"), ("--mapping", "rejections.tsv")])
+def test_ingest_refuses_to_write_over_a_file_it_reads(tmp_path, dataset, capsys, option, name):
+    paths = dict(zip(["--input", "--mapping"], map(str, dataset)))
+    out = tmp_path / "artifacts"
+    out.mkdir()
+    target = out / name
+    shutil.copy(paths[option], target)
+    paths[option] = str(target)
+    before = snapshot(out)
+    assert run("ingest", *itertools.chain(*paths.items()), "--out", out) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {target}: the stage reads it as its "
+                                       f"{option[2:]}\n")
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda text: text[:-1], "{path}:{last}: the last line has no line end, so the file is cut short"),
+    (lambda text: text.replace("stage=", "stage=\udcff", 1),
+     "cannot read {path}: line 3, byte offset 6: 0xff is not valid UTF-8"),
+    (lambda text: text.replace("stage=", "stage ", 1), "{path}:3: the line has no '='"),
+    (lambda text: text + "tool=poinames\n", "{path}:{next}: the line gives 'tool' again"),
+], ids=["cut-short", "not-utf8", "no-equals", "key-twice"])
+def test_a_damaged_manifest_exits_2_naming_its_line(pipeline_dir, capsys, damage, message):
+    path = pipeline_dir / "manifest_ingest.txt"
+    text = path.read_text(encoding="utf-8")
+    # surrogateescape writes "\udcff" as the byte 0xff, which is not UTF-8
+    path.write_bytes(damage(text).encode("utf-8", "surrogateescape"))
+    before = snapshot(pipeline_dir)
+    assert run("zipf", "--out", pipeline_dir) == 2
+    last = text.count("\n")
+    assert capsys.readouterr().err == (
+        "error: " + message.format(path=path, last=last, next=last + 1) + "\n")
+    assert snapshot(pipeline_dir) == before
+
+
+def test_an_option_holding_a_line_break_stays_on_its_manifest_line(tmp_path, dataset, capsys):
+    input_path, mapping_path = dataset
+    out = tmp_path / "two\nlines"
+    assert run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out) == 0
+    lines = (out / "manifest_ingest.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[-1] == f"out={tmp_path}/two\\nlines"
+    # the next stage reads that manifest
+    assert run("zipf", "--out", out) == 0
