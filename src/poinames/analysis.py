@@ -6,9 +6,11 @@ permutation test rather than from a distributional approximation.
 
 from __future__ import annotations
 
+import itertools
 import math
+import reprlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ._numpy import np
 from .linfit import LineFit, line_fit
@@ -21,21 +23,39 @@ PERMUTATION_BLOCK = 1024
 PERMUTATION_CELLS = 1024 * 1225
 
 
-@dataclass(frozen=True)
-class PairObservation:
-    """Collective similarity and geodesic distance for one region pair."""
+@dataclass(frozen=True, eq=False)
+class RegionPairs:
+    """Collective similarity and geodesic distance for each region pair.
 
-    region_a: str
-    region_b: str
-    similarity: float
-    distance_m: float
+    Pair k joins ``regions[first[k]]`` and ``regions[second[k]]``. A
+    distance of 0 or below raises ValueError.
+    """
+
+    regions: tuple[str, ...]
+    first: np.ndarray
+    second: np.ndarray
+    similarity: np.ndarray
+    distance_m: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.distance_m <= 0.0:
-            raise ValueError(
-                f"pair ({self.region_a}, {self.region_b}) has non-positive "
-                f"distance {self.distance_m}"
-            )
+        _refuse(self, self.distance_m <= 0.0, "a non-positive distance")
+
+    def __len__(self) -> int:
+        return self.similarity.size
+
+    def names(self) -> Iterator[tuple[str, str]]:
+        """The two region labels of each pair, in pair order."""
+        for i, j in zip(self.first.tolist(), self.second.tolist()):
+            yield self.regions[i], self.regions[j]
+
+
+def _refuse(pairs: RegionPairs, bad: np.ndarray, fault: str) -> None:
+    """Raise ValueError if ``bad`` marks a pair, naming how many it marks and the first few."""
+    count = int(np.count_nonzero(bad))
+    if count:
+        first = list(itertools.islice(itertools.compress(pairs.names(), bad.tolist()), 6))
+        raise ValueError(f"{count} of {bad.size} region pairs have {fault}, "
+                         f"among them {reprlib.repr(first)}")
 
 
 @dataclass(frozen=True)
@@ -44,30 +64,18 @@ class CorrelationResult:
     p_value: float
 
 
-def pair_observations(
-    sim: RegionMatrix, dist: RegionMatrix
-) -> list[PairObservation]:
-    """One observation per unordered region pair, lexicographic order."""
-    if set(sim.regions) != set(dist.regions):
-        raise ValueError(
-            f"mismatched region sets: {sorted(sim.regions)} vs {sorted(dist.regions)}"
-        )
-    sim_idx = {r: i for i, r in enumerate(sim.regions)}
-    dist_idx = {r: i for i, r in enumerate(dist.regions)}
+def pair_observations(sim: RegionMatrix, dist: RegionMatrix) -> RegionPairs:
+    """Every unordered region pair, in the lexicographic order of the sorted labels."""
     regions = sorted(sim.regions)
-    out = []
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            a, b = regions[i], regions[j]
-            out.append(
-                PairObservation(
-                    region_a=a,
-                    region_b=b,
-                    similarity=float(sim.values[sim_idx[a], sim_idx[b]]),
-                    distance_m=float(dist.values[dist_idx[a], dist_idx[b]]),
-                )
-            )
-    return out
+    if regions != sorted(dist.regions):
+        raise ValueError(f"mismatched region sets: {regions} vs {sorted(dist.regions)}")
+    first, second = np.triu_indices(len(regions), 1)
+
+    def upper_triangle(matrix: RegionMatrix) -> np.ndarray:
+        order = np.array(sorted(range(len(regions)), key=matrix.regions.__getitem__))
+        return matrix.values[order[first], order[second]]
+
+    return RegionPairs(tuple(regions), first, second, upper_triangle(sim), upper_triangle(dist))
 
 
 def _permutation_p(
@@ -146,19 +154,10 @@ def spearman(
     return pearson(_average_ranks(x), _average_ranks(y), permutations, seed)
 
 
-def fit_distance_decay(observations: Sequence[PairObservation]) -> LineFit:
+def fit_distance_decay(pairs: RegionPairs) -> LineFit:
     """OLS of ln(similarity) on ln(distance) over the region pairs."""
-    offenders = [
-        (o.region_a, o.region_b)
-        for o in observations
-        if o.similarity <= 0.0 or o.distance_m <= 0.0
-    ]
-    if offenders:
-        raise ValueError(
-            f"cannot take logs: non-positive similarity or distance for pairs {offenders}"
-        )
-    if len(observations) < 3:
-        raise ValueError(f"need at least 3 observations, got {len(observations)}")
-    ln_d = [math.log(o.distance_m) for o in observations]
-    ln_s = [math.log(o.similarity) for o in observations]
-    return line_fit(ln_d, ln_s)
+    _refuse(pairs, pairs.similarity <= 0.0, "a non-positive similarity, which has no log")
+    if len(pairs) < 3:
+        raise ValueError(f"need at least 3 observations, got {len(pairs)}")
+    return line_fit([math.log(d) for d in pairs.distance_m.tolist()],
+                    [math.log(s) for s in pairs.similarity.tolist()])

@@ -184,9 +184,9 @@ def _slug(label: str) -> str:
 
 
 def _table_lines(labels, columns, rows) -> list[str]:
-    """A header of columns, then one labelled row of numbers per label."""
+    """A header of columns, then one labelled row of Python floats per label."""
     return ["region\t" + "\t".join(columns)] + [
-        label + "\t" + "\t".join(_fmt(v) for v in row) for label, row in zip(labels, rows)
+        label + "\t" + "\t".join(map(repr, row)) for label, row in zip(labels, rows)
     ]
 
 
@@ -484,9 +484,10 @@ def cmd_similarity(args: argparse.Namespace) -> int:
         for r in sorted(centroids)
     )
     _write_stage(args, f"similarity_{args.method}", read, {
-        f"similarity_{args.method}.tsv": _table_lines(sim.regions, sim.regions, sim.values),
+        f"similarity_{args.method}.tsv": _table_lines(sim.regions, sim.regions,
+                                                      sim.values.tolist()),
         "centroids.tsv": centroid_lines,
-        DISTANCES_ARTIFACT: _table_lines(dist.regions, dist.regions, dist.values),
+        DISTANCES_ARTIFACT: _table_lines(dist.regions, dist.regions, dist.values.tolist()),
     })
     print(f"wrote similarity_{args.method}.tsv and {DISTANCES_ARTIFACT} ({len(sim.regions)} regions)")
     if args.km:
@@ -507,24 +508,20 @@ def cmd_decay(args: argparse.Namespace) -> int:
     # every similarity run rewrites distances.tsv, so this method's run must have written it
     read = _check_inputs(outdir, {similarity: command, DISTANCES_ARTIFACT: command,
                                   CORPUS_ARTIFACT: "ingest"})
-    observations = pair_observations(sim, dist)
+    pairs = pair_observations(sim, dist)
 
-    distances = [o.distance_m for o in observations]
-    similarities = [o.similarity for o in observations]
+    similarities, distances = pairs.similarity.tolist(), pairs.distance_m.tolist()
     pearson_res = pearson(distances, similarities, permutations=args.permutations, seed=args.seed)
     spearman_res = spearman(distances, similarities, permutations=args.permutations, seed=args.seed)
-    fit = fit_distance_decay(observations)
+    fit = fit_distance_decay(pairs)
 
     # the fit has refused a similarity of 0 or below, so every ln(similarity) exists
     obs_lines = ["region_a\tregion_b\tsimilarity\tdistance_m\tln_s\tln_d"]
-    for o in observations:
-        obs_lines.append(
-            f"{o.region_a}\t{o.region_b}\t{_fmt(o.similarity)}\t{_fmt(o.distance_m)}"
-            f"\t{_fmt(math.log(o.similarity))}\t{_fmt(math.log(o.distance_m))}"
-        )
+    obs_lines.extend(f"{a}\t{b}\t{s!r}\t{d!r}\t{math.log(s)!r}\t{math.log(d)!r}"
+                     for (a, b), s, d in zip(pairs.names(), similarities, distances))
     result_lines = [
         f"method={args.method}",
-        f"n={len(observations)}",
+        f"n={len(pairs)}",
         f"pearson={_fmt(pearson_res.coefficient)}",
         f"pearson_p={_fmt(pearson_res.p_value)}",
         f"spearman={_fmt(spearman_res.coefficient)}",

@@ -11,6 +11,7 @@ read_corpus, so no stage parses JSON or tokenizes a name again.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
@@ -383,7 +384,7 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> Path:
 
     The caller puts the file in place with os.replace, so no reader sees
     ``path`` cut short. If ``lines`` or the write fails, the hidden file is
-    removed, and an OSError raises IngestError naming ``path``.
+    removed if it can be, and an OSError raises IngestError naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
@@ -393,7 +394,8 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> Path:
                 fh.write(line)
                 fh.write("\n")
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise IngestError(f"cannot write {path}: {exc.strerror}") from exc
         raise

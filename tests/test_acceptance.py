@@ -260,8 +260,8 @@ def test_c08_distance_decay_on_dataset(yelp_records):
         count_sim = similarity_matrix([count_vector(corpora[r], vocab) for r in regions])
         count_obs = pair_observations(count_sim, dist)
         assert len(count_obs) == 21
-        x = [o.distance_m for o in count_obs]
-        y = [o.similarity for o in count_obs]
+        x = count_obs.distance_m.tolist()
+        y = count_obs.similarity.tolist()
         count_pearson = pearson(x, y, seed=8)
         count_spearman = spearman(x, y, seed=8)
         count_fit = fit_distance_decay(count_obs)
@@ -279,8 +279,8 @@ def test_c08_distance_decay_on_dataset(yelp_records):
             [RegionVector(region_id=r, values=model.region_vectors[r]) for r in regions]
         )
         embed_obs = pair_observations(embed_sim, dist)
-        ex = [o.distance_m for o in embed_obs]
-        ey = [o.similarity for o in embed_obs]
+        ex = embed_obs.distance_m.tolist()
+        ey = embed_obs.similarity.tolist()
         embed_pearson = pearson(ex, ey, seed=8)
         embed_spearman = spearman(ex, ey, seed=8)
         embed_fit = fit_distance_decay(embed_obs)
@@ -294,14 +294,14 @@ def test_c08_distance_decay_on_dataset(yelp_records):
 
 def test_c09_decay_fit_fixture():
     with criterion("C9", "synthetic power law recovers A, beta, R^2 = 1", budget_s=1):
-        from poinames.analysis import PairObservation
+        from poinames.analysis import RegionPairs
 
         a_true, beta_true = 2.5, 0.075
-        distances = [2e4, 9e4, 4e5, 1.1e6, 2.8e6, 4.4e6]
-        observations = [
-            PairObservation(f"p{i}", f"q{i}", similarity=a_true * d ** (-beta_true), distance_m=d)
-            for i, d in enumerate(distances)
-        ]
+        distances = np.array([2e4, 9e4, 4e5, 1.1e6, 2.8e6, 4.4e6])
+        # six pairs of four regions p0..p3, in upper-triangle order
+        first, second = np.triu_indices(4, 1)
+        observations = RegionPairs(("p0", "p1", "p2", "p3"), first, second,
+                                   a_true * distances ** (-beta_true), distances)
         fit = fit_distance_decay(observations)
         assert abs(fit.slope - (-beta_true)) < 1e-9
         assert abs(math.exp(fit.intercept) - a_true) < 1e-9

@@ -8,7 +8,7 @@ from scipy import stats
 
 from poinames import analysis
 from poinames.analysis import (
-    PairObservation,
+    RegionPairs,
     fit_distance_decay,
     pair_observations,
     pearson,
@@ -56,17 +56,31 @@ class TestPairObservations:
 
     def test_lexicographic_order(self):
         obs = pair_observations(*matrices(4))
-        pairs = [(o.region_a, o.region_b) for o in obs]
+        pairs = list(obs.names())
         assert pairs == sorted(pairs)
-        assert all(o.region_a < o.region_b for o in obs)
+        assert all(a < b for a, b in pairs)
 
     def test_values_match_matrices(self):
         sim, dist = matrices(3)
-        for o in pair_observations(sim, dist):
-            i = sim.regions.index(o.region_a)
-            j = sim.regions.index(o.region_b)
-            assert o.similarity == sim.values[i, j]
-            assert o.distance_m == dist.values[i, j]
+        obs = pair_observations(sim, dist)
+        for (a, b), s, d in zip(obs.names(), obs.similarity, obs.distance_m):
+            i = sim.regions.index(a)
+            j = sim.regions.index(b)
+            assert s == sim.values[i, j]
+            assert d == dist.values[i, j]
+
+    def test_each_matrix_is_read_in_its_own_region_order(self):
+        regions = ("c", "a", "b")
+        sim = RegionMatrix(regions, np.array([[1.0, 0.2, 0.3], [0.2, 1.0, 0.4], [0.3, 0.4, 1.0]]))
+        dist_regions = ("b", "c", "a")
+        dist = RegionMatrix(dist_regions, np.array([[0.0, 7e5, 6e5], [7e5, 0.0, 5e5],
+                                                    [6e5, 5e5, 0.0]]))
+        obs = pair_observations(sim, dist)
+        assert obs.regions == ("a", "b", "c")
+        assert list(obs.names()) == [("a", "b"), ("a", "c"), ("b", "c")]
+        # (a, b) is sim[1, 2] and dist[2, 0]; (a, c) sim[1, 0], dist[2, 1]; (b, c) sim[2, 0], dist[0, 1]
+        assert obs.similarity.tolist() == [0.4, 0.2, 0.3]
+        assert obs.distance_m.tolist() == [6e5, 5e5, 7e5]
 
     def test_mismatched_regions(self):
         sim, _ = matrices(3)
@@ -75,8 +89,10 @@ class TestPairObservations:
             pair_observations(sim, dist)
 
     def test_zero_distance_rejected(self):
+        sim, dist = matrices(3)
+        dist.values[0, 2] = dist.values[2, 0] = 0.0
         with pytest.raises(ValueError, match="non-positive"):
-            PairObservation("a", "b", similarity=0.5, distance_m=0.0)
+            pair_observations(sim, dist)
 
 
 class TestPearson:
@@ -268,10 +284,11 @@ class TestSpearman:
 
 
 def obs(pairs):
-    return [
-        PairObservation(f"a{i}", f"b{i}", similarity=s, distance_m=d)
-        for i, (s, d) in enumerate(pairs)
-    ]
+    """Pair i joins regions a<i> and b<i>, with the given similarity and distance."""
+    regions = tuple(label for i in range(len(pairs)) for label in (f"a{i}", f"b{i}"))
+    first = np.arange(0, len(regions), 2)
+    similarity, distance_m = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    return RegionPairs(regions, first, first + 1, similarity, distance_m)
 
 
 class TestFitDistanceDecay:
@@ -293,6 +310,22 @@ class TestFitDistanceDecay:
         data = obs([(0.5, 1e4), (0.0, 2e4), (0.3, 3e4)])
         with pytest.raises(ValueError, match="a1"):
             fit_distance_decay(data)
+
+    def test_many_offenders_give_a_short_message_with_their_count(self):
+        # 400 regions, and every pair with an odd-numbered region has a negative cosine
+        n = 400
+        sim = np.ones((n, n))
+        sim[1::2, :] = sim[:, 1::2] = -0.5
+        dist = np.full((n, n), 1e5)
+        regions = tuple(f"region {i:03d}" for i in range(n))
+        pairs = pair_observations(RegionMatrix(regions, sim), RegionMatrix(regions, dist))
+        offenders = n * (n - 1) // 2 - (n // 2) * (n // 2 - 1) // 2
+        with pytest.raises(ValueError) as exc:
+            fit_distance_decay(pairs)
+        message = str(exc.value)
+        assert f"{offenders} of {len(pairs)} region pairs" in message
+        assert "('region 000', 'region 001')" in message
+        assert len(message) < 1024
 
     def test_needs_three(self):
         with pytest.raises(ValueError):

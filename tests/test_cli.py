@@ -1241,7 +1241,8 @@ def test_an_artifact_edited_by_hand_exits_2_naming_the_stage_to_rerun(
     (["type-usage", "--top", "20", "--min-count", "5"], "usage_counts.tsv"),
     (["similarity", "--method", "count"], "centroids.tsv"),
     (["decay", "--method", "count", "--permutations", "100"], "decay_results_count.txt"),
-], ids=["ingest", "zipf", "type-usage", "similarity", "decay"])
+    (["zipf"], ".zipf_fit.txt.tmp"),
+], ids=["ingest", "zipf", "type-usage", "similarity", "decay", "zipf-temporary-file"])
 def test_a_directory_in_the_way_of_a_second_file_leaves_every_file_as_it_was(
         fixture_pipeline, tmp_path, capsys, stage, second):
     out, ingest = moved_copy(fixture_pipeline, tmp_path)
@@ -1249,12 +1250,15 @@ def test_a_directory_in_the_way_of_a_second_file_leaves_every_file_as_it_was(
         assert main(ingest + ["--out", str(out)]) == 0
         if stage[0] == "decay":
             assert main(["similarity", "--method", "count", "--out", str(out)]) == 0
-    (out / second).unlink()
+    (out / second).unlink(missing_ok=True)
     (out / second).mkdir()
     before = snapshot(out)
     capsys.readouterr()
     assert main((stage or ingest) + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: cannot write {out / second}: a directory has its name\n"
+    # a directory named like the hidden file the artifact is first written to
+    artifact = out / second.removeprefix(".").removesuffix(".tmp")
+    fault = "a directory has its name" if artifact.name == second else "Is a directory"
+    assert capsys.readouterr().err == f"error: cannot write {artifact}: {fault}\n"
     assert snapshot(out) == before
 
 

@@ -18,6 +18,7 @@ def test_library_example_runs(tmp_path):
     names = {
         ("Phoenix", "AZ"): ["Desert Cafe", "Cactus Grill", "Common Pizza", "Common Pizza"],
         ("Henderson", "NV"): ["Neon Cafe", "Casino Grill", "Common Pizza"],
+        ("Charlotte", "NC"): ["Queen Cafe", "Common Pizza"],
     }
     input_path = tmp_path / "business.ndjson"
     input_path.write_text("".join(
@@ -32,7 +33,12 @@ def test_library_example_runs(tmp_path):
     scope: dict = {}
     exec(code.replace(INPUT_NAME, repr(str(input_path))), scope)
 
-    assert len(scope["records"]) == 7
-    assert sorted(scope["tops"]) == sorted(scope["raw"]) == ["las vegas", "phoenix"]
+    assert len(scope["records"]) == 9
+    assert sorted(scope["tops"]) == sorted(scope["raw"]) == ["charlotte", "las vegas", "phoenix"]
     assert "desert" in scope["tops"]["phoenix"].terms
-    assert scope["sim"].values.shape == (2, 2)
+    assert scope["sim"].values.shape == (3, 3)
+    assert list(scope["pairs"].names()) == [("charlotte", "las vegas"), ("charlotte", "phoenix"),
+                                            ("las vegas", "phoenix")]
+    assert -1.0 <= scope["correlation"].coefficient <= 1.0
+    assert 0.0 < scope["rank_correlation"].p_value <= 1.0
+    assert 0.0 <= scope["fit"].r_squared <= 1.0
