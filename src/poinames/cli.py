@@ -135,37 +135,47 @@ def _check_inputs(outdir: Path, producers: dict[str, str]) -> dict[str, tuple[Pa
 
 
 def _write_stage(args: argparse.Namespace, stage: str, read: dict[str, tuple[Path, str]],
-                 files: dict[str, Iterable[str] | None]) -> None:
-    """Write a stage's files under --out as one unit, manifest_<stage>.txt last.
+                 files: dict[str, Iterable[str] | Path | None]) -> None:
+    """Write a stage's files under --out as one unit; no other code puts an artifact there.
 
     ``read`` holds each input's path and sha256 by its manifest name;
-    ``files`` holds each output's lines by its name under --out, or None for
-    a file the stage has put in place itself. A target that is a directory
-    or an input raises IngestError before the first write; each file is put
-    in place only once all are written. The manifest holds a <name>_sha256
-    line per input and output, then every option as the parser left it, a
-    line break written as "\\n" so that the line stays one line.
+    ``files`` holds, by name under --out, each output's lines, the hidden
+    file the stage wrote it to, or None for a file to remove. In order: a
+    target that is a directory or an input raises IngestError; directories
+    are made; outputs are written to hidden files; None files are removed;
+    each hidden file is put in place, the manifest last. It holds each
+    input's and output's sha256, then every option ("\\n" for a line break).
     """
     outdir = Path(args.out)
     manifest = f"manifest_{stage}.txt"
-    for target in [outdir / name for name in [*files, manifest]]:
-        if target.is_dir():
-            raise IngestError(f"cannot write {target}: a directory has its name")
-        for source, (path, _) in read.items():
-            if target.exists() and target.samefile(path):
-                raise IngestError(f"cannot write {target}: the stage reads it as its {source}")
-    temporary: dict[str, Path] = {}
+    temporary = {name: lines for name, lines in files.items() if isinstance(lines, Path)}
     try:
+        for target in [outdir / name for name in [*files, manifest]]:
+            if target.is_dir():
+                raise IngestError(f"cannot write {target}: a directory has its name")
+            for source, (path, _) in read.items():
+                if target.exists() and target.samefile(path):
+                    raise IngestError(f"cannot write {target}: the stage reads it as its {source}")
+        for directory in dict.fromkeys((outdir / name).parent for name in files):
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # e.g. --out names a file
+                where = "" if directory == outdir else f" {directory.name}"
+                raise IngestError(f"--out {outdir}: cannot create the directory{where}: "
+                                  f"{exc.strerror}") from exc
         for name, lines in files.items():
-            if lines is not None:
+            if lines is not None and name not in temporary:
                 temporary[name] = write_lines(outdir / name, lines)
         entries = ["tool=poinames", f"version={__version__}", f"stage={stage}"]
         entries.extend(f"{name}_sha256={digest}" for name, (_, digest) in read.items())
-        entries.extend(f"{name}_sha256={_sha256(temporary.get(name, outdir / name))}"
-                       for name in files)
+        entries.extend(f"{name}_sha256={_sha256(temporary[name])}"
+                       for name in files if name in temporary)
         entries.extend(f"{key}={'' if value is None else value}".replace("\n", "\\n")
                        for key, value in vars(args).items() if key not in ("command", "func"))
         temporary[manifest] = write_lines(outdir / manifest, entries)
+        for name, lines in files.items():
+            if lines is None:
+                (outdir / name).unlink(missing_ok=True)
         for name, tmp in temporary.items():
             os.replace(tmp, outdir / name)
     finally:
@@ -254,14 +264,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if tokenless:
         raise IngestError(f"{input_path}: no name in region(s) {tokenless} has any tokens")
 
-    # --out is made only once the input has passed, so a rejected input
-    # leaves no directory behind
-    outdir = Path(args.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # e.g. --out names a file
-        raise IngestError(f"--out {outdir}: cannot create the directory: {exc.strerror}") from exc
-
     pois_lines = (
         json.dumps({"name": r.name, "region": r.region_id, "latitude": r.latitude,
                     "longitude": r.longitude, "categories": sorted(r.categories)},
@@ -321,10 +323,10 @@ def _local_terms(args: argparse.Namespace):
 
 
 def cmd_local_terms(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
     _, read, tops = _local_terms(args)
 
     owners: dict[str, str] = {}
+    files = {}
     for region in sorted(tops):
         slug = _slug(region)
         if slug in owners:
@@ -333,20 +335,15 @@ def cmd_local_terms(args: argparse.Namespace) -> int:
                 f"local_terms/{slug}.tsv"
             )
         owners[slug] = region
-
-    terms_dir = outdir / "local_terms"
-    terms_dir.mkdir(exist_ok=True)
-    files = {}
-    for slug, region in owners.items():
         terms = tops[region]
         files[f"local_terms/{slug}.tsv"] = ["rank\tterm\tweight"] + [
             f"{i}\t{t}\t{_fmt(w)}" for i, (t, w) in enumerate(zip(terms.terms, terms.weights), 1)
         ]
-    _write_stage(args, "local_terms", read, files)
     # tables of regions an earlier ingest had and this one does not
-    for stale in terms_dir.glob("*.tsv"):
+    for stale in (Path(args.out) / "local_terms").glob("*.tsv"):
         if stale.stem not in owners and stale.is_file():
-            stale.unlink()
+            files[f"local_terms/{stale.name}"] = None
+    _write_stage(args, "local_terms", read, files)
     for slug, region in owners.items():
         print(f"{region}: {len(tops[region].terms)} local terms -> local_terms/{slug}.tsv")
     return 0
@@ -358,9 +355,9 @@ def cmd_type_usage(args: argparse.Namespace) -> int:
     if not subsets:
         raise ValueError(f"no category has at least {args.min_count} POIs in every region")
     matrix = usage_percentages(subsets, tops)
-    distributions = usage_distributions(matrix)
-    mean_nats = mean_pairwise_jsd(distributions)
-    mean_bits = mean_pairwise_jsd(distributions, base=2)
+    shares = matrix.shares()
+    distributions = usage_distributions(matrix.regions, shares)
+    mean_nats, mean_bits = mean_pairwise_jsd(distributions)
     n_regions = len(matrix.regions)
 
     count_lines = ["region\tcategory\twith_local_terms\ttotal"]
@@ -377,7 +374,7 @@ def cmd_type_usage(args: argparse.Namespace) -> int:
         f"mean_jsd_bits={_fmt(mean_bits)}",
     ]
     _write_stage(args, "type_usage", read, {
-        "usage_matrix.tsv": _table_lines(matrix.regions, matrix.categories, matrix.shares()),
+        "usage_matrix.tsv": _table_lines(matrix.regions, matrix.categories, shares),
         "usage_counts.tsv": count_lines,
         "usage_normalized.tsv": _table_lines(matrix.regions, matrix.categories, distributions),
         "jsd_summary.txt": jsd_lines,
@@ -437,7 +434,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     model = train(pairs, vocab, config)
-    save_model(model, outdir / MODEL_ARTIFACT)
 
     summary = [
         f"dim={config.dimension}",
@@ -449,8 +445,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
         f"final_loss={_fmt(model.epoch_losses[-1])}",
         "epoch_losses=" + ",".join(_fmt(l) for l in model.epoch_losses),
     ]
-    # save_model has put model.txt in place; the manifest records its sha256
-    _write_stage(args, "embed", read, {MODEL_ARTIFACT: None, "embed_summary.txt": summary})
+    model_path = outdir / f".{MODEL_ARTIFACT}.tmp"
+    save_model(model, model_path)
+    _write_stage(args, "embed", read, {MODEL_ARTIFACT: model_path, "embed_summary.txt": summary})
     for line in summary[:7]:
         print(line)
     return 0

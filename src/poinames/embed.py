@@ -397,7 +397,12 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
         d, len(vectors), model.config.seed, MODEL_VARIANT
     )
     rows = (row % (name, *vectors[name].tolist()) for name in sorted(vectors))
-    os.replace(write_lines(path, itertools.chain([header], rows)), path)
+    tmp = write_lines(path, itertools.chain([header], rows))
+    try:
+        os.replace(tmp, path)
+    except OSError as exc:  # say, a directory has the name of path
+        tmp.unlink()
+        raise IngestError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

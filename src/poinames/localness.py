@@ -146,21 +146,27 @@ def usage_percentages(
     )
 
 
-def _check_distribution(p: Sequence[float], label: str) -> None:
-    if any(v < 0 for v in p):
-        raise ValueError(f"{label} has negative entries")
-    total = math.fsum(p)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"{label} sums to {total!r}, expected 1")
+def _check_distributions(rows: Sequence[Sequence[float]]) -> None:
+    for i, p in enumerate(rows):
+        if len(p) != len(rows[0]):
+            raise ValueError("distributions must have the same support size")
+        if any(v < 0 for v in p):
+            raise ValueError(f"distribution {i} has negative entries")
+        total = math.fsum(p)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"distribution {i} sums to {total!r}, expected 1")
 
 
-def _kld_to_mixture(p: Sequence[float], q: Sequence[float]) -> float:
-    """KL(p || M) with M = (p + q) / 2, each term as p * ln(2p / (p + q)).
+def _jsd_nats(p: Sequence[float], q: Sequence[float]) -> float:
+    """(KL(p || M) + KL(q || M)) / 2 with M = (p + q) / 2, each KL term as p * ln(2p / (p + q)).
 
     M is never formed, so a subnormal p cannot round it to zero; for normal
     floats 2p and (p + q) / 2 are exact and the terms equal p * ln(p / M).
     """
-    return math.fsum(pi * math.log(2.0 * pi / (pi + qi)) for pi, qi in zip(p, q) if pi != 0.0)
+    kl = [math.fsum(a * math.log(2.0 * a / (a + b)) for a, b in zip(x, y) if a != 0.0)
+          for x, y in ((p, q), (q, p))]
+    # for rows a rounding apart the halves can sum to -2.8e-17; a divergence is never below 0
+    return max(0.0, 0.5 * kl[0] + 0.5 * kl[1])
 
 
 def jsd(p: Sequence[float], q: Sequence[float], base: float = math.e) -> float:
@@ -169,37 +175,33 @@ def jsd(p: Sequence[float], q: Sequence[float], base: float = math.e) -> float:
     Uses the mixture M = (p + q) / 2, so the value is finite, symmetric,
     and bounded by ln 2 in nats (1.0 with base=2).
     """
-    if len(p) != len(q):
-        raise ValueError("distributions must have the same support size")
-    _check_distribution(p, "p")
-    _check_distribution(q, "q")
-    value = 0.5 * _kld_to_mixture(p, q) + 0.5 * _kld_to_mixture(q, p)
-    if base != math.e:
-        value /= math.log(base)
-    return value
+    _check_distributions([p, q])
+    value = _jsd_nats(p, q)
+    return value if base == math.e else value / math.log(base)
 
 
-def mean_pairwise_jsd(
-    distributions: Sequence[Sequence[float]], base: float = math.e
-) -> float:
-    """Average JSD over all unordered pairs of probability rows."""
+def mean_pairwise_jsd(distributions: Sequence[Sequence[float]]) -> tuple[float, float]:
+    """Average JSD over all unordered pairs of probability rows, in nats and in bits."""
     if len(distributions) < 2:
         raise ValueError("need at least 2 distributions")
-    pairs = list(combinations(distributions, 2))
-    total = 0.0
-    for p, q in pairs:
-        total += jsd(p, q, base=base)
-    return total / len(pairs)
+    _check_distributions(distributions)
+    nats = bits = 0.0  # += of what jsd and jsd(base=2) give: sum() is compensated from 3.12
+    for p, q in combinations(distributions, 2):
+        value = _jsd_nats(p, q)
+        nats += value
+        bits += value / math.log(2.0)
+    pairs = math.comb(len(distributions), 2)
+    return nats / pairs, bits / pairs
 
 
-def usage_distributions(matrix: UsageMatrix) -> list[list[float]]:
-    """Each region's usage shares scaled to sum to one, in matrix order."""
+def usage_distributions(regions: Sequence[str], shares: list[list[float]]) -> list[list[float]]:
+    """Each region's row of usage shares scaled to sum to one, in the given order."""
     rows = []
-    for region, shares in zip(matrix.regions, matrix.shares()):
-        total = math.fsum(shares)
+    for region, row in zip(regions, shares):
+        total = math.fsum(row)
         if total == 0.0:
             raise ValueError(
                 f"cannot normalize zero vector: region {region!r} uses no local term"
             )
-        rows.append([v / total for v in shares])
+        rows.append([v / total for v in row])
     return rows

@@ -163,7 +163,7 @@ def test_c04b_mean_jsd_on_dataset(yelp_records):
         tops = top_local_terms(table, k=100)
         subsets = typed_subsets(yelp_records, min_count=100, required_regions=sorted(corpora))
         matrix = usage_percentages(subsets, tops)
-        mean = mean_pairwise_jsd(usage_distributions(matrix))
+        mean, _ = mean_pairwise_jsd(usage_distributions(matrix.regions, matrix.shares()))
         assert mean == pytest.approx(0.007, abs=0.005), mean
 
 

@@ -1,9 +1,13 @@
-"""The stages give the committed bytes, or the committed values, on the C10 fixture.
+"""The stages give the committed bytes, or the committed values, on fixed corpora.
 
 Text stages (ingest, zipf, local-terms, type-usage, vectors): each artifact
 other than a manifest, and the stdout of each stage, is compared by sha256
-with tests/data/text_stage_digests.json. The fixture is ASCII and these
-stages execute no numpy, so the digests hold on every supported Python.
+with tests/data/text_stage_digests.json. They run on the C10 fixture, and
+on the benchmark's text-12k corpus at seed 1 (10 regions, Unicode names),
+which bench/gen.py writes; that corpus's digests are keyed "text-12k/...".
+These stages execute no numpy. The C10 fixture is ASCII, so its digests
+hold on every supported Python; the text-12k names are tokenized with the
+Unicode data of the running Python.
 
 Numpy stages (similarity and decay, --method count and tfidf), compared
 with tests/data/numpy_stage_reference.json:
@@ -37,6 +41,7 @@ import json
 import math
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 from poinames.cli import main
@@ -45,6 +50,8 @@ from conftest import write_dataset
 from test_acceptance import STAGES
 
 DATA = Path(__file__).resolve().parent / "data"
+BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+BENCH_WORKLOAD, BENCH_SEED = "text-12k", 1
 DIGESTS = DATA / "text_stage_digests.json"
 NUMPY_REFERENCE = DATA / "numpy_stage_reference.json"
 TEXT_STAGES = [stage for stage in STAGES
@@ -63,13 +70,26 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def bench_gen() -> types.ModuleType:
+    """bench/gen.py as a module, run from its source so that nothing is written under bench/."""
+    gen = types.ModuleType("bench_gen")
+    sys.modules[gen.__name__] = gen  # dataclasses looks up the module of each class
+    exec(compile(BENCH_GEN.read_text(encoding="utf-8"), str(BENCH_GEN), "exec"), gen.__dict__)
+    return gen
+
+
 def run_fixture(tmp: Path, stages: list[list[str]]) -> dict[str, bytes]:
-    """Run ingest, then ``stages``, on the C10 fixture in ``tmp``.
+    """Run ingest, then ``stages``, on the C10 fixture in ``tmp``; see run_stages."""
+    return run_stages(tmp, *write_dataset(tmp), stages)
+
+
+def run_stages(tmp: Path, input_path: Path, mapping_path: Path,
+               stages: list[list[str]]) -> dict[str, bytes]:
+    """Ingest ``input_path`` with ``mapping_path`` into ``tmp``/artifacts, then run ``stages``.
 
     Returns each stage's stdout, as "stdout of <argv>", and each artifact
     other than a manifest, by its name under --out.
     """
-    input_path, mapping_path = write_dataset(tmp)
     out = tmp / "artifacts"
     outputs = {}
     for stage in [["ingest"]] + stages:
@@ -87,8 +107,19 @@ def run_fixture(tmp: Path, stages: list[list[str]]) -> dict[str, bytes]:
 
 
 def text_stage_digests(tmp: Path) -> dict[str, str]:
-    """The digest of every stdout and non-manifest artifact of the text stages, run in ``tmp``."""
-    return {name: _sha256(data) for name, data in run_fixture(tmp, TEXT_STAGES).items()}
+    """The digest of every stdout and non-manifest artifact of the text stages, run in ``tmp``.
+
+    Those of the C10 fixture are keyed by name, those of the bench corpus by
+    "text-12k/" and the name.
+    """
+    fixture, bench = tmp / "fixture", tmp / BENCH_WORKLOAD
+    fixture.mkdir()
+    digests = {name: _sha256(data) for name, data in run_fixture(fixture, TEXT_STAGES).items()}
+    gen = bench_gen()
+    gen.generate(BENCH_WORKLOAD, BENCH_SEED, bench)
+    outputs = run_stages(bench, bench / gen.INPUT_FILE, bench / gen.MAPPING_FILE, TEXT_STAGES)
+    digests.update((f"{BENCH_WORKLOAD}/{name}", _sha256(data)) for name, data in outputs.items())
+    return digests
 
 
 def numpy_stage_reference(tmp: Path) -> dict[str, dict[str, str]]:

@@ -1155,7 +1155,7 @@ def test_a_file_name_taken_by_a_directory_exits_2_with_one_error_line(fixture_pi
 def test_only_main_maps_errors_to_exit_codes():
     # every other function of the CLI lets an exception rise to main, except
     # where it adds what the message needs: _read_matrix the file and line,
-    # cmd_ingest the --out it cannot make, and the argparse type functions
+    # _write_stage the --out it cannot make, and the argparse type functions
     # a usage error, which argparse reports before main's try
     tree = ast.parse(Path(poinames.cli.__file__).read_text(encoding="utf-8"))
     handlers = Counter()
@@ -1163,7 +1163,7 @@ def test_only_main_maps_errors_to_exit_codes():
         if isinstance(function, ast.FunctionDef):
             handlers[function.name] += sum(isinstance(node, ast.ExceptHandler)
                                            for node in ast.walk(function))
-    assert +handlers == {"main": 2, "_read_matrix": 1, "cmd_ingest": 1,
+    assert +handlers == {"main": 2, "_read_matrix": 1, "_write_stage": 1,
                          "_int_at_least": 1, "_positive_float": 1}
 
 
@@ -1241,8 +1241,9 @@ def test_an_artifact_edited_by_hand_exits_2_naming_the_stage_to_rerun(
     (["type-usage", "--top", "20", "--min-count", "5"], "usage_counts.tsv"),
     (["similarity", "--method", "count"], "centroids.tsv"),
     (["decay", "--method", "count", "--permutations", "100"], "decay_results_count.txt"),
+    (["embed", "--dim", "4", "--epochs", "1", "--seed", "2"], "embed_summary.txt"),
     (["zipf"], ".zipf_fit.txt.tmp"),
-], ids=["ingest", "zipf", "type-usage", "similarity", "decay", "zipf-temporary-file"])
+], ids=["ingest", "zipf", "type-usage", "similarity", "decay", "embed", "zipf-temporary-file"])
 def test_a_directory_in_the_way_of_a_second_file_leaves_every_file_as_it_was(
         fixture_pipeline, tmp_path, capsys, stage, second):
     out, ingest = moved_copy(fixture_pipeline, tmp_path)
@@ -1259,6 +1260,31 @@ def test_a_directory_in_the_way_of_a_second_file_leaves_every_file_as_it_was(
     artifact = out / second.removeprefix(".").removesuffix(".tmp")
     fault = "a directory has its name" if artifact.name == second else "Is a directory"
     assert capsys.readouterr().err == f"error: cannot write {artifact}: {fault}\n"
+    assert snapshot(out) == before
+
+
+def test_a_directory_named_like_the_hidden_model_leaves_every_file_as_it_was(
+        fixture_pipeline, tmp_path, capsys):
+    out, ingest = moved_copy(fixture_pipeline, tmp_path)
+    assert main(ingest + ["--out", str(out)]) == 0
+    (out / ".model.txt.tmp").mkdir()
+    before = snapshot(out)
+    capsys.readouterr()
+    assert main(["embed", "--dim", "4", "--epochs", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / '.model.txt.tmp'}: Is a directory\n"
+    assert snapshot(out) == before
+
+
+def test_local_terms_refused_before_writing_leaves_no_directory(tmp_path, dataset, capsys):
+    input_path, mapping_path = dataset
+    out = tmp_path / "artifacts"
+    assert run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out) == 0
+    (out / "manifest_local_terms.txt").mkdir()
+    before = snapshot(out)
+    capsys.readouterr()
+    assert run("local-terms", "--out", out) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {out / 'manifest_local_terms.txt'}: "
+                                       "a directory has its name\n")
     assert snapshot(out) == before
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -175,7 +176,7 @@ def one_row(hits, totals):
     """usage_distributions of a one-region grid."""
     categories = tuple(f"c{i}" for i in range(len(hits)))
     matrix = UsageMatrix(regions=("r",), categories=categories, hits=[hits], totals=[totals])
-    return usage_distributions(matrix)[0]
+    return usage_distributions(matrix.regions, matrix.shares())[0]
 
 
 class TestNormalize:
@@ -226,6 +227,10 @@ class TestJsd:
         with pytest.raises(ValueError):
             jsd([0.9, 0.0], [0.5, 0.5])
 
+    def test_rows_a_rounding_apart_are_not_below_zero(self):
+        # the two halves of the divergence sum to -2.8e-17 before the clamp
+        assert jsd([0.5, 0.5], [0.5, 0.49999999999999994]) == 0.0
+
     def test_subnormal_mass_does_not_underflow_mixture(self):
         # (p + q) / 2 rounds 5e-324 to zero; the divergence must stay finite
         p, q = [0.0, 1.0, 5e-324], [0.0, 1.0, 0.0]
@@ -238,20 +243,53 @@ def normalized(row):
     return [v / total for v in row]
 
 
+@st.composite
+def rows_with_zeros_and_subnormals(draw):
+    """2 to 6 probability rows of one length, with zero entries and subnormal rows."""
+    size = draw(st.integers(2, 5))
+    tiny = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+    rows = draw(st.lists(st.one_of(distribution(size), st.lists(tiny, min_size=size - 1,
+                                                                max_size=size - 1)),
+                         min_size=2, max_size=6))
+    # a row of subnormal and zero entries carries the rest of its mass in its last entry
+    return [row if len(row) == size else row + [1.0 - math.fsum(row)] for row in rows]
+
+
 class TestMeanPairwiseJsd:
     def test_pair_count_seven_regions(self):
         rows = [normalized([1.0 + i, 2.0, 3.0 - 0.1 * i]) for i in range(7)]
         # 21 unordered pairs; verify through an explicit mean
         values = [jsd(rows[i], rows[j]) for i in range(7) for j in range(i + 1, 7)]
         assert len(values) == 21
-        assert mean_pairwise_jsd(rows) == pytest.approx(sum(values) / 21, rel=1e-12)
+        nats, bits = mean_pairwise_jsd(rows)
+        assert nats == pytest.approx(sum(values) / 21, rel=1e-12)
+        assert bits == pytest.approx(sum(values) / 21 / LN2, rel=1e-12)
 
     def test_identical_distributions(self):
-        assert mean_pairwise_jsd([[0.5, 0.5]] * 7) == 0.0
+        assert mean_pairwise_jsd([[0.5, 0.5]] * 7) == (0.0, 0.0)
+
+    @given(rows_with_zeros_and_subnormals())
+    def test_equals_the_mean_of_jsd_over_pairs_bit_for_bit(self, rows):
+        # the definition mean_pairwise_jsd replaces: one jsd call per pair and
+        # base, each added with +=, divided by the pair count
+        nats = bits = 0.0
+        pairs = list(combinations(rows, 2))
+        for p, q in pairs:
+            nats += jsd(p, q)
+            bits += jsd(p, q, base=2)
+        assert mean_pairwise_jsd(rows) == (nats / len(pairs), bits / len(pairs))
 
     def test_mismatched_support(self):
         with pytest.raises(ValueError):
             mean_pairwise_jsd([[0.5, 0.5], [0.25, 0.25, 0.5]])
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.6], [1.5, -0.5], [0.25, 0.25]],
+                             ids=["sum-above-one", "negative", "sum-below-one"])
+    def test_a_bad_row_anywhere_raises(self, bad):
+        good = [0.5, 0.5]
+        for rows in ([bad, good, good], [good, good, bad]):
+            with pytest.raises(ValueError):
+                mean_pairwise_jsd(rows)
 
     def test_needs_two(self):
         with pytest.raises(ValueError):
@@ -267,7 +305,7 @@ class TestUsageDistributions:
             subset("a", "Spa", ["dune spa", "plain spa", "plain sauna", "plain bath"]),
         ]
         matrix = usage_percentages(subsets, {"a": terms("a", "dune"), "b": terms("b", "lake")})
-        rows = usage_distributions(matrix)
+        rows = usage_distributions(matrix.regions, matrix.shares())
         # a: shares (1, 1/4) -> (4/5, 1/5); b: shares (1/2, 1) -> (1/3, 2/3)
         assert rows == [pytest.approx([0.8, 0.2]), pytest.approx([1 / 3, 2 / 3])]
         for row in rows:
@@ -277,4 +315,4 @@ class TestUsageDistributions:
         subsets = [subset("a", "Food", ["dune pizza"]), subset("b", "Food", ["plain pizza"])]
         matrix = usage_percentages(subsets, {"a": terms("a", "dune"), "b": terms("b", "lake")})
         with pytest.raises(ValueError, match="zero vector: region 'b'"):
-            usage_distributions(matrix)
+            usage_distributions(matrix.regions, matrix.shares())
