@@ -299,7 +299,7 @@ def cmd_zipf(args: argparse.Namespace) -> int:
     fit = fit_zipf(ranked)
 
     lines = ["rank\tterm\tfrequency"]
-    lines.extend(f"{e.rank}\t{e.term}\t{e.frequency}" for e in ranked)
+    lines.extend(f"{rank}\t{term}\t{count}" for rank, (term, count) in enumerate(ranked, 1))
     fit_lines = [
         f"A={_fmt(fit.intercept)}",
         f"b={_fmt(fit.slope)}",
@@ -335,9 +335,8 @@ def cmd_local_terms(args: argparse.Namespace) -> int:
                 f"local_terms/{slug}.tsv"
             )
         owners[slug] = region
-        terms = tops[region]
         files[f"local_terms/{slug}.tsv"] = ["rank\tterm\tweight"] + [
-            f"{i}\t{t}\t{_fmt(w)}" for i, (t, w) in enumerate(zip(terms.terms, terms.weights), 1)
+            f"{i}\t{t}\t{_fmt(w)}" for i, (t, w) in enumerate(tops[region], 1)
         ]
     # tables of regions an earlier ingest had and this one does not
     for stale in (Path(args.out) / "local_terms").glob("*.tsv"):
@@ -345,7 +344,7 @@ def cmd_local_terms(args: argparse.Namespace) -> int:
             files[f"local_terms/{stale.name}"] = None
     _write_stage(args, "local_terms", read, files)
     for slug, region in owners.items():
-        print(f"{region}: {len(tops[region].terms)} local terms -> local_terms/{slug}.tsv")
+        print(f"{region}: {len(tops[region])} local terms -> local_terms/{slug}.tsv")
     return 0
 
 
@@ -407,7 +406,7 @@ def cmd_vectors(args: argparse.Namespace) -> int:
         columns, absent = [corpora[r].counts for r in regions], 0
     else:
         table = geo_tfidf(corpora, variant=args.idf_variant)
-        columns, absent = [table.weights[r] for r in regions], 0.0
+        columns, absent = [table[r] for r in regions], 0.0
     lines = itertools.chain(
         ["term\t" + "\t".join(regions)],
         (term + "\t" + "\t".join([repr(c.get(term, absent)) for c in columns])

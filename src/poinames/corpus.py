@@ -117,18 +117,6 @@ class Vocabulary:
         return len(self.terms)
 
 
-@dataclass
-class TypedSubset:
-    """Documents of one region restricted to POIs carrying one category.
-
-    A POI with several categories appears in one subset per category.
-    """
-
-    region_id: str
-    category: str
-    documents: list[tuple[str, ...]]
-
-
 @dataclass(frozen=True)
 class RejectedRecord:
     line: int
@@ -554,13 +542,13 @@ def typed_subsets(
     records: Sequence[PoiRecord],
     required_regions: Iterable[str],
     min_count: int = 100,
-) -> list[TypedSubset]:
-    """Split records into per-(region, category) document subsets.
+) -> dict[tuple[str, str], list[tuple[str, ...]]]:
+    """Map (region, category) to the documents of the region's POIs carrying the category.
 
     Only categories present with at least ``min_count`` POIs in *every*
     required region survive; a POI carrying several categories lands in
-    several subsets. Returned subsets are ordered by (category, region),
-    and are empty when no category survives.
+    several subsets. Keys are ordered by (category, region), and the dict
+    is empty when no category survives.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
@@ -580,11 +568,7 @@ def typed_subsets(
         for cat in {cat for _, cat in docs}
         if all(len(docs.get((region, cat), ())) >= min_count for region in regions)
     )
-    return [
-        TypedSubset(region_id=region, category=cat, documents=docs[(region, cat)])
-        for cat in kept
-        for region in regions
-    ]
+    return {(region, cat): docs[(region, cat)] for cat in kept for region in regions}
 
 
 def build_vocabulary(corpora: Iterable[RegionCorpus]) -> Vocabulary:

@@ -410,9 +410,9 @@ def load_model(path: str | Path) -> EmbeddingModel:
 
     The file is read with read_lines as an artifact. Bad content, a byte
     that is not UTF-8 and a file cut short each raise IngestError naming
-    ``path``. The header must name variant MODEL_VARIANT. Every row must be
-    a region (``r``) row, each region given once; ``word_vectors`` comes
-    back empty.
+    ``path``. Each tab-separated key=value field of the header must be given
+    once, and variant must be MODEL_VARIANT. Every row must be a region
+    (``r``) row, each region given once; ``word_vectors`` comes back empty.
     """
     region_vectors: dict[str, np.ndarray] = {}
     lines = read_lines(path, artifact=True)
@@ -420,10 +420,12 @@ def load_model(path: str | Path) -> EmbeddingModel:
     if not first:
         raise IngestError(f"empty model file {path}")
     header: dict[str, str] = {}
-    for part in first.split("\t"):
-        key, _, value = part.partition("=")
-        header[key] = value
     try:
+        for part in first.split("\t"):  # as in a manifest, each field is a key=value given once
+            key, sep, value = part.partition("=")
+            if not sep or key in header:
+                raise ValueError(part)
+            header[key] = value
         config = EmbeddingConfig(dimension=int(header["dim"]), seed=int(header["seed"]))
         n_regions = int(header["regions"])
         if header["variant"] != MODEL_VARIANT:

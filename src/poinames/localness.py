@@ -17,35 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .corpus import RegionCorpus, TypedSubset
+from .corpus import RegionCorpus
 
 IDF_VARIANTS = ("pure", "plus-one")
-
-
-@dataclass
-class GeoTfidfTable:
-    """Per-region, per-term weights over the regions of a corpus.
-
-    weights holds an entry for every term that occurs in a region (weight
-    may be 0.0 under the pure variant); absent terms weigh zero.
-    """
-
-    weights: dict[str, dict[str, float]]
-    regions: tuple[str, ...]
-
-    def weight(self, region_id: str, term: str) -> float:
-        if region_id not in self.weights:
-            raise KeyError(f"region {region_id!r} not in table")
-        return self.weights[region_id].get(term, 0.0)
-
-
-@dataclass(frozen=True)
-class LocalTermSet:
-    """Top local terms of one region, heaviest first."""
-
-    region_id: str
-    terms: tuple[str, ...]
-    weights: tuple[float, ...]
 
 
 @dataclass
@@ -67,19 +41,21 @@ class UsageMatrix:
 
 def geo_tfidf(
     corpora: Mapping[str, RegionCorpus], variant: str = "pure"
-) -> GeoTfidfTable:
+) -> dict[str, dict[str, float]]:
     """Weight each (region, term) pair by tf times the region-level IDF.
 
-    tf is the raw token count within the region's documents; for local-term
-    extraction the corpora should have been built with dedup=True so chain
-    businesses do not inflate tf.
+    Returns region -> term -> weight, regions in sorted order, with an entry
+    for every term that occurs in the region (0.0 under the pure variant for
+    a term in every region). tf is the raw token count within the region's
+    documents; for local-term extraction the corpora should have been built
+    with dedup=True so chain businesses do not inflate tf.
     """
     if variant not in IDF_VARIANTS:
         raise ValueError(f"unknown IDF variant {variant!r}; expected one of {IDF_VARIANTS}")
     if len(corpora) < 2:
         raise ValueError("geo-tfidf needs at least 2 regions")
 
-    regions = tuple(sorted(corpora))
+    regions = sorted(corpora)
     doc_freq: Counter[str] = Counter()
     for region in regions:
         doc_freq.update(corpora[region].counts.keys())
@@ -94,44 +70,44 @@ def geo_tfidf(
                 idf += 1.0
             row[term] = count * idf
         weights[region] = row
+    return weights
 
-    return GeoTfidfTable(weights=weights, regions=regions)
 
+def top_local_terms(
+    table: Mapping[str, Mapping[str, float]], k: int
+) -> dict[str, list[tuple[str, float]]]:
+    """Per region in sorted order, its k heaviest (term, weight) pairs, heaviest first.
 
-def top_local_terms(table: GeoTfidfTable, k: int) -> dict[str, LocalTermSet]:
-    """Per region, the k heaviest terms; zero-weight terms never qualify."""
+    Equal weights go in term order; zero-weight terms never qualify.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    out: dict[str, LocalTermSet] = {}
-    for region in table.regions:
-        scored = sorted(
-            ((w, t) for t, w in table.weights[region].items() if w > 0.0),
-            key=lambda pair: (-pair[0], pair[1]),
-        )[:k]
-        out[region] = LocalTermSet(
-            region_id=region,
-            terms=tuple(t for _, t in scored),
-            weights=tuple(w for w, _ in scored),
-        )
-    return out
+    return {
+        region: sorted(((t, w) for t, w in table[region].items() if w > 0.0),
+                       key=lambda pair: (-pair[1], pair[0]))[:k]
+        for region in sorted(table)
+    }
 
 
 def usage_percentages(
-    subsets: Sequence[TypedSubset], local_terms: Mapping[str, LocalTermSet]
+    subsets: Mapping[tuple[str, str], Sequence[tuple[str, ...]]],
+    local_terms: Mapping[str, Sequence[tuple[str, float]]],
 ) -> UsageMatrix:
     """Count the names per (region, category) containing any local term.
 
-    Containment is exact token membership, not substring match. Every
-    (region, category) cell must have a subset with at least one name.
+    ``subsets`` maps (region, category) to its documents, as typed_subsets
+    returns them, and ``local_terms`` maps a region to its (term, weight)
+    pairs. Containment is exact token membership, not substring match.
+    Every (region, category) cell must have at least one name.
     """
-    term_sets = {region: frozenset(ts.terms) for region, ts in local_terms.items()}
+    term_sets = {region: frozenset(t for t, _ in pairs) for region, pairs in local_terms.items()}
     cells: dict[tuple[str, str], tuple[int, int]] = {}
-    for subset in subsets:
-        if subset.region_id not in term_sets:
-            raise ValueError(f"no local terms supplied for region {subset.region_id!r}")
-        terms = term_sets[subset.region_id]
-        hits = sum(1 for doc in subset.documents if any(t in terms for t in doc))
-        cells[(subset.region_id, subset.category)] = (hits, len(subset.documents))
+    for (region, category), documents in subsets.items():
+        if region not in term_sets:
+            raise ValueError(f"no local terms supplied for region {region!r}")
+        terms = term_sets[region]
+        hits = sum(1 for doc in documents if any(t in terms for t in doc))
+        cells[(region, category)] = (hits, len(documents))
     regions = sorted({region for region, _ in cells})
     categories = sorted({category for _, category in cells})
     for r in regions:

@@ -8,7 +8,6 @@ from typing import Mapping, Sequence
 
 from ._numpy import np
 from .corpus import RegionCorpus, Vocabulary
-from .localness import GeoTfidfTable
 
 log = logging.getLogger(__name__)
 
@@ -56,12 +55,12 @@ def count_vector(corpus: RegionCorpus, vocab: Vocabulary) -> RegionVector:
 
 
 def tfidf_vector(
-    corpus: RegionCorpus, vocab: Vocabulary, table: GeoTfidfTable
+    corpus: RegionCorpus, vocab: Vocabulary, table: Mapping[str, Mapping[str, float]]
 ) -> RegionVector:
-    """Fill vocabulary slots with the region's TF-IDF weights."""
-    if corpus.region_id not in table.weights:
+    """Fill vocabulary slots with the region's weights from a geo_tfidf table."""
+    if corpus.region_id not in table:
         raise ValueError(f"region {corpus.region_id!r} not covered by the TF-IDF table")
-    return _fill(corpus.region_id, vocab, table.weights[corpus.region_id])
+    return _fill(corpus.region_id, vocab, table[corpus.region_id])
 
 
 def similarity_matrix(vectors: Sequence[RegionVector]) -> RegionMatrix:

@@ -4,17 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 from math import log
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import RegionCorpus
 from .errors import EmptyCorpusError
 from .linfit import LineFit, line_fit
-
-
-class RankedTerm(NamedTuple):
-    term: str
-    frequency: float
-    rank: int
 
 
 def term_frequencies(corpora: Iterable[RegionCorpus]) -> dict[str, int]:
@@ -29,20 +23,17 @@ def term_frequencies(corpora: Iterable[RegionCorpus]) -> dict[str, int]:
     return dict(counts)
 
 
-def rank_terms(counts: Mapping[str, int]) -> tuple[RankedTerm, ...]:
-    """Terms by descending count, ranks 1..n; ties break lexicographically."""
+def rank_terms(counts: Mapping[str, int]) -> list[tuple[str, int]]:
+    """(term, count) pairs by descending count, ties in term order; rank i is at index i - 1."""
     if not counts:
         raise EmptyCorpusError("empty frequency table")
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return tuple(
-        RankedTerm(term=t, frequency=f, rank=i) for i, (t, f) in enumerate(ordered, start=1)
-    )
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
-def fit_zipf(ranked: Sequence[RankedTerm]) -> LineFit:
-    """OLS of ln(frequency) on ln(rank) over the ranked terms."""
+def fit_zipf(ranked: Sequence[tuple[str, float]]) -> LineFit:
+    """OLS of ln(frequency) on ln(rank) over ranked (term, frequency) pairs, rank 1 first."""
     if len(ranked) < 2:
         raise ValueError("degenerate regression: need at least 2 ranked terms")
-    ln_r = [log(entry.rank) for entry in ranked]
-    ln_f = [log(entry.frequency) for entry in ranked]
+    ln_r = [log(rank) for rank in range(1, len(ranked) + 1)]
+    ln_f = [log(frequency) for _, frequency in ranked]
     return line_fit(ln_r, ln_f)

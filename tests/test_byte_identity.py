@@ -9,25 +9,25 @@ These stages execute no numpy. The C10 fixture is ASCII, so its digests
 hold on every supported Python; the text-12k names are tokenized with the
 Unicode data of the running Python.
 
-Numpy stages (similarity and decay, --method count and tfidf), compared
-with tests/data/numpy_stage_reference.json:
+Numpy stages (embed, and similarity and decay with --method count, tfidf
+and embedding), compared with tests/data/numpy_stage_reference.json:
 
 - centroids.tsv, distances.tsv and the stdout of similarity hold no value
   that numpy computes (centroids and Vincenty distances use only Python's
   math), so they are pinned by sha256.
-- similarity_<method>.tsv, decay_observations_<method>.tsv,
-  decay_results_<method>.txt and the stdout of decay must have the
-  committed labels, keys and row order exactly. Numbers agree to a
-  relative tolerance of REL_TOL (ABS_TOL near 0), because numpy's
-  reductions and BLAS kernels may round differently on another numpy
-  version or CPU.
+- model.txt, embed_summary.txt, similarity_<method>.tsv,
+  decay_observations_<method>.tsv, decay_results_<method>.txt and the
+  stdout of embed and decay must have the committed header line, labels,
+  keys and row order exactly. Numbers, each model value and each epoch
+  loss among them, agree to a relative tolerance of REL_TOL (ABS_TOL near
+  0), because numpy's reductions and BLAS kernels may round differently on
+  another numpy version or CPU.
 - The p-values are draws of numpy's permutation stream, so they are only
   checked to lie in (0, 1].
 
-Embedding is left out: its values depend on training numerics.
-
 A change that alters one of these files on purpose rewrites both reference
-files by running this module, and names each changed file:
+files by running this module, which first prints each key it adds, removes
+or changes in either file; name each changed file:
 
     PYTHONPATH=src python tests/test_byte_identity.py
 """
@@ -56,14 +56,15 @@ DIGESTS = DATA / "text_stage_digests.json"
 NUMPY_REFERENCE = DATA / "numpy_stage_reference.json"
 TEXT_STAGES = [stage for stage in STAGES
                if stage[0] in ("zipf", "local-terms", "type-usage", "vectors")]
-NUMPY_STAGES = [stage for stage in STAGES
-                if stage[0] in ("similarity", "decay") and stage[2] != "embedding"]
+NUMPY_STAGES = [stage for stage in STAGES if stage[0] in ("embed", "similarity", "decay")]
 PINNED = ("centroids.tsv", "distances.tsv", "stdout of similarity")
+COMPARED = ("model.txt", "embed_summary.txt", "similarity_", "decay_", "stdout of embed",
+            "stdout of decay")
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 # cells and values compared as text: labels, counts and names
-EXACT_FIELDS = {"header", "region", "region_a", "region_b", "method", "n", "p_method",
-                "permutations", "seed"}
+EXACT_FIELDS = {"header", "kind", "region", "region_a", "region_b", "method", "n", "p_method",
+                "permutations", "seed", "dim", "negatives", "epochs", "pairs"}
 
 
 def _sha256(data: bytes) -> str:
@@ -129,19 +130,28 @@ def numpy_stage_reference(tmp: Path) -> dict[str, dict[str, str]]:
         "sha256": {name: _sha256(data) for name, data in outputs.items()
                    if name.startswith(PINNED)},
         "values": {name: data.decode("utf-8") for name, data in outputs.items()
-                   if name.startswith(("similarity_", "decay_", "stdout of decay"))},
+                   if name.startswith(COMPARED)},
     }
 
 
 def fields(text: str) -> list[tuple[str, str]]:
-    """(field, value) for each value of a table or key=value file, in file order.
+    """(field, value) for each value of a table, key=value file or model, in file order.
 
-    A table cell's field is its column's header, and the header line is one
-    value of field "header".
+    A key=value line gives one value per comma-separated item. A table
+    cell's field is its column's header, and the header line is one value
+    of field "header". A model's key=value header line is one value of field
+    "header", and each row gives its kind, its region and its values.
     """
     lines = text.splitlines()
     if "\t" not in lines[0]:
-        return [tuple(line.split("=", 1)) for line in lines]
+        return [(key, item) for key, value in (line.split("=", 1) for line in lines)
+                for item in value.split(",")]
+    if "=" in lines[0]:
+        cells = [("header", lines[0])]
+        for line in lines[1:]:
+            kind, region, values = line.split("\t")
+            cells += [("kind", kind), ("region", region)] + [("value", v) for v in values.split()]
+        return cells
     header = lines[0].split("\t")
     cells = [("header", lines[0])]
     for line in lines[1:]:
@@ -177,12 +187,45 @@ def test_numpy_stages_give_the_committed_digests_and_values(tmp_path):
                 if not agrees(field, g, w)] == [], name
 
 
+def flatten(tree: dict, prefix: str = "") -> dict[str, str]:
+    """The leaves of nested dicts, keyed by their path joined with "/"."""
+    leaves = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            leaves.update(flatten(value, f"{prefix}{key}/"))
+        else:
+            leaves[prefix + key] = value
+    return leaves
+
+
+def report_changes(path: Path, found: dict) -> None:
+    """Print one line for each key that ``found`` adds to, removes from or changes in ``path``."""
+    old = flatten(json.loads(path.read_text(encoding="utf-8"))) if path.is_file() else {}
+    new = flatten(found)
+    for key in sorted(old.keys() | new.keys()):
+        change = ("added" if key not in old else "removed" if key not in new
+                  else "changed" if old[key] != new[key] else None)
+        if change:
+            print(f"{path.name}: {change} {key}")
+
+
+def test_report_changes_names_each_added_removed_and_changed_key(tmp_path, capsys):
+    path = tmp_path / "reference.json"
+    path.write_text(json.dumps({"sha256": {"a": "1", "b": "2"}, "values": {"c": "x"}}))
+    report_changes(path, {"sha256": {"a": "1", "b": "3"}, "values": {"d": "x"}})
+    assert capsys.readouterr().out.splitlines() == [
+        "reference.json: changed sha256/b",
+        "reference.json: removed values/c",
+        "reference.json: added values/d",
+    ]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as text, tempfile.TemporaryDirectory() as numpy_:
         digests = text_stage_digests(Path(text))
         reference = numpy_stage_reference(Path(numpy_))
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    NUMPY_REFERENCE.write_text(json.dumps(reference, indent=1, sort_keys=True) + "\n",
-                               encoding="utf-8")
+    for path, found in ((DIGESTS, digests), (NUMPY_REFERENCE, reference)):
+        report_changes(path, found)
+        path.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {DIGESTS} and the {len(reference['sha256'])} digests "
           f"and {len(reference['values'])} files of {NUMPY_REFERENCE}", file=sys.stderr)

@@ -470,24 +470,24 @@ class TestTypedSubsets:
     def test_category_in_all_regions_included(self):
         records = self._records({("a", "Food"): 3, ("b", "Food"): 3})
         subsets = typed_subsets(records, min_count=3, required_regions={"a", "b"})
-        assert {(s.region_id, s.category) for s in subsets} == {("a", "Food"), ("b", "Food")}
+        assert set(subsets) == {("a", "Food"), ("b", "Food")}
 
     def test_category_missing_in_one_region_excluded(self):
         records = self._records({("a", "Food"): 3, ("b", "Food"): 3, ("a", "Spa"): 5})
         subsets = typed_subsets(records, min_count=3, required_regions={"a", "b"})
-        assert all(s.category == "Food" for s in subsets)
+        assert all(category == "Food" for _, category in subsets)
 
     def test_threshold_edge(self, caplog):
         records = self._records({("a", "Food"): 99, ("b", "Food"): 120})
-        assert typed_subsets(records, min_count=100, required_regions={"a", "b"}) == []
+        assert typed_subsets(records, min_count=100, required_regions={"a", "b"}) == {}
         # the caller reports the failure, so nothing is logged here
         assert caplog.records == []
 
     def test_multi_category_poi_lands_in_both_subsets(self):
         records = [rec(f"Joe {i}", categories={"Food", "Nightlife"}) for i in range(2)]
         subsets = typed_subsets(records, min_count=2, required_regions={"a"})
-        assert {(s.region_id, s.category) for s in subsets} == {("a", "Food"), ("a", "Nightlife")}
-        assert all(len(s.documents) == 2 for s in subsets)
+        assert set(subsets) == {("a", "Food"), ("a", "Nightlife")}
+        assert all(len(documents) == 2 for documents in subsets.values())
 
     def test_min_count_validation(self):
         with pytest.raises(ValueError):
@@ -496,7 +496,7 @@ class TestTypedSubsets:
     def test_counts_use_raw_pois_by_default(self):
         records = [rec("Same Name", categories={"Food"}) for _ in range(4)]
         subsets = typed_subsets(records, min_count=4, required_regions={"a"})
-        assert len(subsets[0].documents) == 4
+        assert len(subsets[("a", "Food")]) == 4
 
     @given(
         st.lists(st.tuples(st.sampled_from("abc"), st.frozensets(st.sampled_from("FSN"))),
@@ -521,7 +521,8 @@ class TestTypedSubsets:
             for region in regions
         ]
         subsets = typed_subsets(records, required_regions=required, min_count=min_count)
-        assert [(s.region_id, s.category, s.documents) for s in subsets] == expected
+        assert [(region, category, documents)
+                for (region, category), documents in subsets.items()] == expected
 
 
 class TestVocabulary:

@@ -568,6 +568,17 @@ class TestModelPersistence:
         with pytest.raises(IngestError, match=f"^{re.escape(f'malformed model header in {path}: ')}"):
             load_model(path)
 
+    # as in a manifest, a key given again or a field without "=" is damage; each
+    # model would load if the header were read leniently (the last dim winning)
+    @pytest.mark.parametrize("text", ["dim=2\tregions=1\tseed=0\tvariant=sgns\tdim=3\nr\ta\t0 1 2\n",
+                                      "dim=2\tregions=1\tseed=0\tvariant=sgns\tjunk\nr\ta\t0 1\n"],
+                             ids=["key-given-twice", "field-without-equals"])
+    def test_damaged_header_field_is_a_malformed_header(self, tmp_path, text):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(IngestError, match=f"^{re.escape(f'malformed model header in {path}: ')}"):
+            load_model(path)
+
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("dim=2\tregions=5\tseed=0\tvariant=sgns\nr\ta\t0 0\n")

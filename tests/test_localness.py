@@ -4,9 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from poinames.corpus import TypedSubset, tokenize
+from poinames.corpus import tokenize
 from poinames.localness import (
-    LocalTermSet,
     UsageMatrix,
     geo_tfidf,
     jsd,
@@ -30,17 +29,22 @@ def seven_region_corpora():
 class TestGeoTfidf:
     def test_term_in_all_regions_has_zero_weight_pure(self):
         table = geo_tfidf(seven_region_corpora(), variant="pure")
-        for region in table.regions:
-            assert table.weight(region, "common") == 0.0
+        for region in table:
+            assert table[region]["common"] == 0.0
 
     def test_single_region_term(self):
         table = geo_tfidf(seven_region_corpora(), variant="pure")
-        assert table.weight("r0", "dune") == pytest.approx(5 * math.log(7), rel=1e-12)
+        assert table["r0"]["dune"] == pytest.approx(5 * math.log(7), rel=1e-12)
 
     def test_plus_one_keeps_ubiquitous_terms(self):
         corpora = corpora_from({f"r{i}": ["common common common"] for i in range(7)}, dedup=False)
         table = geo_tfidf(corpora, variant="plus-one")
-        assert table.weight("r0", "common") == pytest.approx(3.0, rel=1e-12)
+        assert table["r0"]["common"] == pytest.approx(3.0, rel=1e-12)
+
+    def test_regions_come_in_sorted_order(self):
+        corpora = corpora_from({"c": ["lake"], "a": ["dune"], "b": ["steel"]})
+        shuffled = {r: corpora[r] for r in ("c", "a", "b")}
+        assert list(geo_tfidf(shuffled)) == ["a", "b", "c"]
 
     def test_single_region_rejected(self):
         with pytest.raises(ValueError):
@@ -76,7 +80,7 @@ class TestGeoTfidf:
                     if variant == "plus-one":
                         idf += 1.0
                     expected = tf * idf
-                    got = table.weight(region, term)
+                    got = table[region][term]
                     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -84,20 +88,21 @@ class TestTopLocalTerms:
     def test_zero_weights_excluded_even_below_k(self):
         corpora = corpora_from({"a": ["common dune cactus"], "b": ["common lake"]})
         tops = top_local_terms(geo_tfidf(corpora), k=30)
-        assert set(tops["a"].terms) == {"dune", "cactus"}
-        assert len(tops["a"].terms) == 2
+        assert {t for t, _ in tops["a"]} == {"dune", "cactus"}
+        assert len(tops["a"]) == 2
 
     def test_tie_break_lexicographic(self):
         corpora = corpora_from({"a": ["bb aa aa bb cc"], "b": ["zz"]})
         # aa and bb tie at weight 2*ln2, cc at ln2
         tops = top_local_terms(geo_tfidf(corpora), k=2)
-        assert tops["a"].terms == ("aa", "bb")
+        assert [t for t, _ in tops["a"]] == ["aa", "bb"]
 
     def test_weights_non_increasing(self, records):
         from poinames.corpus import partition_by_region
         table = geo_tfidf(partition_by_region(records, dedup=True))
-        for ts in top_local_terms(table, k=10).values():
-            assert list(ts.weights) == sorted(ts.weights, reverse=True)
+        for pairs in top_local_terms(table, k=10).values():
+            weights = [w for _, w in pairs]
+            assert weights == sorted(weights, reverse=True)
 
     def test_top_k_stability(self, records):
         from poinames.corpus import partition_by_region
@@ -106,70 +111,91 @@ class TestTopLocalTerms:
             small = top_local_terms(table, k=k)
             bigger = top_local_terms(table, k=k + 1)
             for region in small:
-                assert bigger[region].terms[: len(small[region].terms)] == small[region].terms
+                assert bigger[region][: len(small[region])] == small[region]
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
             top_local_terms(geo_tfidf(corpora_from({"a": ["x"], "b": ["y"]})), k=0)
 
+    @given(
+        st.dictionaries(
+            st.sampled_from(["c", "a", "b"]),
+            # few terms and few weights, so that ties and zero weights are common
+            st.dictionaries(st.sampled_from(["x", "y", "z", "w", "v"]),
+                            st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0)),
+        ),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_matches_brute_force(self, table, k):
+        expected = {
+            region: sorted([(t, w) for t, w in row.items() if w > 0.0],
+                           key=lambda pair: (-pair[1], pair[0]))[:k]
+            for region, row in table.items()
+        }
+        assert list(top_local_terms(table, k=k).items()) == sorted(expected.items())
 
-def subset(region, category, names):
-    return TypedSubset(region_id=region, category=category,
-                       documents=[tokenize(n) for n in names])
+    def test_regions_come_in_sorted_order(self):
+        table = {"c": {"x": 1.0}, "a": {"y": 2.0}, "b": {}}
+        assert list(top_local_terms(table, k=3)) == ["a", "b", "c"]
 
 
-def terms(region, *ts):
-    return LocalTermSet(region_id=region, terms=tuple(ts), weights=tuple(float(len(ts) - i) for i in range(len(ts))))
+def docs(names):
+    return [tokenize(n) for n in names]
+
+
+def terms(*ts):
+    """Local (term, weight) pairs, heaviest first."""
+    return [(t, float(len(ts) - i)) for i, t in enumerate(ts)]
 
 
 class TestUsagePercentages:
     def test_direct_ratio(self):
         names = [f"dune hotel {i}" for i in range(30)] + [f"plain hotel {i}" for i in range(70)]
-        matrix = usage_percentages([subset("a", "Hotels", names)], {"a": terms("a", "dune")})
+        matrix = usage_percentages({("a", "Hotels"): docs(names)}, {"a": terms("dune")})
         assert (matrix.hits, matrix.totals) == ([[30]], [[100]])
         assert matrix.shares() == [[pytest.approx(0.30)]]
 
     def test_zero_usage(self):
-        matrix = usage_percentages([subset("a", "Food", ["plain pizza"])], {"a": terms("a", "dune")})
+        matrix = usage_percentages({("a", "Food"): docs(["plain pizza"])}, {"a": terms("dune")})
         assert matrix.shares() == [[0.0]]
 
     def test_containment_is_exact_token_match(self):
         # "spa" must not match inside "spaghetti"
         matrix = usage_percentages(
-            [subset("a", "Food", ["spaghetti house", "spa retreat"])],
-            {"a": terms("a", "spa")},
+            {("a", "Food"): docs(["spaghetti house", "spa retreat"])},
+            {"a": terms("spa")},
         )
         assert (matrix.hits, matrix.totals) == ([[1]], [[2]])
 
     def test_grid_rows_and_columns_sorted(self):
-        subsets = [
-            subset("b", "Spa", ["lake spa", "plain spa"]),
-            subset("a", "Spa", ["dune spa"]),
-            subset("b", "Food", ["lake pizza"]),
-            subset("a", "Food", ["plain pizza", "dune pizza", "dune grill"]),
-        ]
-        matrix = usage_percentages(subsets, {"a": terms("a", "dune"), "b": terms("b", "lake")})
+        subsets = {
+            ("b", "Spa"): docs(["lake spa", "plain spa"]),
+            ("a", "Spa"): docs(["dune spa"]),
+            ("b", "Food"): docs(["lake pizza"]),
+            ("a", "Food"): docs(["plain pizza", "dune pizza", "dune grill"]),
+        }
+        matrix = usage_percentages(subsets, {"a": terms("dune"), "b": terms("lake")})
         assert (matrix.regions, matrix.categories) == (("a", "b"), ("Food", "Spa"))
         assert matrix.hits == [[2, 1], [1, 1]]
         assert matrix.totals == [[3, 1], [1, 2]]
 
     def test_empty_subset_raises(self):
         with pytest.raises(ValueError, match="no names in region 'a', category 'Food'"):
-            usage_percentages([subset("a", "Food", [])], {"a": terms("a", "dune")})
+            usage_percentages({("a", "Food"): []}, {"a": terms("dune")})
 
     def test_missing_cell_raises(self):
-        subsets = [
-            subset("a", "Food", ["dune pizza", "plain pizza"]),
-            subset("a", "Spa", ["dune spa"]),
-            subset("b", "Food", ["lake pizza"]),
+        subsets = {
+            ("a", "Food"): docs(["dune pizza", "plain pizza"]),
+            ("a", "Spa"): docs(["dune spa"]),
+            ("b", "Food"): docs(["lake pizza"]),
             # region b has no Spa subset at all
-        ]
+        }
         with pytest.raises(ValueError, match="no names in region 'b', category 'Spa'"):
-            usage_percentages(subsets, {"a": terms("a", "dune"), "b": terms("b", "lake")})
+            usage_percentages(subsets, {"a": terms("dune"), "b": terms("lake")})
 
     def test_missing_region_terms(self):
         with pytest.raises(ValueError):
-            usage_percentages([subset("a", "Food", ["x"])], {"b": terms("b", "y")})
+            usage_percentages({("a", "Food"): docs(["x"])}, {"b": terms("y")})
 
 
 def one_row(hits, totals):
@@ -298,13 +324,13 @@ class TestMeanPairwiseJsd:
 
 class TestUsageDistributions:
     def test_rows_in_matrix_order_sum_to_one(self):
-        subsets = [
-            subset("b", "Food", ["lake pizza", "plain pizza"]),
-            subset("b", "Spa", ["lake spa"]),
-            subset("a", "Food", ["dune pizza"]),
-            subset("a", "Spa", ["dune spa", "plain spa", "plain sauna", "plain bath"]),
-        ]
-        matrix = usage_percentages(subsets, {"a": terms("a", "dune"), "b": terms("b", "lake")})
+        subsets = {
+            ("b", "Food"): docs(["lake pizza", "plain pizza"]),
+            ("b", "Spa"): docs(["lake spa"]),
+            ("a", "Food"): docs(["dune pizza"]),
+            ("a", "Spa"): docs(["dune spa", "plain spa", "plain sauna", "plain bath"]),
+        }
+        matrix = usage_percentages(subsets, {"a": terms("dune"), "b": terms("lake")})
         rows = usage_distributions(matrix.regions, matrix.shares())
         # a: shares (1, 1/4) -> (4/5, 1/5); b: shares (1/2, 1) -> (1/3, 2/3)
         assert rows == [pytest.approx([0.8, 0.2]), pytest.approx([1 / 3, 2 / 3])]
@@ -312,7 +338,7 @@ class TestUsageDistributions:
             assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_region_without_local_term_use_is_a_zero_vector(self):
-        subsets = [subset("a", "Food", ["dune pizza"]), subset("b", "Food", ["plain pizza"])]
-        matrix = usage_percentages(subsets, {"a": terms("a", "dune"), "b": terms("b", "lake")})
+        subsets = {("a", "Food"): docs(["dune pizza"]), ("b", "Food"): docs(["plain pizza"])}
+        matrix = usage_percentages(subsets, {"a": terms("dune"), "b": terms("lake")})
         with pytest.raises(ValueError, match="zero vector: region 'b'"):
             usage_distributions(matrix.regions, matrix.shares())

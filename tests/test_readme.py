@@ -35,7 +35,7 @@ def test_library_example_runs(tmp_path):
 
     assert len(scope["records"]) == 9
     assert sorted(scope["tops"]) == sorted(scope["raw"]) == ["charlotte", "las vegas", "phoenix"]
-    assert "desert" in scope["tops"]["phoenix"].terms
+    assert "desert" in [term for term, _ in scope["tops"]["phoenix"]]
     assert scope["sim"].values.shape == (3, 3)
     assert list(scope["pairs"].names()) == [("charlotte", "las vegas"), ("charlotte", "phoenix"),
                                             ("las vegas", "phoenix")]
