@@ -1,7 +1,9 @@
 """Correlation of collective similarity with distance, and the decay fit.
 
-With only a handful of region pairs, p-values come from a seeded
-permutation test rather than from a distributional approximation.
+With only a handful of region pairs, p-values come from a permutation test
+rather than from a distributional approximation. Region pairs that share a
+region are not independent, so the test permutes region labels (a Mantel
+test), and at few regions it tests every permutation.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from .linfit import LineFit, line_fit
 from .regionvec import RegionMatrix
 
 DEFAULT_PERMUTATIONS = 100_000
-# Permutation blocks hold at most PERMUTATION_BLOCK rows and PERMUTATION_CELLS
-# values, so memory is bounded in both the permutation count and the pair count.
+# Permutation blocks hold at most PERMUTATION_BLOCK cells per observation and
+# PERMUTATION_CELLS cells in all, so memory is bounded in both the permutation
+# count and the pair count.
 PERMUTATION_BLOCK = 1024
 PERMUTATION_CELLS = 1024 * 1225
 
@@ -60,8 +63,13 @@ def _refuse(pairs: RegionPairs, bad: np.ndarray, fault: str) -> None:
 
 @dataclass(frozen=True)
 class CorrelationResult:
+    """A coefficient and its p-value over ``permutations`` permutations,
+    which are every permutation of the labels when ``exact``."""
+
     coefficient: float
     p_value: float
+    permutations: int
+    exact: bool
 
 
 def pair_observations(sim: RegionMatrix, dist: RegionMatrix) -> RegionPairs:
@@ -78,29 +86,101 @@ def pair_observations(sim: RegionMatrix, dist: RegionMatrix) -> RegionPairs:
     return RegionPairs(tuple(regions), first, second, upper_triangle(sim), upper_triangle(dist))
 
 
-def _permutation_p(
-    xc: np.ndarray, yc: np.ndarray, denom: float, r_obs: float, permutations: int, seed: int
-) -> float:
-    """Two-sided permutation p-value for the correlation of centred x and y.
+def _pair_table(values: np.ndarray, pair_index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The symmetric R x R matrix, flattened, with values[k] at (first[k], second[k]).
 
-    Permutes yc; p = (1 + #{|r_perm| >= |r_obs|}) / (1 + permutations), so
-    the result is always in (0, 1].
+    Raises ValueError unless the pairs are every pair of R regions, once each.
     """
+    first, second = (np.asarray(index) for index in pair_index)
+    regions = (1 + math.isqrt(1 + 8 * values.size)) // 2  # R(R - 1)/2 <= n
+    valid = (first.shape == second.shape == values.shape
+             and first.dtype.kind in "iu" and second.dtype.kind in "iu"
+             and min(first.min(), second.min()) >= 0
+             and max(first.max(), second.max()) < regions)
+    if valid:
+        # n distinct pairs of two regions mark 2n cells; a repeated pair, or a
+        # region paired with itself, marks fewer
+        marks = np.zeros((regions, regions), dtype=bool)
+        marks[first, second] = marks[second, first] = True
+        valid = int(np.count_nonzero(marks)) == 2 * values.size
+    if not valid:
+        raise ValueError("pair_index must hold every pair of R regions once")
+    table = np.zeros((regions, regions))
+    table[first, second] = table[second, first] = values
+    return table.ravel()
+
+
+def _permutation_p(
+    xc: np.ndarray,
+    values: np.ndarray,
+    denom: float,
+    r_obs: float,
+    permutations: int,
+    seed: int,
+    pair_index: tuple[np.ndarray, np.ndarray] | None,
+) -> CorrelationResult:
+    """Two-sided permutation test of the correlation of centred x and y.
+
+    Without ``pair_index``, ``values`` is centred y, and a permutation p of
+    its m = n labels gives observation k the value p[k]. With it, ``values``
+    is ``_pair_table`` of centred y, and a permutation p of the m = R region
+    labels gives observation k the value at (p[first[k]], p[second[k]]): the
+    Mantel test.
+
+    When m! is at most ``permutations``, every permutation is tested and
+    p = hits / m!, exactly. Otherwise ``permutations`` are drawn and
+    p = (1 + hits) / (1 + permutations). The identity permutation is a hit
+    either way, so p is in (0, 1].
+    """
+    n = xc.size
+    m = n if pair_index is None else math.isqrt(values.size)
+    count = 1
+    for k in range(2, m + 1):
+        count *= k
+        if count > permutations:
+            break
+    exact = count <= permutations
+    if not exact:
+        count = permutations
     rng = np.random.default_rng(seed)
+    enumeration = itertools.permutations(range(m)) if exact else None
     # tiny slack so the identity permutation is never lost to rounding
     threshold = abs(r_obs) - 1e-12
     hits = 0
-    # Rows are shuffled in order from one generator, so blocks draw exactly
-    # the permutations one whole matrix would. Every block reuses one buffer.
-    block = max(1, min(PERMUTATION_BLOCK, PERMUTATION_CELLS // xc.size, permutations))
-    buf = np.empty((block, xc.size))
-    for start in range(0, permutations, block):
-        perms = buf[: min(block, permutations - start)]
-        perms[...] = yc
-        rng.permuted(perms, axis=1, out=perms)
-        r_perm = (perms @ xc) / denom
+    # A block row holds one permutation's labels, the index of each
+    # observation's value and the gathered values; without pair_index the
+    # labels are the index. Every block reuses these buffers, and the
+    # gathered values first hold the second half of the index. Random rows
+    # are shuffled in order from one generator, so blocks draw exactly the
+    # permutations one whole matrix would.
+    cells = m + n + (0 if pair_index is None else n)
+    budget = min(PERMUTATION_BLOCK * n, PERMUTATION_CELLS)
+    rows = max(1, min(budget // cells, count))
+    label_buf = np.empty((rows, m), dtype=np.intp)
+    index_buf = label_buf if pair_index is None else np.empty((rows, n), dtype=np.intp)
+    value_buf = np.empty((rows, n))
+    identity = np.arange(m)
+    for start in range(0, count, rows):
+        size = min(rows, count - start)
+        perms, index, gathered = label_buf[:size], index_buf[:size], value_buf[:size]
+        if exact:
+            perms[...] = list(itertools.islice(enumeration, size))
+        else:
+            perms[...] = identity
+            rng.permuted(perms, axis=1, out=perms)
+        # mode="clip" spares the copy of ``out`` that the default mode makes;
+        # every index is in range
+        if pair_index is not None:
+            second = gathered.view(np.intp)
+            np.take(perms, pair_index[1], axis=1, out=second, mode="clip")
+            perms *= m
+            np.take(perms, pair_index[0], axis=1, out=index, mode="clip")
+            index += second
+        np.take(values, index, out=gathered, mode="clip")
+        r_perm = (gathered @ xc) / denom
         hits += int(np.count_nonzero(np.abs(r_perm) >= threshold))
-    return (1 + hits) / (1 + permutations)
+    p_value = hits / count if exact else (1 + hits) / (1 + count)
+    return CorrelationResult(r_obs, p_value, count, exact)
 
 
 def pearson(
@@ -108,8 +188,20 @@ def pearson(
     y: Sequence[float],
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
+    *,
+    pair_index: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CorrelationResult:
-    """Sample Pearson correlation with a two-sided permutation p-value."""
+    """Sample Pearson correlation with a two-sided permutation p-value.
+
+    Without ``pair_index`` the observations are exchangeable and the test
+    permutes y. ``pair_index = (first, second)`` says that observation k
+    belongs to the region pair (first[k], second[k]), as ``RegionPairs``
+    holds them; the pairs must be every pair of R regions once. The test
+    then permutes the R region labels of y, since pairs that share a region
+    are not independent (Mantel 1967). When the labels have at most
+    ``permutations`` permutations, the test takes each one once and its
+    p-value is exact.
+    """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape:
@@ -127,7 +219,8 @@ def pearson(
         raise ValueError("degenerate correlation: zero variance")
     denom = math.sqrt(sxx * syy)
     r = min(max(float(np.sum(xc * yc)) / denom, -1.0), 1.0)
-    return CorrelationResult(r, _permutation_p(xc, yc, denom, r, permutations, seed))
+    values = yc if pair_index is None else _pair_table(yc, pair_index)
+    return _permutation_p(xc, values, denom, r, permutations, seed, pair_index)
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -149,9 +242,16 @@ def spearman(
     y: Sequence[float],
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
+    *,
+    pair_index: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CorrelationResult:
-    """Spearman rank correlation: pearson on average ranks, with the same draws."""
-    return pearson(_average_ranks(x), _average_ranks(y), permutations, seed)
+    """Spearman rank correlation: pearson on average ranks, with the same draws.
+
+    The ranks of permuted values are the permuted ranks, so the permutations
+    reorder the ranks of y.
+    """
+    return pearson(_average_ranks(x), _average_ranks(y), permutations, seed,
+                   pair_index=pair_index)
 
 
 def fit_distance_decay(pairs: RegionPairs) -> LineFit:

@@ -507,13 +507,25 @@ def cmd_decay(args: argparse.Namespace) -> int:
     pairs = pair_observations(sim, dist)
 
     similarities, distances = pairs.similarity.tolist(), pairs.distance_m.tolist()
-    pearson_res = pearson(distances, similarities, permutations=args.permutations, seed=args.seed)
-    spearman_res = spearman(distances, similarities, permutations=args.permutations, seed=args.seed)
-    fit = fit_distance_decay(pairs)
+    structure = (pairs.first, pairs.second)
+    pearson_res = pearson(distances, similarities, permutations=args.permutations,
+                          seed=args.seed, pair_index=structure)
+    spearman_res = spearman(distances, similarities, permutations=args.permutations,
+                            seed=args.seed, pair_index=structure)
+    # the fit takes ln(similarity) of every pair
+    non_positive = int(np.count_nonzero(pairs.similarity <= 0.0))
+    if non_positive:
+        fit_lines = [f"fit=undefined: {non_positive} of {len(pairs)} region pairs have a "
+                     "similarity of 0 or below"]
+    else:
+        fit = fit_distance_decay(pairs)
+        fit_lines = [f"fit_A={_fmt(fit.intercept)}", f"fit_beta={_fmt(fit.slope)}",
+                     f"fit_r2={_fmt(fit.r_squared)}"]
 
-    # the fit has refused a similarity of 0 or below, so every ln(similarity) exists
     obs_lines = ["region_a\tregion_b\tsimilarity\tdistance_m\tln_s\tln_d"]
-    obs_lines.extend(f"{a}\t{b}\t{s!r}\t{d!r}\t{math.log(s)!r}\t{math.log(d)!r}"
+    # a similarity of 0 or below has no logarithm: its ln_s cell is empty
+    obs_lines.extend("\t".join((a, b, repr(s), repr(d), repr(math.log(s)) if s > 0.0 else "",
+                                repr(math.log(d))))
                      for (a, b), s, d in zip(pairs.names(), similarities, distances))
     result_lines = [
         f"method={args.method}",
@@ -522,12 +534,10 @@ def cmd_decay(args: argparse.Namespace) -> int:
         f"pearson_p={_fmt(pearson_res.p_value)}",
         f"spearman={_fmt(spearman_res.coefficient)}",
         f"spearman_p={_fmt(spearman_res.p_value)}",
-        "p_method=permutation",
-        f"permutations={args.permutations}",
+        f"p_method={'exact' if pearson_res.exact else 'permutation'}",
+        f"permutations={pearson_res.permutations}",
         f"seed={args.seed}",
-        f"fit_A={_fmt(fit.intercept)}",
-        f"fit_beta={_fmt(fit.slope)}",
-        f"fit_r2={_fmt(fit.r_squared)}",
+        *fit_lines,
     ]
     _write_stage(args, f"decay_{args.method}", read, {
         f"decay_observations_{args.method}.tsv": obs_lines,

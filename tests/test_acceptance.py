@@ -260,8 +260,9 @@ def test_c08_distance_decay_on_dataset(yelp_records):
         assert len(count_obs) == 21
         x = count_obs.distance_m.tolist()
         y = count_obs.similarity.tolist()
-        count_pearson = pearson(x, y, seed=8)
-        count_spearman = spearman(x, y, seed=8)
+        count_structure = (count_obs.first, count_obs.second)
+        count_pearson = pearson(x, y, seed=8, pair_index=count_structure)
+        count_spearman = spearman(x, y, seed=8, pair_index=count_structure)
         count_fit = fit_distance_decay(count_obs)
         assert count_pearson.coefficient == pytest.approx(-0.612, abs=0.05)
         assert count_spearman.coefficient == pytest.approx(-0.626, abs=0.05)
@@ -279,8 +280,9 @@ def test_c08_distance_decay_on_dataset(yelp_records):
         embed_obs = pair_observations(embed_sim, dist)
         ex = embed_obs.distance_m.tolist()
         ey = embed_obs.similarity.tolist()
-        embed_pearson = pearson(ex, ey, seed=8)
-        embed_spearman = spearman(ex, ey, seed=8)
+        embed_structure = (embed_obs.first, embed_obs.second)
+        embed_pearson = pearson(ex, ey, seed=8, pair_index=embed_structure)
+        embed_spearman = spearman(ex, ey, seed=8, pair_index=embed_structure)
         embed_fit = fit_distance_decay(embed_obs)
         assert embed_pearson.coefficient == pytest.approx(-0.963, abs=0.05)
         assert embed_spearman.coefficient == pytest.approx(-0.917, abs=0.07)

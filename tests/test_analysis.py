@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -164,6 +165,16 @@ class TestPearson:
             assert 0 < hits < permutations
             assert result.p_value == (1 + hits) / (1 + permutations)
 
+    def test_few_observations_test_every_order_once(self):
+        rng = np.random.default_rng(47)
+        x, y = rng.normal(size=5), rng.normal(size=5)
+        observed = abs(np.corrcoef(x, y)[0, 1]) - 1e-12
+        orders = list(itertools.permutations(range(5)))
+        hits = sum(abs(np.corrcoef(x, y[list(order)])[0, 1]) >= observed for order in orders)
+        result = pearson(x, y, permutations=1000, seed=3)
+        assert (result.p_value, result.permutations, result.exact) == (hits / 120, 120, True)
+        assert not pearson(x, y, permutations=119, seed=3).exact
+
     def test_permutation_memory_is_one_block(self):
         # 1,225 pairs (50 regions) fill one block of PERMUTATION_BLOCK rows
         rng = np.random.default_rng(46)
@@ -196,6 +207,124 @@ class TestPearson:
     def test_unequal_lengths_rejected(self, correlate):
         with pytest.raises(ValueError, match="x and y must have equal length"):
             correlate([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+
+
+def region_effect_null(regions, trial):
+    """Distance and similarity per region pair, unrelated but for shared regions.
+
+    Regions sit at Cauchy-distributed points, so a few are remote from all
+    others, and each region adds its own effect to the similarity of every
+    pair it is in. Pairs that share a region are thus correlated in both.
+    """
+    rng = np.random.default_rng(trial)
+    first, second = np.triu_indices(regions, 1)
+    points = rng.standard_cauchy(size=(regions, 2))
+    distance = np.hypot(*(points[first] - points[second]).T)
+    effect = rng.normal(size=regions)
+    similarity = effect[first] + effect[second] + 0.5 * rng.normal(size=first.size)
+    return distance, similarity, (first, second)
+
+
+def brute_force_p(x, y, pair_index, correlate):
+    """The exact two-sided p-value over every permutation of the region labels."""
+    first, second = pair_index
+    regions = int(second.max()) + 1
+    table = np.zeros((regions, regions))
+    table[first, second] = table[second, first] = y
+    observed = abs(correlate(x, y)) - 1e-12
+    perms = list(itertools.permutations(range(regions)))
+    hits = sum(abs(correlate(x, table[np.array(p)[first], np.array(p)[second]])) >= observed
+               for p in perms)
+    return hits / len(perms)
+
+
+class TestMantel:
+    """pearson and spearman with pair_index permute region labels."""
+
+    def test_calibrated_on_the_region_effect_null(self):
+        # Measured on this null at 10 regions, 499 permutations and alpha
+        # 0.05: the label test rejected 95 of 2,000 trials (0.048) and the
+        # pair-level test 714 (0.36). The bound, 20 of 200, is the 0.999
+        # quantile of Binomial(200, 0.05).
+        trials, bound = 200, 20
+        rejected = {"pearson": 0, "spearman": 0, "pair-level": 0}
+        for trial in range(trials):
+            x, y, pair_index = region_effect_null(10, trial)
+            for name, correlate in (("pearson", pearson), ("spearman", spearman)):
+                p = correlate(x, y, 499, trial, pair_index=pair_index).p_value
+                rejected[name] += p <= 0.05
+            rejected["pair-level"] += pearson(x, y, 499, trial).p_value <= 0.05
+        assert rejected["pearson"] <= bound and rejected["spearman"] <= bound, rejected
+        assert rejected["pair-level"] > bound, rejected
+
+    @pytest.mark.parametrize("regions", [4, 5])
+    @pytest.mark.parametrize("correlate,statistic", [
+        (pearson, lambda x, y: np.corrcoef(x, y)[0, 1]),
+        (spearman, lambda x, y: stats.spearmanr(x, y).statistic),
+    ], ids=["pearson", "spearman"])
+    def test_exact_p_equals_brute_force_enumeration(self, regions, correlate, statistic):
+        x, y, pair_index = region_effect_null(regions, regions)
+        count = math.factorial(regions)
+        result = correlate(x, y, count, 0, pair_index=pair_index)
+        assert (result.exact, result.permutations) == (True, count)
+        assert result.p_value == brute_force_p(x, y, pair_index, statistic)
+        # one permutation fewer than there are, and they are drawn at random
+        drawn = correlate(x, y, count - 1, 0, pair_index=pair_index)
+        assert (drawn.exact, drawn.permutations) == (False, count - 1)
+
+    @pytest.mark.parametrize("regions,permutations", [(10, 2 * 1024 + 357), (6, 720)],
+                             ids=["drawn", "exact"])
+    def test_blocks_of_1024_7_and_1_rows_give_one_p_value(self, monkeypatch, regions,
+                                                          permutations):
+        x, y, pair_index = region_effect_null(regions, 3)
+        first, second = pair_index
+        if permutations < math.factorial(regions):
+            # reference: every label permutation drawn at once as one matrix
+            whole = np.random.default_rng(9).permuted(
+                np.tile(np.arange(regions), (permutations, 1)), axis=1)
+            table = np.zeros((regions, regions))
+            table[first, second] = table[second, first] = y
+            r_perm = [np.corrcoef(x, table[p[first], p[second]])[0, 1] for p in whole]
+            hits = int(np.count_nonzero(np.abs(r_perm) >= abs(np.corrcoef(x, y)[0, 1]) - 1e-12))
+            expected = (1 + hits) / (1 + permutations)
+        else:
+            expected = brute_force_p(x, y, pair_index, lambda a, b: np.corrcoef(a, b)[0, 1])
+        assert 0.01 < expected < 0.99
+        # a block row holds the labels, the pair index and the gathered values
+        cells = regions + 2 * len(x)
+        # so that PERMUTATION_CELLS alone sets the rows of a block
+        monkeypatch.setattr(analysis, "PERMUTATION_BLOCK", 1024 * cells)
+        for budget in (1024 * cells, 7 * cells + cells - 1, cells - 1):
+            monkeypatch.setattr(analysis, "PERMUTATION_CELLS", budget)
+            assert pearson(x, y, permutations, 9, pair_index=pair_index).p_value == expected
+
+    def test_memory_is_one_block(self):
+        # the bound of TestPearson.test_permutation_memory_is_one_block, at 50 regions
+        x, y, pair_index = region_effect_null(50, 1)
+        block_bytes = analysis.PERMUTATION_BLOCK * x.size * x.itemsize
+        tracemalloc.start()
+        try:
+            pearson(x, y, permutations=3 * analysis.PERMUTATION_BLOCK, seed=1,
+                    pair_index=pair_index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * block_bytes, (peak, block_bytes)
+
+    @pytest.mark.parametrize("pair_index", [
+        (np.array([0, 0, 1, 0]), np.array([1, 2, 2, 3])),   # 4 pairs are all pairs of no R
+        (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 1])),  # (1, 2) twice, no (2, 3)
+        (np.array([0, 0, 1]), np.array([0, 2, 2])),         # region 0 paired with itself
+        (np.array([0, 0, 1]), np.array([1, 3, 2])),         # region 3 of 3
+        (np.array([0, 0, 1]), np.array([1, -1, 2])),        # a negative label
+        (np.array([0, 0, 1]), np.array([1, 2, 2])[None]),   # another shape
+        (np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 2.0])),
+    ], ids=["not-triangular", "repeated", "self-pair", "out-of-range", "negative", "shape",
+            "float"])
+    def test_pair_index_must_hold_every_pair_once(self, pair_index):
+        x = np.arange(1.0, 1.0 + pair_index[0].size)
+        with pytest.raises(ValueError, match="every pair of R regions once"):
+            pearson(x, x[::-1], 10, pair_index=pair_index)
 
 
 class TestStudentTTail:

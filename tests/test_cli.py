@@ -16,7 +16,7 @@ import pytest
 
 import poinames
 import poinames.cli
-from poinames.cli import build_parser, main
+from poinames.cli import VECTOR_METHODS, build_parser, main
 from poinames.corpus import load_pois, read_corpus, tokenize, write_lines
 from poinames.errors import IngestError
 
@@ -757,14 +757,43 @@ class TestSimilarityAndDecay:
         outputs = [out / "decay_observations_count.tsv", out / "decay_results_count.txt",
                    out / "manifest_decay_count.txt"]
         before = [p.read_bytes() for p in outputs]
-        # regions a and c share no term, so their count cosine is 0, which has
-        # no logarithm, and the decay fit fails
-        write_regions(tmp_path, {**names, "c": ["gamma zeta"]})
+        # every region holds the same names, so every cosine is equal and the
+        # correlation has zero variance
+        write_regions(tmp_path, {region: ["common cafe"] for region in names})
         assert run("similarity", "--out", out, "--method", "count") == 0
-        assert read_matrix(out / "similarity_count.tsv")[1][0, 2] == 0.0
+        assert len(set(read_matrix(out / "similarity_count.tsv")[1][np.triu_indices(3, 1)])) == 1
         assert run("decay", "--out", out, "--method", "count", "--permutations", "100") == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "zero variance" in err
         assert [p.read_bytes() for p in outputs] == before
+
+    @pytest.mark.parametrize("method", VECTOR_METHODS)
+    def test_decay_on_a_similarity_of_0_or_below_exits_0_without_a_fit(self, tmp_path, method):
+        if method == "embedding":
+            # four regions that share no term, in two dimensions: some of
+            # their cosines are below 0
+            names = {r: [f"{r}{k} cafe{r}" for k in range(4)] for r in "abcd"}
+            out = write_regions(tmp_path, names)
+            assert run("embed", "--out", out, "--dim", "2", "--epochs", "3", "--seed", "0") == 0
+        else:
+            # regions a and c share no term, so their cosine is 0
+            out = write_regions(tmp_path, {"a": ["alpha cafe", "common"],
+                                           "b": ["beta cafe", "beta zeta"], "c": ["gamma zeta"]})
+        assert run("similarity", "--out", out, "--method", method) == 0
+        regions, sim = read_matrix(out / f"similarity_{method}.tsv")
+        assert regions == sorted(regions)
+        non_positive = (sim[np.triu_indices(len(regions), 1)] <= 0.0).tolist()
+        assert 0 < sum(non_positive) < len(non_positive)
+        assert run("decay", "--out", out, "--method", method, "--permutations", "100") == 0
+        results = read_kv(out / f"decay_results_{method}.txt")
+        assert results["fit"] == (f"undefined: {sum(non_positive)} of {len(non_positive)} "
+                                  "region pairs have a similarity of 0 or below")
+        assert not [key for key in results if key.startswith("fit_")]
+        assert -1.0 <= float(results["pearson"]) <= 1.0
+        assert 0.0 < float(results["pearson_p"]) <= 1.0
+        assert 0.0 < float(results["spearman_p"]) <= 1.0
+        rows = (out / f"decay_observations_{method}.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[4] == "" for row in rows] == non_positive
 
     @pytest.mark.parametrize("permutations", ["-5", "-1", "0"])
     def test_decay_rejects_permutations_below_one(self, pipeline_dir, capsys, permutations):
