@@ -20,7 +20,7 @@ import sys
 import unicodedata
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 # numpy's OpenBLAS starts one worker thread per core when numpy executes,
 # which happens at a stage's first use of numpy (see _numpy.py). Every BLAS
@@ -94,12 +94,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _require(path: Path, produced_by: str) -> Path:
-    if not path.is_file():
-        raise FileNotFoundError(f"missing artifact {path}: run 'poinames {produced_by}' first")
-    return path
-
-
 def _read_manifest(path: Path) -> dict[str, str]:
     """A manifest's key=value lines; a line without "=", or a key given again, raises IngestError."""
     entries: dict[str, str] = {}
@@ -112,26 +106,40 @@ def _read_manifest(path: Path) -> dict[str, str]:
     return entries
 
 
-def _check_inputs(outdir: Path, producers: dict[str, str]) -> dict[str, tuple[Path, str]]:
-    """The path and sha256 of each artifact a stage has parsed, checked against the manifests.
+def _read_inputs(args: argparse.Namespace, inputs: dict[str, tuple[str, Callable | None]]
+                 ) -> tuple[list, dict[str, tuple[Path, str]]]:
+    """Find and parse each input in order, then check its sha256 against the manifests.
 
-    ``producers`` maps each artifact, by its name under ``outdir``, to the
-    command that writes it; corpus.tsv is among them. The manifest of that
-    command, and for corpus.tsv every manifest consulted, must record this
-    sha256: another or none raises IngestError naming the command to re-run.
+    ``inputs`` maps each artifact's name under --out to the command that
+    writes it and its reader, None for a file only checked; corpus.tsv is
+    among them. The manifest of that command, and for corpus.tsv every
+    manifest consulted, must record the sha256: another or none raises
+    IngestError naming the command to re-run. Returns the parsed values in
+    order, None for a file only checked, and each input's path and sha256.
     """
-    paths = {name: _require(outdir / name, command) for name, command in producers.items()}
-    read = {name: (path, _sha256(path)) for name, path in paths.items()}
-    for command in dict.fromkeys(producers.values()):
+    outdir = Path(args.out)
+
+    def require(name: str, command: str) -> Path:
+        path = outdir / name
+        if not path.is_file():
+            raise FileNotFoundError(f"missing artifact {path}: run 'poinames {command}' first")
+        return path
+
+    values = []
+    for name, (command, reader) in inputs.items():
+        path = require(name, command)
+        values.append(None if reader is None else reader(path))
+    read = {name: (outdir / name, _sha256(outdir / name)) for name in inputs}
+    for command in dict.fromkeys(command for command, _ in inputs.values()):
         stage = "_".join(word for word in command.split() if not word.startswith("-"))
-        manifest = _require(outdir / f"manifest_{stage}.txt", command)
+        manifest = require(f"manifest_{stage}.txt", command)
         recorded = _read_manifest(manifest)
         for name, (path, digest) in read.items():
-            if ((producers[name] == command or name == CORPUS_ARTIFACT)
+            if ((inputs[name][0] == command or name == CORPUS_ARTIFACT)
                     and recorded.get(f"{name}_sha256") != digest):
                 raise IngestError(f"{path} is not the file {manifest.name} records: "
                                   f"run 'poinames {command}' again")
-    return read
+    return values, read
 
 
 def _write_stage(args: argparse.Namespace, stage: str, read: dict[str, tuple[Path, str]],
@@ -291,9 +299,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_zipf(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    records = read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest"))
-    read = _check_inputs(outdir, {CORPUS_ARTIFACT: "ingest"})
+    (records,), read = _read_inputs(args, {CORPUS_ARTIFACT: ("ingest", read_corpus)})
     corpora = partition_by_region(records, dedup=False)
     ranked = rank_terms(term_frequencies(corpora.values()))
     fit = fit_zipf(ranked)
@@ -313,10 +319,8 @@ def cmd_zipf(args: argparse.Namespace) -> int:
 
 
 def _local_terms(args: argparse.Namespace):
-    """The ingested records, what _check_inputs returns, and each region's top --top terms."""
-    outdir = Path(args.out)
-    records = read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest"))
-    read = _check_inputs(outdir, {CORPUS_ARTIFACT: "ingest"})
+    """The ingested records, the read map of _read_inputs, and each region's top --top terms."""
+    (records,), read = _read_inputs(args, {CORPUS_ARTIFACT: ("ingest", read_corpus)})
     corpora = partition_by_region(records, dedup=True)
     table = geo_tfidf(corpora, variant=args.idf_variant)
     return records, read, top_local_terms(table, k=args.top)
@@ -394,10 +398,8 @@ def _region_vectors(records: list[PoiRecord], method: str, variant: str) -> list
 
 
 def cmd_vectors(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    corpora = partition_by_region(read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest")),
-                                  dedup=False)
-    read = _check_inputs(outdir, {CORPUS_ARTIFACT: "ingest"})
+    (records,), read = _read_inputs(args, {CORPUS_ARTIFACT: ("ingest", read_corpus)})
+    corpora = partition_by_region(records, dedup=False)
     vocab = build_vocabulary(corpora.values())
     regions = sorted(corpora)
     # each cell is formatted straight from a region's counts or weights, the
@@ -419,9 +421,7 @@ def cmd_vectors(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     load_numpy()
-    outdir = Path(args.out)
-    records = read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest"))
-    read = _check_inputs(outdir, {CORPUS_ARTIFACT: "ingest"})
+    (records,), read = _read_inputs(args, {CORPUS_ARTIFACT: ("ingest", read_corpus)})
     corpora = partition_by_region(records, dedup=False)
     vocab = build_vocabulary(corpora.values())
     pairs = build_training_pairs(corpora, vocab)
@@ -444,7 +444,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         f"final_loss={_fmt(model.epoch_losses[-1])}",
         "epoch_losses=" + ",".join(_fmt(l) for l in model.epoch_losses),
     ]
-    model_path = outdir / f".{MODEL_ARTIFACT}.tmp"
+    model_path = Path(args.out) / f".{MODEL_ARTIFACT}.tmp"
     save_model(model, model_path)
     _write_stage(args, "embed", read, {MODEL_ARTIFACT: model_path, "embed_summary.txt": summary})
     for line in summary[:7]:
@@ -454,20 +454,19 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_similarity(args: argparse.Namespace) -> int:
     load_numpy()
-    outdir = Path(args.out)
-    records = read_corpus(_require(outdir / CORPUS_ARTIFACT, "ingest"))
-    producers = {CORPUS_ARTIFACT: "ingest"}
+    inputs = {CORPUS_ARTIFACT: ("ingest", read_corpus)}
     if args.method == "embedding":
-        model = load_model(_require(outdir / MODEL_ARTIFACT, "embed"))
-        producers[MODEL_ARTIFACT] = "embed"
-    read = _check_inputs(outdir, producers)
+        inputs[MODEL_ARTIFACT] = ("embed", load_model)
+    values, read = _read_inputs(args, inputs)
+    records = values[0]
     by_region: dict[str, list[PoiRecord]] = defaultdict(list)
     for record in records:
         by_region[record.region_id].append(record)
 
     if args.method == "embedding":
-        vectors = [RegionVector(region_id=r, values=model.region_vectors[r])
-                   for r in sorted(model.region_vectors)]
+        region_vectors = values[1].region_vectors
+        vectors = [RegionVector(region_id=r, values=region_vectors[r])
+                   for r in sorted(region_vectors)]
     else:
         vectors = _region_vectors(records, args.method, args.idf_variant)
     sim = similarity_matrix(vectors)
@@ -497,13 +496,13 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 
 def cmd_decay(args: argparse.Namespace) -> int:
     load_numpy()
-    outdir = Path(args.out)
-    similarity, command = f"similarity_{args.method}.tsv", f"similarity --method {args.method}"
-    sim = _read_matrix(_require(outdir / similarity, command))
-    dist = _read_matrix(_require(outdir / DISTANCES_ARTIFACT, command))
+    command = f"similarity --method {args.method}"
     # every similarity run rewrites distances.tsv, so this method's run must have written it
-    read = _check_inputs(outdir, {similarity: command, DISTANCES_ARTIFACT: command,
-                                  CORPUS_ARTIFACT: "ingest"})
+    (sim, dist, _), read = _read_inputs(args, {
+        f"similarity_{args.method}.tsv": (command, _read_matrix),
+        DISTANCES_ARTIFACT: (command, _read_matrix),
+        CORPUS_ARTIFACT: ("ingest", None),
+    })
     pairs = pair_observations(sim, dist)
 
     similarities, distances = pairs.similarity.tolist(), pairs.distance_m.tolist()

@@ -62,10 +62,15 @@ def _label(region: str, labels: dict[str, str]) -> str:
     if label is None:
         if not region.strip():
             raise ValueError("empty region label")
-        if _LABEL_FORBIDDEN.search(region):
-            raise ValueError(f"region label {reprlib.repr(region)} contains a control character")
+        _check_no_control(region, "region label")
         label = labels[region] = region
     return label
+
+
+def _check_no_control(text: str, what: str) -> None:
+    """Raise ValueError naming ``what`` if ``text`` holds a character _LABEL_FORBIDDEN matches."""
+    if _LABEL_FORBIDDEN.search(text):
+        raise ValueError(f"{what} {reprlib.repr(text)} contains a control character")
 
 
 def _check_no_surrogate(text: str, what: str) -> None:
@@ -219,7 +224,8 @@ def _categories(
     """The category set of a comma-separated string or a list of strings.
 
     Sets are kept in ``shared``, keyed by the string or by the tuple of the
-    list's string entries, so equal values give one set object.
+    list's string entries, so equal values give one set object. A category
+    breaks the region-label rule: ValueError naming the first one.
     """
     if isinstance(value, str):
         key: str | tuple[str, ...] = value
@@ -230,7 +236,10 @@ def _categories(
     categories = shared.get(key)
     if categories is None:
         parts = key.split(",") if isinstance(key, str) else key
-        categories = shared[key] = frozenset(p.strip() for p in parts if p and p.strip())
+        kept = [p.strip() for p in parts if p and p.strip()]
+        for category in kept:
+            _check_no_control(category, "category")
+        categories = shared[key] = frozenset(kept)
     return categories
 
 
@@ -251,7 +260,11 @@ def _resolve_region(
     key = (city.strip().lower(), state.strip().lower())
     label = mapping.get(key) or mapping.get(("*", key[1]))
     if label is None:
-        return None, f"no region mapping for {city.strip()},{state.strip()}"
+        # quoted if it holds a tab or line break, so the rejections.tsv row stays one row
+        where = f"{city.strip()},{state.strip()}"
+        if _LABEL_FORBIDDEN.search(where):
+            where = reprlib.repr(where)
+        return None, f"no region mapping for {where}"
     return label, None
 
 
@@ -263,11 +276,11 @@ def load_pois(
 
     Invalid records are rejected with a reason, never silently dropped.
     A file is read with read_lines as a user file. An unreadable or
-    non-UTF-8 source, a region label (from the record or the mapping)
-    holding a control character, or a lone surrogate escape in a name,
-    region, city, state or category raises IngestError, naming the record
-    as ``<path>:N`` for a file and ``input line N`` for an iterable of
-    lines. Each accepted name is tokenized here, once.
+    non-UTF-8 source, a region label (from the record or the mapping) or
+    a category holding a control character, or a lone surrogate escape in
+    a name, region, city, state or category raises IngestError, naming the
+    record as ``<path>:N`` for a file and ``input line N`` for an iterable
+    of lines. Each accepted name is tokenized here, once.
     """
     if isinstance(source, (str, Path)):
         lines, where = read_lines(source, artifact=False), f"{source}:"
@@ -495,6 +508,7 @@ def _category_set(cell: str) -> frozenset[str]:
         raise ValueError(f"categories {reprlib.repr(cell)} are not a JSON list of strings")
     for category in value:
         _check_no_surrogate(category, f"category {reprlib.repr(category)}")
+        _check_no_control(category, "category")
     return frozenset(value)
 
 

@@ -10,7 +10,9 @@ hold on every supported Python; the text-12k names are tokenized with the
 Unicode data of the running Python.
 
 Numpy stages (embed, and similarity and decay with --method count, tfidf
-and embedding), compared with tests/data/numpy_stage_reference.json:
+and embedding), run on the same two corpora and compared with
+tests/data/numpy_stage_reference.json, whose text-12k keys also start with
+"text-12k/":
 
 - centroids.tsv, distances.tsv and the stdout of similarity hold no value
   that numpy computes (centroids and Vincenty distances use only Python's
@@ -107,30 +109,37 @@ def run_stages(tmp: Path, input_path: Path, mapping_path: Path,
     return outputs
 
 
-def text_stage_digests(tmp: Path) -> dict[str, str]:
-    """The digest of every stdout and non-manifest artifact of the text stages, run in ``tmp``.
+def run_both(tmp: Path, stages: list[list[str]]) -> dict[str, bytes]:
+    """run_stages on the C10 fixture and on the bench corpus, in ``tmp``.
 
-    Those of the C10 fixture are keyed by name, those of the bench corpus by
-    "text-12k/" and the name.
+    The outputs of the C10 fixture are keyed by name, those of the bench
+    corpus by "text-12k/" and the name.
     """
     fixture, bench = tmp / "fixture", tmp / BENCH_WORKLOAD
     fixture.mkdir()
-    digests = {name: _sha256(data) for name, data in run_fixture(fixture, TEXT_STAGES).items()}
+    outputs = run_fixture(fixture, stages)
     gen = bench_gen()
     gen.generate(BENCH_WORKLOAD, BENCH_SEED, bench)
-    outputs = run_stages(bench, bench / gen.INPUT_FILE, bench / gen.MAPPING_FILE, TEXT_STAGES)
-    digests.update((f"{BENCH_WORKLOAD}/{name}", _sha256(data)) for name, data in outputs.items())
-    return digests
+    outputs.update((f"{BENCH_WORKLOAD}/{name}", data) for name, data in
+                   run_stages(bench, bench / gen.INPUT_FILE, bench / gen.MAPPING_FILE,
+                              stages).items())
+    return outputs
+
+
+def text_stage_digests(tmp: Path) -> dict[str, str]:
+    """The digest of every stdout and non-manifest artifact of the text stages, run in ``tmp``."""
+    return {name: _sha256(data) for name, data in run_both(tmp, TEXT_STAGES).items()}
 
 
 def numpy_stage_reference(tmp: Path) -> dict[str, dict[str, str]]:
     """The sha256 of each PINNED output of the numpy stages, and the text of each other one."""
-    outputs = run_fixture(tmp, NUMPY_STAGES)
+    outputs = {name: (name.removeprefix(f"{BENCH_WORKLOAD}/"), data)
+               for name, data in run_both(tmp, NUMPY_STAGES).items()}
     return {
-        "sha256": {name: _sha256(data) for name, data in outputs.items()
-                   if name.startswith(PINNED)},
-        "values": {name: data.decode("utf-8") for name, data in outputs.items()
-                   if name.startswith(COMPARED)},
+        "sha256": {name: _sha256(data) for name, (base, data) in outputs.items()
+                   if base.startswith(PINNED)},
+        "values": {name: data.decode("utf-8") for name, (base, data) in outputs.items()
+                   if base.startswith(COMPARED)},
     }
 
 

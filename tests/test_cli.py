@@ -237,6 +237,36 @@ class TestIngest:
         assert f"{input_path}:1: region label {label!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("categories,name", [("Food\tBad,Bars", "Food\tBad"),
+                                                 (["Food", "Bars\nEvil"], "Bars\nEvil")],
+                             ids=["string", "list"])
+    def test_category_with_control_character_exits_2_before_writing(self, tmp_path, capsys,
+                                                                     categories, name):
+        # type-usage writes each category into its tables as a cell
+        input_path = write_input(tmp_path, {r: [f"{r} cafe {i}" for i in range(12)]
+                                            for r in ("alpha", "beta", "gamma")})
+        lines = input_path.read_text(encoding="utf-8").splitlines()
+        lines[4] = json.dumps({**json.loads(lines[4]), "categories": categories})
+        input_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("ingest", "--input", input_path, "--out", out) == 2
+        assert (f"{input_path}:5: category {name!r} contains a control character"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_unmapped_city_with_control_character_keeps_one_rejection_row(self, tmp_path):
+        input_path, mapping_path = write_dataset(tmp_path)
+        with open(input_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"name": "Nowhere Cafe", "city": "Phoe\nnix", "state": "A\tZ",
+                                 "latitude": 10.0, "longitude": 10.0}) + "\n")
+        lineno = len(input_path.read_text(encoding="utf-8").splitlines())
+        out = tmp_path / "o"
+        assert run("ingest", "--input", input_path, "--mapping", mapping_path, "--out", out) == 0
+        rows = [line.split("\t") for line in
+                (out / "rejections.tsv").read_text(encoding="utf-8").split("\n")[:-1]]
+        assert all(len(row) == 2 for row in rows)
+        assert rows[-1] == [str(lineno), "no region mapping for 'Phoe\\nnix,A\\tZ'"]
+
     @pytest.mark.parametrize("damaged", ["input", "mapping"])
     def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys, damaged):
         input_path, mapping_path = write_dataset(tmp_path)
@@ -358,6 +388,9 @@ CORPUS_DAMAGE = {
                      "cannot read {path}: line 3, byte offset "),
     "raw-carriage-return": (lambda lines: set_cell(lines, 3, 5, "n0\rx"),
                             "{path}:3: the row holds a raw carriage return"),
+    "category-with-control-character": (
+        lambda lines: set_cell(lines, 3, 3, '["Food\\tBad"]'),
+        "{path}:3: category 'Food\\tBad' contains a control character"),
     "categories-nested-past-the-recursion-limit": (
         lambda lines: set_cell(lines, 2, 3, "[" * 200_000 + "]" * 200_000),
         "{path}:2: categories '[[[["),
@@ -1194,6 +1227,17 @@ def test_only_main_maps_errors_to_exit_codes():
                                            for node in ast.walk(function))
     assert +handlers == {"main": 2, "_read_matrix": 1, "_write_stage": 1,
                          "_int_at_least": 1, "_positive_float": 1}
+
+
+def test_no_stage_calls_an_artifact_reader_itself():
+    # _read_inputs parses each input and then checks its sha256 against the
+    # manifests; a reader called anywhere else parses a file no manifest vouches for
+    readers = {"read_corpus", "load_model", "_read_matrix"}
+    tree = ast.parse(Path(poinames.cli.__file__).read_text(encoding="utf-8"))
+    calls = [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in readers]
+    assert calls == []
 
 
 # ---------------------------------------------------------------- provenance

@@ -185,6 +185,30 @@ class TestLoadPois:
         with pytest.raises(IngestError, match="input line 2: region label"):
             load_pois([good, bad])
 
+    @pytest.mark.parametrize("categories", ["Food\tBad,Bars", ["Food", "Bars\nEvil"],
+                                            "Food,Bars\u2028Evil", ["Caf\x00e"]],
+                             ids=["string-tab", "list-newline", "string-u2028", "list-nul"])
+    def test_control_character_in_category_is_fatal(self, categories):
+        good = json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a"})
+        bad = json.dumps({"name": "y", "latitude": 1.0, "longitude": 2.0, "region": "a",
+                          "categories": categories})
+        with pytest.raises(IngestError, match="^input line 2: category '.*' contains a control "
+                                              "character$"):
+            load_pois([good, bad])
+
+    def test_control_characters_at_the_ends_of_a_category_are_stripped(self):
+        line = json.dumps({"name": "x", "latitude": 1.0, "longitude": 2.0, "region": "a",
+                           "categories": "\tFood\n, Bars\r"})
+        (record,) = load_pois([line]).records
+        assert record.categories == frozenset({"Food", "Bars"})
+
+    def test_unmapped_city_with_control_character_is_quoted_in_the_reason(self):
+        mapping = {("dunecity", "dz"): "desertville"}
+        line = json.dumps({"name": "a", "latitude": 1.0, "longitude": 2.0,
+                           "city": "Phoe\nnix", "state": "A\tZ"})
+        (rejection,) = load_pois([line], region_mapping=mapping).rejections
+        assert rejection.reason == "no region mapping for 'Phoe\\nnix,A\\tZ'"
+
     def test_control_character_in_mapped_label_is_fatal(self):
         mapping = {("dunecity", "dz"): "desert\x01ville"}
         line = json.dumps({"name": "a", "latitude": 1.0, "longitude": 2.0,
@@ -337,10 +361,12 @@ _AWKWARD = st.one_of(
     st.characters(blacklist_categories=("Cs",)),
 )
 _NAMES = st.text(_AWKWARD, min_size=1, max_size=16).filter(str.strip)
-_LABELS = st.text(
-    st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="\u2028\u2029"),
-    min_size=1, max_size=8,
-).filter(str.strip)
+# labels and categories hold no control character or line separator
+_LABEL_CHARACTERS = st.characters(blacklist_categories=("Cs", "Cc"),
+                                  blacklist_characters="\u2028\u2029")
+_LABELS = st.text(_LABEL_CHARACTERS, min_size=1, max_size=8).filter(str.strip)
+_CATEGORIES = st.text(st.one_of(st.sampled_from(['"', "\\", ",", " ", "é", "東"]),
+                                _LABEL_CHARACTERS), max_size=8)
 
 
 @st.composite
@@ -351,7 +377,7 @@ def poi_records(draw):
         region_id=draw(_LABELS),
         latitude=draw(st.floats(min_value=-90.0, max_value=90.0)),
         longitude=draw(st.floats(min_value=-180.0, max_value=180.0)),
-        categories=draw(st.frozensets(st.text(_AWKWARD, max_size=8), max_size=3)),
+        categories=draw(st.frozensets(_CATEGORIES, max_size=3)),
         tokens=tokenize(name),
     )
 
