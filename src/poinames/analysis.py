@@ -117,15 +117,13 @@ def _permutation_p(
     r_obs: float,
     permutations: int,
     seed: int,
-    pair_index: tuple[np.ndarray, np.ndarray] | None,
+    pair_index: tuple[np.ndarray, np.ndarray],
 ) -> CorrelationResult:
-    """Two-sided permutation test of the correlation of centred x and y.
+    """Two-sided Mantel test of the correlation of centred x and y.
 
-    Without ``pair_index``, ``values`` is centred y, and a permutation p of
-    its m = n labels gives observation k the value p[k]. With it, ``values``
-    is ``_pair_table`` of centred y, and a permutation p of the m = R region
-    labels gives observation k the value at (p[first[k]], p[second[k]]): the
-    Mantel test.
+    ``values`` is ``_pair_table`` of centred y, and a permutation p of the
+    m = R region labels gives observation k the value at
+    (p[first[k]], p[second[k]]).
 
     When m! is at most ``permutations``, every permutation is tested and
     p = hits / m!, exactly. Otherwise ``permutations`` are drawn and
@@ -133,7 +131,7 @@ def _permutation_p(
     either way, so p is in (0, 1].
     """
     n = xc.size
-    m = n if pair_index is None else math.isqrt(values.size)
+    m = math.isqrt(values.size)
     count = 1
     for k in range(2, m + 1):
         count *= k
@@ -148,16 +146,15 @@ def _permutation_p(
     threshold = abs(r_obs) - 1e-12
     hits = 0
     # A block row holds one permutation's labels, the index of each
-    # observation's value and the gathered values; without pair_index the
-    # labels are the index. Every block reuses these buffers, and the
-    # gathered values first hold the second half of the index. Random rows
-    # are shuffled in order from one generator, so blocks draw exactly the
-    # permutations one whole matrix would.
-    cells = m + n + (0 if pair_index is None else n)
+    # observation's value and the gathered values. Every block reuses these
+    # buffers, and the gathered values first hold the second half of the
+    # index. Random rows are shuffled in order from one generator, so blocks
+    # draw exactly the permutations one whole matrix would.
+    cells = m + 2 * n
     budget = min(PERMUTATION_BLOCK * n, PERMUTATION_CELLS)
     rows = max(1, min(budget // cells, count))
     label_buf = np.empty((rows, m), dtype=np.intp)
-    index_buf = label_buf if pair_index is None else np.empty((rows, n), dtype=np.intp)
+    index_buf = np.empty((rows, n), dtype=np.intp)
     value_buf = np.empty((rows, n))
     identity = np.arange(m)
     for start in range(0, count, rows):
@@ -170,12 +167,11 @@ def _permutation_p(
             rng.permuted(perms, axis=1, out=perms)
         # mode="clip" spares the copy of ``out`` that the default mode makes;
         # every index is in range
-        if pair_index is not None:
-            second = gathered.view(np.intp)
-            np.take(perms, pair_index[1], axis=1, out=second, mode="clip")
-            perms *= m
-            np.take(perms, pair_index[0], axis=1, out=index, mode="clip")
-            index += second
+        second = gathered.view(np.intp)
+        np.take(perms, pair_index[1], axis=1, out=second, mode="clip")
+        perms *= m
+        np.take(perms, pair_index[0], axis=1, out=index, mode="clip")
+        index += second
         np.take(values, index, out=gathered, mode="clip")
         r_perm = (gathered @ xc) / denom
         hits += int(np.count_nonzero(np.abs(r_perm) >= threshold))
@@ -189,18 +185,16 @@ def pearson(
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
     *,
-    pair_index: tuple[np.ndarray, np.ndarray] | None = None,
+    pair_index: tuple[np.ndarray, np.ndarray],
 ) -> CorrelationResult:
-    """Sample Pearson correlation with a two-sided permutation p-value.
+    """Sample Pearson correlation with a two-sided Mantel p-value.
 
-    Without ``pair_index`` the observations are exchangeable and the test
-    permutes y. ``pair_index = (first, second)`` says that observation k
-    belongs to the region pair (first[k], second[k]), as ``RegionPairs``
-    holds them; the pairs must be every pair of R regions once. The test
-    then permutes the R region labels of y, since pairs that share a region
-    are not independent (Mantel 1967). When the labels have at most
-    ``permutations`` permutations, the test takes each one once and its
-    p-value is exact.
+    ``pair_index = (first, second)`` says that observation k belongs to the
+    region pair (first[k], second[k]), as ``RegionPairs`` holds them; the
+    pairs must be every pair of R regions once. The test permutes the R
+    region labels of y, since pairs that share a region are not independent
+    (Mantel 1967). When the labels have at most ``permutations``
+    permutations, the test takes each one once and its p-value is exact.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -219,8 +213,8 @@ def pearson(
         raise ValueError("degenerate correlation: zero variance")
     denom = math.sqrt(sxx * syy)
     r = min(max(float(np.sum(xc * yc)) / denom, -1.0), 1.0)
-    values = yc if pair_index is None else _pair_table(yc, pair_index)
-    return _permutation_p(xc, values, denom, r, permutations, seed, pair_index)
+    return _permutation_p(xc, _pair_table(yc, pair_index), denom, r, permutations, seed,
+                          pair_index)
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -243,7 +237,7 @@ def spearman(
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
     *,
-    pair_index: tuple[np.ndarray, np.ndarray] | None = None,
+    pair_index: tuple[np.ndarray, np.ndarray],
 ) -> CorrelationResult:
     """Spearman rank correlation: pearson on average ranks, with the same draws.
 

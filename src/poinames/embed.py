@@ -7,10 +7,9 @@ words high and score sampled unused words low. The objective per pair is
 
 minimized by minibatch SGD over BATCH_PAIRS pairs at a time, with a
 linearly decaying learning rate. One kernel, sgns_batch, gives the loss
-and gradients for a batch; pair_loss and pair_gradients are its one-pair
-case. Negatives are drawn from the unigram^NOISE_POWER distribution
-restricted to terms the region does not use. Training with a fixed seed is
-bit-reproducible.
+and gradients for a batch, and a batch of one is a single pair. Negatives
+are drawn from the unigram^NOISE_POWER distribution restricted to terms
+the region does not use. Training with a fixed seed is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -231,19 +230,6 @@ def sgns_batch(
     return loss, grad_r, grad_w_pos, grad_w_negs
 
 
-def pair_loss(r: np.ndarray, w_o: np.ndarray, negatives: np.ndarray) -> float:
-    """Objective value for one training pair (always positive and finite)."""
-    return sgns_batch(r[None], w_o[None], negatives[None])[0]
-
-
-def pair_gradients(
-    r: np.ndarray, w_o: np.ndarray, negatives: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the pair objective w.r.t. r, w_o, and each negative."""
-    _, grad_r, grad_wo, grad_negs = sgns_batch(r[None], w_o[None], negatives[None])
-    return grad_r[0], grad_wo[0], grad_negs[0]
-
-
 class _Workspace:
     """Gather, gradient and index buffers for batches of up to BATCH_PAIRS
     pairs, allocated once per train() call and reused by every batch."""
@@ -342,33 +328,35 @@ def train(
 
     step = 0
     epoch_losses: list[float] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n_pairs)
-        epoch_regions = pairs.region_ids[order]
-        epoch_words = pairs.word_ids[order]
-        epoch_negs = noise.sample_rows(epoch_regions, k, rng, positives=epoch_words)
-        loss_sum = 0.0
-        for start in range(0, n_pairs, BATCH_PAIRS):
-            stop = min(start + BATCH_PAIRS, n_pairs)
-            lr = lr0 + lr_slope * (step + (stop - start - 1) / 2)
-            loss_sum += _sgd_step(
-                region_vecs,
-                word_vecs,
-                epoch_regions[start:stop],
-                epoch_words[start:stop],
-                epoch_negs[start:stop],
-                lr,
-                work,
-            )
-            step += stop - start
+    # a diverging run overflows; the checks below report it, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n_pairs)
+            epoch_regions = pairs.region_ids[order]
+            epoch_words = pairs.word_ids[order]
+            epoch_negs = noise.sample_rows(epoch_regions, k, rng, positives=epoch_words)
+            loss_sum = 0.0
+            for start in range(0, n_pairs, BATCH_PAIRS):
+                stop = min(start + BATCH_PAIRS, n_pairs)
+                lr = lr0 + lr_slope * (step + (stop - start - 1) / 2)
+                loss_sum += _sgd_step(
+                    region_vecs,
+                    word_vecs,
+                    epoch_regions[start:stop],
+                    epoch_words[start:stop],
+                    epoch_negs[start:stop],
+                    lr,
+                    work,
+                )
+                step += stop - start
 
-        mean_loss = loss_sum / n_pairs
-        if not math.isfinite(mean_loss):
-            raise RuntimeError(
-                f"training diverged at epoch {epoch}: non-finite loss "
-                "(try a lower learning rate)"
-            )
-        epoch_losses.append(mean_loss)
+            mean_loss = loss_sum / n_pairs
+            if not math.isfinite(mean_loss):
+                raise RuntimeError(
+                    f"training diverged at epoch {epoch}: non-finite loss "
+                    "(try a lower learning rate)"
+                )
+            epoch_losses.append(mean_loss)
 
     if not (np.isfinite(region_vecs).all() and np.isfinite(word_vecs).all()):
         raise RuntimeError("training produced non-finite vectors (try a lower learning rate)")

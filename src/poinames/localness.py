@@ -145,23 +145,17 @@ def _jsd_nats(p: Sequence[float], q: Sequence[float]) -> float:
     return max(0.0, 0.5 * kl[0] + 0.5 * kl[1])
 
 
-def jsd(p: Sequence[float], q: Sequence[float], base: float = math.e) -> float:
-    """Jensen-Shannon divergence of two probability vectors.
-
-    Uses the mixture M = (p + q) / 2, so the value is finite, symmetric,
-    and bounded by ln 2 in nats (1.0 with base=2).
-    """
-    _check_distributions([p, q])
-    value = _jsd_nats(p, q)
-    return value if base == math.e else value / math.log(base)
-
-
 def mean_pairwise_jsd(distributions: Sequence[Sequence[float]]) -> tuple[float, float]:
-    """Average JSD over all unordered pairs of probability rows, in nats and in bits."""
+    """Average Jensen-Shannon divergence over all unordered pairs of probability rows.
+
+    Returns the mean in nats and in bits. Each divergence is taken against
+    the mixture M = (p + q) / 2, so it is finite, symmetric and at most
+    ln 2 nats (1 bit).
+    """
     if len(distributions) < 2:
         raise ValueError("need at least 2 distributions")
     _check_distributions(distributions)
-    nats = bits = 0.0  # += of what jsd and jsd(base=2) give: sum() is compensated from 3.12
+    nats = bits = 0.0  # added with +=, as sum() is compensated from Python 3.12
     for p, q in combinations(distributions, 2):
         value = _jsd_nats(p, q)
         nats += value

@@ -75,10 +75,15 @@ def similarity_matrix(vectors: Sequence[RegionVector]) -> RegionMatrix:
     if len(set(regions)) != len(regions):
         raise ValueError("duplicate region ids")
     x = np.stack([v.values for v in vectors])
-    norms = np.sqrt(np.sum(x * x, axis=1))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(x * x, axis=1))
     zero = [r for r, norm in zip(regions, norms) if norm == 0.0]
     if zero:
         raise ValueError(f"undefined similarity: zero-norm vector for {zero}")
+    # finite norms bound every dot product below (Cauchy-Schwarz)
+    huge = [r for r, norm in zip(regions, norms) if not np.isfinite(norm)]
+    if huge:
+        raise ValueError(f"undefined similarity: non-finite norm for {huge}")
     n = len(vectors)
     values = np.eye(n, dtype=np.float64)
     for i in range(n - 1):

@@ -24,11 +24,10 @@ import pytest
 
 from poinames.analysis import fit_distance_decay, pair_observations, pearson, spearman
 from poinames.corpus import build_vocabulary, load_pois, partition_by_region, typed_subsets
-from poinames.embed import EmbeddingConfig, build_training_pairs, pair_gradients, pair_loss, train
+from poinames.embed import EmbeddingConfig, build_training_pairs, sgns_batch, train
 from poinames.geo import GeoPoint, distance_matrix, region_centroid, vincenty_distance
 from poinames.localness import (
     geo_tfidf,
-    jsd,
     mean_pairwise_jsd,
     top_local_terms,
     usage_distributions,
@@ -145,12 +144,12 @@ def test_c04_jsd_identities():
             n = int(rng.integers(2, 9))
             p = rng.dirichlet(np.ones(n)).tolist()
             q = rng.dirichlet(np.ones(n)).tolist()
-            assert jsd(p, p) == 0.0
-            v = jsd(p, q)
-            assert v == jsd(q, p)
+            assert mean_pairwise_jsd([p, p])[0] == 0.0
+            v, _ = mean_pairwise_jsd([p, q])
+            assert v == mean_pairwise_jsd([q, p])[0]
             assert 0.0 <= v <= LN2 + 1e-12
-        assert abs(jsd([1.0, 0.0], [0.0, 1.0]) - LN2) < 1e-12
-        assert abs(jsd([0.25, 0.75], [0.25, 0.75])) < 1e-12
+        assert abs(mean_pairwise_jsd([[1.0, 0.0], [0.0, 1.0]])[0] - LN2) < 1e-12
+        assert abs(mean_pairwise_jsd([[0.25, 0.75], [0.25, 0.75]])[0]) < 1e-12
 
 
 @requires_dataset
@@ -172,13 +171,14 @@ def test_c05_gradient_check():
         for _ in range(100):
             d = int(rng.integers(2, 11))
             k = int(rng.integers(1, 6))
-            r = rng.normal(scale=0.8, size=d)
-            w_o = rng.normal(scale=0.8, size=d)
-            negatives = rng.normal(scale=0.8, size=(k, d))
-            grad_r, grad_wo, grad_negs = pair_gradients(r, w_o, negatives)
+            # one pair, as a batch of one for sgns_batch, the kernel training runs
+            r = rng.normal(scale=0.8, size=(1, d))
+            w_o = rng.normal(scale=0.8, size=(1, d))
+            negatives = rng.normal(scale=0.8, size=(1, k, d))
+            _, grad_r, grad_wo, grad_negs = sgns_batch(r, w_o, negatives)
 
             def numeric(bump):
-                return (pair_loss(*bump(+h)) - pair_loss(*bump(-h))) / (2 * h)
+                return (sgns_batch(*bump(+h))[0] - sgns_batch(*bump(-h))[0]) / (2 * h)
 
             num_r = np.array([
                 numeric(lambda s, i=i: (r + s * _unit(d, i), w_o, negatives)) for i in range(d)
@@ -194,7 +194,7 @@ def test_c05_gradient_check():
                 for j in range(k)
             ])
             for analytic, num in ((grad_r, num_r), (grad_wo, num_wo), (grad_negs, num_negs)):
-                rel = np.linalg.norm(analytic - num) / max(np.linalg.norm(num), 1e-12)
+                rel = np.linalg.norm(analytic[0] - num) / max(np.linalg.norm(num), 1e-12)
                 assert rel < 1e-5, rel
 
 

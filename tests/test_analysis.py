@@ -44,9 +44,11 @@ def correlated(n, r, seed=0):
     return x, r * xc / np.linalg.norm(xc) + math.sqrt(1.0 - r * r) * z / np.linalg.norm(z)
 
 
-def near_t_tail(p, ref, permutations):
-    """Permutation p within five Monte Carlo standard errors plus 5% of the t tail."""
-    return abs(p - ref) <= 5.0 * math.sqrt(ref * (1.0 - ref) / permutations) + 0.05 * ref
+def every_pair(n):
+    """``pair_index`` for n observations: every pair of the R regions with R(R - 1)/2 = n."""
+    regions = (1 + math.isqrt(1 + 8 * n)) // 2
+    assert regions * (regions - 1) // 2 == n, n
+    return np.triu_indices(regions, 1)
 
 
 class TestPairObservations:
@@ -98,115 +100,72 @@ class TestPairObservations:
 
 class TestPearson:
     def test_perfect_linear(self):
-        x = [1.0, 2.0, 3.0, 4.0]
-        assert pearson(x, [2 * v + 1 for v in x]).coefficient == pytest.approx(1.0, abs=1e-12)
+        x = [1.0, 2.0, 3.0]
+        result = pearson(x, [2 * v + 1 for v in x], pair_index=every_pair(3))
+        assert result.coefficient == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_negative(self):
-        x = [1.0, 2.0, 3.0, 4.0]
-        assert pearson(x, [-v for v in x]).coefficient == pytest.approx(-1.0, abs=1e-12)
+        x = [1.0, 2.0, 3.0]
+        result = pearson(x, [-v for v in x], pair_index=every_pair(3))
+        assert result.coefficient == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_independent_formula(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             x = rng.normal(size=10)
             y = rng.normal(size=10)
-            got = pearson(x, y, permutations=1)
+            got = pearson(x, y, permutations=1, pair_index=every_pair(10))
             ref_r, _ = stats.pearsonr(x, y)
             assert got.coefficient == pytest.approx(float(ref_r), rel=1e-12, abs=1e-12)
-
-    def test_t_approx_p_matches_reference(self):
-        # independent normal pairs: the permutation p approaches scipy's t-based p
-        rng = np.random.default_rng(42)
-        x = rng.normal(size=21)
-        y = 0.5 * x + rng.normal(size=21)
-        got = pearson(x, y, permutations=20000)
-        _, ref_p = stats.pearsonr(x, y)
-        assert near_t_tail(got.p_value, float(ref_p), 20000), (got.p_value, ref_p)
 
     def test_scale_shift_invariance(self):
         rng = np.random.default_rng(43)
         x = rng.normal(size=15)
         y = rng.normal(size=15)
-        base = pearson(x, y, permutations=1).coefficient
+        base = pearson(x, y, permutations=1, pair_index=every_pair(15)).coefficient
         for a, b in [(2.5, 1.0), (-3.0, 4.0), (0.001, -7.0)]:
-            r = pearson(a * x + b, y, permutations=1).coefficient
+            r = pearson(a * x + b, y, permutations=1, pair_index=every_pair(15)).coefficient
             assert r == pytest.approx(math.copysign(1.0, a) * base, rel=1e-12, abs=1e-12)
 
     def test_permutation_p_is_deterministic(self):
         rng = np.random.default_rng(44)
         x = rng.normal(size=21)
         y = -0.4 * x + rng.normal(size=21)
-        first = pearson(x, y, permutations=2000, seed=5)
-        second = pearson(x, y, permutations=2000, seed=5)
+        first = pearson(x, y, permutations=2000, seed=5, pair_index=every_pair(21))
+        second = pearson(x, y, permutations=2000, seed=5, pair_index=every_pair(21))
         assert first.p_value == second.p_value
         assert 0.0 < first.p_value <= 1.0
 
     def test_permutation_p_detects_strong_correlation(self):
         x = np.arange(21.0)
         y = -x + 0.01 * np.sin(x)
-        result = pearson(x, y, permutations=20000, seed=1)
+        result = pearson(x, y, permutations=20000, seed=1, pair_index=every_pair(21))
         assert result.p_value < 0.001
-
-    def test_permutation_blocks_match_whole_matrix(self, monkeypatch):
-        rng = np.random.default_rng(45)
-        x = rng.normal(size=30)
-        y = 0.1 * x + rng.normal(size=30)
-        permutations = 2 * analysis.PERMUTATION_BLOCK + 357
-        # reference: every permutation drawn at once as one matrix
-        xc, yc = x - x.mean(), y - y.mean()
-        whole = np.random.default_rng(9).permuted(np.tile(yc, (permutations, 1)), axis=1)
-        r_perm = (whole @ xc) / math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
-        # cell budgets giving 1024-row blocks, 7-row blocks and (below one
-        # row of 30 pairs) 1-row blocks
-        for cells in (analysis.PERMUTATION_CELLS, 7 * 30 + 29, 29):
-            monkeypatch.setattr(analysis, "PERMUTATION_CELLS", cells)
-            result = pearson(x, y, permutations=permutations, seed=9)
-            hits = int(np.count_nonzero(np.abs(r_perm) >= abs(result.coefficient) - 1e-12))
-            assert 0 < hits < permutations
-            assert result.p_value == (1 + hits) / (1 + permutations)
-
-    def test_few_observations_test_every_order_once(self):
-        rng = np.random.default_rng(47)
-        x, y = rng.normal(size=5), rng.normal(size=5)
-        observed = abs(np.corrcoef(x, y)[0, 1]) - 1e-12
-        orders = list(itertools.permutations(range(5)))
-        hits = sum(abs(np.corrcoef(x, y[list(order)])[0, 1]) >= observed for order in orders)
-        result = pearson(x, y, permutations=1000, seed=3)
-        assert (result.p_value, result.permutations, result.exact) == (hits / 120, 120, True)
-        assert not pearson(x, y, permutations=119, seed=3).exact
-
-    def test_permutation_memory_is_one_block(self):
-        # 1,225 pairs (50 regions) fill one block of PERMUTATION_BLOCK rows
-        rng = np.random.default_rng(46)
-        x, y = rng.normal(size=1225), rng.normal(size=1225)
-        block_bytes = analysis.PERMUTATION_BLOCK * x.size * x.itemsize
-        tracemalloc.start()
-        try:
-            pearson(x, y, permutations=3 * analysis.PERMUTATION_BLOCK, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * block_bytes, (peak, block_bytes)
 
     def test_degenerate_variance(self):
         with pytest.raises(ValueError, match="degenerate"):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], permutations=1)
+            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], permutations=1, pair_index=every_pair(3))
 
     @pytest.mark.parametrize("correlate", [pearson, spearman])
     @pytest.mark.parametrize("permutations", [-5, -1, 0])
     def test_permutations_below_one_rejected(self, correlate, permutations):
-        x, y = [1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0]
+        x, y = [1.0, 2.0, 3.0], [2.0, 1.0, 3.0]
         with pytest.raises(ValueError, match="permutations must be at least 1"):
-            correlate(x, y, permutations=permutations)
+            correlate(x, y, permutations=permutations, pair_index=every_pair(3))
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match="need at least 3 observations, got 2"):
-            pearson([1.0, 2.0], [1.0, 2.0])
+            pearson([1.0, 2.0], [1.0, 2.0], pair_index=(np.array([0, 0]), np.array([1, 2])))
+
+    @pytest.mark.parametrize("correlate", [pearson, spearman])
+    def test_pair_index_is_required(self, correlate):
+        with pytest.raises(TypeError, match="pair_index"):
+            correlate([1.0, 2.0, 3.0], [2.0, 1.0, 3.0], 10, 0)
 
     @pytest.mark.parametrize("correlate", [pearson, spearman])
     def test_unequal_lengths_rejected(self, correlate):
         with pytest.raises(ValueError, match="x and y must have equal length"):
-            correlate([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+            correlate([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0], pair_index=every_pair(3))
 
 
 def region_effect_null(regions, trial):
@@ -239,23 +198,22 @@ def brute_force_p(x, y, pair_index, correlate):
 
 
 class TestMantel:
-    """pearson and spearman with pair_index permute region labels."""
+    """pearson and spearman permute region labels."""
 
     def test_calibrated_on_the_region_effect_null(self):
         # Measured on this null at 10 regions, 499 permutations and alpha
-        # 0.05: the label test rejected 95 of 2,000 trials (0.048) and the
-        # pair-level test 714 (0.36). The bound, 20 of 200, is the 0.999
+        # 0.05: the label test rejected 95 of 2,000 trials (0.048). A test
+        # that permutes the pair values instead rejected 714 (0.36), which
+        # is why the labels are permuted. The bound, 20 of 200, is the 0.999
         # quantile of Binomial(200, 0.05).
         trials, bound = 200, 20
-        rejected = {"pearson": 0, "spearman": 0, "pair-level": 0}
+        rejected = {"pearson": 0, "spearman": 0}
         for trial in range(trials):
             x, y, pair_index = region_effect_null(10, trial)
             for name, correlate in (("pearson", pearson), ("spearman", spearman)):
                 p = correlate(x, y, 499, trial, pair_index=pair_index).p_value
                 rejected[name] += p <= 0.05
-            rejected["pair-level"] += pearson(x, y, 499, trial).p_value <= 0.05
         assert rejected["pearson"] <= bound and rejected["spearman"] <= bound, rejected
-        assert rejected["pair-level"] > bound, rejected
 
     @pytest.mark.parametrize("regions", [4, 5])
     @pytest.mark.parametrize("correlate,statistic", [
@@ -299,7 +257,7 @@ class TestMantel:
             assert pearson(x, y, permutations, 9, pair_index=pair_index).p_value == expected
 
     def test_memory_is_one_block(self):
-        # the bound of TestPearson.test_permutation_memory_is_one_block, at 50 regions
+        # 1,225 pairs (50 regions) fill one block of PERMUTATION_BLOCK rows
         x, y, pair_index = region_effect_null(50, 1)
         block_bytes = analysis.PERMUTATION_BLOCK * x.size * x.itemsize
         tracemalloc.start()
@@ -328,24 +286,16 @@ class TestMantel:
 
 
 class TestStudentTTail:
-    """The permutation p-value, with the Student-t tail as the reference for
-    independent normal pairs."""
-
-    def test_matches_reference_tail(self):
-        permutations = 20000
-        for n in [20, 50, 200, 1000]:
-            df = n - 2
-            for t in [1.0, 2.0, 2.5]:
-                x, y = correlated(n, t / math.sqrt(df + t * t), seed=n)
-                got = pearson(x, y, permutations=permutations, seed=n).p_value
-                ref = 2.0 * float(stats.t.sf(t, df))
-                assert near_t_tail(got, ref, permutations), (n, t, got, ref)
+    """The p-value at edge correlations, over the pairs of 3 to 448 regions."""
 
     @pytest.mark.parametrize("r", [0.0, 1e-12, 0.3, -0.7, 0.999999, 1.0 - 1e-15, 1.0, -1.0])
     @pytest.mark.parametrize("n", [3, 4, 25, 1225, 100_000])
     def test_p_in_unit_interval(self, r, n):
-        x, y = correlated(n, r)
-        result = pearson(x, y, permutations=99, seed=n)
+        # the pairs of the fewest regions that have at least n pairs:
+        # 3, 6, 28, 1,225 and 100,128
+        regions = next(k for k in itertools.count(3) if k * (k - 1) // 2 >= n)
+        x, y = correlated(regions * (regions - 1) // 2, r)
+        result = pearson(x, y, permutations=99, seed=n, pair_index=np.triu_indices(regions, 1))
         assert result.coefficient == pytest.approx(r, abs=1e-9)
         assert 1.0 / 100 <= result.p_value <= 1.0
 
@@ -353,40 +303,42 @@ class TestStudentTTail:
 class TestSpearman:
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match="need at least 3 observations, got 2"):
-            spearman([1.0, 2.0], [1.0, 2.0])
+            spearman([1.0, 2.0], [1.0, 2.0], pair_index=(np.array([0, 0]), np.array([1, 2])))
 
     def test_monotone_increasing(self):
-        x = [1.0, 2.0, 5.0, 9.0]
-        assert spearman(x, [math.exp(v) for v in x], permutations=1).coefficient == 1.0
+        x = [1.0, 2.0, 5.0]
+        result = spearman(x, [math.exp(v) for v in x], permutations=1, pair_index=every_pair(3))
+        assert result.coefficient == 1.0
 
     def test_monotone_decreasing(self):
-        x = [1.0, 2.0, 5.0, 9.0]
-        assert spearman(x, [1.0 / v for v in x], permutations=1).coefficient == -1.0
+        x = [1.0, 2.0, 5.0]
+        result = spearman(x, [1.0 / v for v in x], permutations=1, pair_index=every_pair(3))
+        assert result.coefficient == -1.0
 
     def test_ties_match_reference(self):
         cases = [
-            ([1.0, 1.0, 2.0, 3.0], [4.0, 5.0, 5.0, 6.0]),
-            ([1.0, 2.0, 2.0, 2.0, 3.0], [1.0, 3.0, 2.0, 3.0, 5.0]),
+            ([1.0, 1.0, 2.0], [4.0, 5.0, 5.0]),
+            ([1.0, 2.0, 2.0, 2.0, 3.0, 3.0], [1.0, 3.0, 2.0, 3.0, 5.0, 4.0]),
         ]
         for x, y in cases:
-            got = spearman(x, y, permutations=1).coefficient
+            got = spearman(x, y, permutations=1, pair_index=every_pair(len(x))).coefficient
             ref = stats.spearmanr(x, y).statistic
             assert got == pytest.approx(float(ref), rel=1e-12)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(45)
-        x = rng.normal(size=12)
-        y = rng.normal(size=12)
-        base = spearman(x, y, permutations=1).coefficient
-        transformed = spearman(np.exp(x), y, permutations=1).coefficient
+        x = rng.normal(size=10)
+        y = rng.normal(size=10)
+        base = spearman(x, y, permutations=1, pair_index=every_pair(10)).coefficient
+        transformed = spearman(np.exp(x), y, permutations=1, pair_index=every_pair(10)).coefficient
         assert transformed == base
 
     def test_random_against_reference(self):
         rng = np.random.default_rng(46)
         for _ in range(10):
-            x = rng.normal(size=8)
-            y = rng.normal(size=8)
-            got = spearman(x, y, permutations=1).coefficient
+            x = rng.normal(size=10)
+            y = rng.normal(size=10)
+            got = spearman(x, y, permutations=1, pair_index=every_pair(10)).coefficient
             ref = stats.spearmanr(x, y).statistic
             assert got == pytest.approx(float(ref), rel=1e-12)
 
@@ -398,8 +350,9 @@ class TestSpearman:
         values = np.array([-1.5, -0.0, 0.0, 0.0, 2.0, 7.25])
         x, y = rng.choice(values, n), rng.choice(values, n)
         x[:3], y[:3] = [-0.0, 0.0, 2.0], [7.25, -0.0, -0.0]  # x and y vary even at n = 3
-        got = spearman(x, y, permutations=999, seed=n)
-        ref = pearson(analysis._average_ranks(x), analysis._average_ranks(y), 999, n)
+        got = spearman(x, y, permutations=999, seed=n, pair_index=every_pair(n))
+        ref = pearson(analysis._average_ranks(x), analysis._average_ranks(y), 999, n,
+                      pair_index=every_pair(n))
         assert got.coefficient.hex() == ref.coefficient.hex()
         assert got.p_value.hex() == ref.p_value.hex()
 

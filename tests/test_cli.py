@@ -931,6 +931,18 @@ class TestSimilarityAndDecay:
         assert err.count(str(path)) == 1
         assert sorted(pipeline_dir.iterdir()) == before
 
+    def test_similarity_rejects_a_model_whose_norms_overflow(self, pipeline_dir, capsys):
+        # a finite model, but the squares of its largest values overflow, so
+        # their cosines would be nan
+        assert run("embed", "--out", pipeline_dir, "--dim", "4", "--epochs", "1",
+                   "--learning-rate", "1e60") == 0
+        before = snapshot(pipeline_dir)
+        capsys.readouterr()
+        assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 1
+        assert capsys.readouterr().err == ("error: undefined similarity: non-finite norm for "
+                                           "['hillton', 'lakecity']\n")
+        assert snapshot(pipeline_dir) == before
+
     # the stage that reads each artifact; each file's last number is cut
     # short by one digit, and its final line end is gone
     @pytest.mark.parametrize("name,stage", [
@@ -1008,6 +1020,15 @@ class TestEmbedStage:
         first = (pipeline_dir / "model.txt").read_bytes()
         run("embed", "--out", pipeline_dir, "--dim", "8", "--epochs", "3", "--seed", "42")
         assert (pipeline_dir / "model.txt").read_bytes() == first
+
+    def test_diverging_training_prints_one_error_line_and_no_warning(self, pipeline_dir, capsys):
+        before = snapshot(pipeline_dir)
+        capsys.readouterr()
+        assert run("embed", "--out", pipeline_dir, "--learning-rate", "1e200") == 1
+        err = capsys.readouterr().err
+        assert err == ("error: training diverged at epoch 0: non-finite loss "
+                       "(try a lower learning rate)\n")
+        assert snapshot(pipeline_dir) == before
 
 
 class TestDeterminism:
@@ -1238,6 +1259,52 @@ def test_no_stage_calls_an_artifact_reader_itself():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) in readers]
     assert calls == []
+
+
+def test_every_library_function_and_class_is_reached_from_a_stage():
+    # the tests check what the stages run, so the package holds no function
+    # or class that only tests call. The walk starts from main, build_parser,
+    # every cmd_* and each module's top-level statements that are not
+    # definitions, and follows each Name and Attribute that names a
+    # top-level function or class of the package.
+    package = Path(poinames.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    definitions = {(module, node.name): node for module, tree in trees.items()
+                   for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    # what a name or dotted name means in each module: its own definitions,
+    # the names it imports from the package, and module.name for the modules
+    # it imports
+    scope = {module: {name: (module, name) for m, name in definitions if m == module}
+             for module in trees}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module:
+                        scope[module][local] = (node.module, alias.name)
+                    else:
+                        scope[module].update({f"{local}.{name}": (m, name)
+                                              for m, name in definitions if m == alias.name})
+    reached = {("cli", name) for module, name in definitions if module == "cli"
+               and (name in ("main", "build_parser") or name.startswith("cmd_"))}
+    todo = [(module, definitions[module, name]) for module, name in reached]
+    todo += [(module, node) for module, tree in trees.items() for node in tree.body
+             if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    while todo:
+        module, root = todo.pop()
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                target = scope[module].get(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                target = scope[module].get(f"{node.value.id}.{node.attr}")
+            else:
+                continue
+            if target in definitions and target not in reached:
+                reached.add(target)
+                todo.append((target[0], definitions[target]))
+    assert sorted(f"{m}.{name}" for m, name in definitions.keys() - reached) == []
 
 
 # ---------------------------------------------------------------- provenance

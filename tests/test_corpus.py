@@ -480,7 +480,7 @@ class TestPartition:
             assert len(deduped[region].documents) <= len(raw[region].documents)
 
     def test_empty_records(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(EmptyCorpusError, match="^no records to partition$"):
             partition_by_region([], dedup=False)
 
 
@@ -516,8 +516,12 @@ class TestTypedSubsets:
         assert all(len(documents) == 2 for documents in subsets.values())
 
     def test_min_count_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^min_count must be >= 1, got 0$"):
             typed_subsets([rec("x")], required_regions={"a"}, min_count=0)
+
+    def test_no_required_regions(self):
+        with pytest.raises(EmptyCorpusError, match="^no regions to build typed subsets from$"):
+            typed_subsets([rec("x")], required_regions=set(), min_count=1)
 
     def test_counts_use_raw_pois_by_default(self):
         records = [rec("Same Name", categories={"Food"}) for _ in range(4)]

@@ -21,8 +21,6 @@ from poinames.embed import (
     _Workspace,
     build_training_pairs,
     load_model,
-    pair_gradients,
-    pair_loss,
     save_model,
     sgns_batch,
     sigmoid,
@@ -183,41 +181,47 @@ class TestNegativeSampling:
 
 
 class TestPairLoss:
+    """sgns_batch on a batch of one pair: the objective."""
+
     def test_zero_vectors(self):
         d, k = 8, 5
-        loss = pair_loss(np.zeros(d), np.zeros(d), np.zeros((k, d)))
+        loss = sgns_batch(np.zeros((1, d)), np.zeros((1, d)), np.zeros((1, k, d)))[0]
         assert loss == pytest.approx(6 * LN2, rel=1e-12)
 
     def test_limit_toward_zero(self):
-        r = np.array([50.0])
-        w_o = np.array([1.0])
-        negatives = np.array([[-1.0], [-1.0]])
-        assert pair_loss(r, w_o, negatives) < 1e-9
+        r = np.array([[50.0]])
+        w_o = np.array([[1.0]])
+        negatives = np.array([[[-1.0], [-1.0]]])
+        assert sgns_batch(r, w_o, negatives)[0] < 1e-9
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             d = int(rng.integers(1, 11))
             k = int(rng.integers(1, 6))
-            r = rng.normal(scale=2.0, size=d)
-            w_o = rng.normal(scale=2.0, size=d)
-            negatives = rng.normal(scale=2.0, size=(k, d))
-            expected = -math.log(1.0 / (1.0 + math.exp(-float(w_o @ r))))
-            for row in negatives:
-                expected -= math.log(1.0 / (1.0 + math.exp(float(row @ r))))
-            assert pair_loss(r, w_o, negatives) == pytest.approx(expected, rel=1e-12)
+            r = rng.normal(scale=2.0, size=(1, d))
+            w_o = rng.normal(scale=2.0, size=(1, d))
+            negatives = rng.normal(scale=2.0, size=(1, k, d))
+            expected = -math.log(1.0 / (1.0 + math.exp(-float(w_o[0] @ r[0]))))
+            for row in negatives[0]:
+                expected -= math.log(1.0 / (1.0 + math.exp(float(row @ r[0]))))
+            assert sgns_batch(r, w_o, negatives)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_positive_for_finite_vectors(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
-            loss = pair_loss(rng.normal(size=4), rng.normal(size=4), rng.normal(size=(3, 4)))
+            loss = sgns_batch(rng.normal(size=(1, 4)), rng.normal(size=(1, 4)),
+                              rng.normal(size=(1, 3, 4)))[0]
             assert loss > 0.0
 
 
 class TestPairGradients:
+    """sgns_batch on a batch of one pair: the gradients."""
+
     def test_zero_vectors_give_zero_gradients(self):
         d, k = 6, 3
-        grad_r, grad_wo, grad_negs = pair_gradients(np.zeros(d), np.zeros(d), np.zeros((k, d)))
+        _, grad_r, grad_wo, grad_negs = sgns_batch(np.zeros((1, d)), np.zeros((1, d)),
+                                                   np.zeros((1, k, d)))
         assert not grad_r.any() and not grad_wo.any() and not grad_negs.any()
 
     def test_finite_differences(self):
@@ -226,43 +230,43 @@ class TestPairGradients:
         for _ in range(100):
             d = int(rng.integers(2, 11))
             k = int(rng.integers(1, 6))
-            r = rng.normal(scale=0.8, size=d)
-            w_o = rng.normal(scale=0.8, size=d)
-            negatives = rng.normal(scale=0.8, size=(k, d))
-            grad_r, grad_wo, grad_negs = pair_gradients(r, w_o, negatives)
+            r = rng.normal(scale=0.8, size=(1, d))
+            w_o = rng.normal(scale=0.8, size=(1, d))
+            negatives = rng.normal(scale=0.8, size=(1, k, d))
+            _, grad_r, grad_wo, grad_negs = sgns_batch(r, w_o, negatives)
 
             def check(analytic, bump):
-                num = (pair_loss(*bump(+h)) - pair_loss(*bump(-h))) / (2 * h)
+                num = (sgns_batch(*bump(+h))[0] - sgns_batch(*bump(-h))[0]) / (2 * h)
                 assert analytic == pytest.approx(num, rel=1e-5, abs=1e-8)
 
             for i in range(d):
-                e = np.zeros(d); e[i] = 1.0
-                check(grad_r[i], lambda s, e=e: (r + s * e, w_o, negatives))
-                check(grad_wo[i], lambda s, e=e: (r, w_o + s * e, negatives))
+                e = np.zeros((1, d)); e[0, i] = 1.0
+                check(grad_r[0, i], lambda s, e=e: (r + s * e, w_o, negatives))
+                check(grad_wo[0, i], lambda s, e=e: (r, w_o + s * e, negatives))
             for j in range(k):
                 for i in range(d):
-                    bump_neg = np.zeros((k, d)); bump_neg[j, i] = 1.0
-                    check(grad_negs[j, i], lambda s, b=bump_neg: (r, w_o, negatives + s * b))
+                    bump_neg = np.zeros((1, k, d)); bump_neg[0, j, i] = 1.0
+                    check(grad_negs[0, j, i], lambda s, b=bump_neg: (r, w_o, negatives + s * b))
 
     def test_flipping_r_flips_positive_word_gradient_direction(self):
         rng = np.random.default_rng(34)
-        r = rng.normal(size=5)
-        w_o = rng.normal(size=5)
-        negatives = rng.normal(size=(2, 5))
-        _, grad_wo, _ = pair_gradients(r, w_o, negatives)
-        _, grad_wo_flipped, _ = pair_gradients(-r, w_o, negatives)
-        assert float(grad_wo @ r) < 0.0  # gradient descends along +r
-        assert float(grad_wo_flipped @ r) > 0.0
+        r = rng.normal(size=(1, 5))
+        w_o = rng.normal(size=(1, 5))
+        negatives = rng.normal(size=(1, 2, 5))
+        grad_wo = sgns_batch(r, w_o, negatives)[2]
+        grad_wo_flipped = sgns_batch(-r, w_o, negatives)[2]
+        assert float(grad_wo[0] @ r[0]) < 0.0  # gradient descends along +r
+        assert float(grad_wo_flipped[0] @ r[0]) > 0.0
 
     def test_one_descent_step_reduces_loss(self):
         rng = np.random.default_rng(35)
-        r = rng.normal(scale=0.5, size=6)
-        w_o = rng.normal(scale=0.5, size=6)
-        negatives = rng.normal(scale=0.5, size=(4, 6))
-        before = pair_loss(r, w_o, negatives)
-        grad_r, grad_wo, grad_negs = pair_gradients(r, w_o, negatives)
+        r = rng.normal(scale=0.5, size=(1, 6))
+        w_o = rng.normal(scale=0.5, size=(1, 6))
+        negatives = rng.normal(scale=0.5, size=(1, 4, 6))
+        before, grad_r, grad_wo, grad_negs = sgns_batch(r, w_o, negatives)
         step = 1e-3
-        after = pair_loss(r - step * grad_r, w_o - step * grad_wo, negatives - step * grad_negs)
+        after = sgns_batch(r - step * grad_r, w_o - step * grad_wo,
+                           negatives - step * grad_negs)[0]
         assert after < before
 
 
@@ -272,12 +276,11 @@ class TestSgnsBatch:
         b, d, k = 9, 5, 3
         r, w, negs = rng.normal(size=(b, d)), rng.normal(size=(b, d)), rng.normal(size=(b, k, d))
         loss, grad_r, grad_w, grad_negs = sgns_batch(r, w, negs)
-        assert loss == pytest.approx(sum(pair_loss(r[i], w[i], negs[i]) for i in range(b)),
-                                     rel=1e-12)
-        for i in range(b):
-            for got, want in zip((grad_r[i], grad_w[i], grad_negs[i]),
-                                 pair_gradients(r[i], w[i], negs[i])):
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        one_pair = [sgns_batch(r[i : i + 1], w[i : i + 1], negs[i : i + 1]) for i in range(b)]
+        assert loss == pytest.approx(sum(pair[0] for pair in one_pair), rel=1e-12)
+        for i, pair in enumerate(one_pair):
+            for got, want in zip((grad_r[i], grad_w[i], grad_negs[i]), pair[1:]):
+                np.testing.assert_allclose(got, want[0], rtol=1e-12, atol=1e-15)
 
     def test_step_sums_pair_gradients_at_pre_batch_parameters(self):
         rng = np.random.default_rng(37)
@@ -291,12 +294,12 @@ class TestSgnsBatch:
 
         expected_r, expected_w, expected_loss = region_vecs.copy(), word_vecs.copy(), 0.0
         for ri, wi, negs in zip(region_rows, word_rows, neg_rows):
-            args = (region_vecs[ri], word_vecs[wi], word_vecs[negs])
-            expected_loss += pair_loss(*args)
-            grad_r, grad_w, grad_negs = pair_gradients(*args)
-            expected_r[ri] -= lr * grad_r
-            expected_w[wi] -= lr * grad_w
-            for n, g in zip(negs, grad_negs):
+            loss, grad_r, grad_w, grad_negs = sgns_batch(
+                region_vecs[[ri]], word_vecs[[wi]], word_vecs[negs][None])
+            expected_loss += loss
+            expected_r[ri] -= lr * grad_r[0]
+            expected_w[wi] -= lr * grad_w[0]
+            for n, g in zip(negs, grad_negs[0]):
                 expected_w[n] -= lr * g
 
         loss = _sgd_step(region_vecs, word_vecs, region_rows, word_rows, neg_rows, lr,
@@ -320,13 +323,13 @@ def reference_train(pairs, vocab, config):
             ri, wi = pairs.region_ids[j], pairs.word_ids[j]
             negs = noise.sample_rows(pairs.region_ids[j : j + 1], k, rng,
                                      positives=pairs.word_ids[j : j + 1])[0]
-            grad_r, grad_w, grad_negs = pair_gradients(region_vecs[ri], word_vecs[wi],
-                                                       word_vecs[negs])
+            _, grad_r, grad_w, grad_negs = sgns_batch(region_vecs[[ri]], word_vecs[[wi]],
+                                                      word_vecs[negs][None])
             lr = config.learning_rate + slope * step
-            word_vecs[wi] -= lr * grad_w
-            for n, g in zip(negs, grad_negs):
+            word_vecs[wi] -= lr * grad_w[0]
+            for n, g in zip(negs, grad_negs[0]):
                 word_vecs[n] -= lr * g
-            region_vecs[ri] -= lr * grad_r
+            region_vecs[ri] -= lr * grad_r[0]
             step += 1
     return {r: region_vecs[i] for i, r in enumerate(pairs.regions)}
 
@@ -458,12 +461,20 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"{field} ids must lie in"):
             train(broken, vocab, EmbeddingConfig(dimension=8, epochs=1, seed=0))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
+        # and without a numpy warning, which filterwarnings = error would raise
         _, vocab, pairs = toy_setup()
         config = EmbeddingConfig(dimension=8, epochs=3, seed=0, learning_rate=1e300)
         with pytest.raises(RuntimeError, match="learning rate"):
             train(pairs, vocab, config)
+
+    def test_one_term_vocabulary_cannot_sample_negatives(self):
+        corpora = corpora_from({"a": ["xx"], "b": ["xx xx"]})
+        vocab = build_vocabulary(corpora.values())
+        pairs = build_training_pairs(corpora, vocab)
+        with pytest.raises(ValueError, match="^cannot sample negatives: only the positive term "
+                                             "has probability mass$"):
+            train(pairs, vocab, EmbeddingConfig(dimension=4, epochs=1))
 
     def test_vocabulary_mismatch(self):
         corpora = corpora_from({"a": ["xx yy"], "b": ["zz"]})

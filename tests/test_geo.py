@@ -46,7 +46,7 @@ class TestCentroid:
         assert c.longitude == pytest.approx(-112.1, abs=1e-12)
 
     def test_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot compute the centroid of an empty region$"):
             region_centroid([])
 
 

@@ -8,7 +8,6 @@ from poinames.corpus import tokenize
 from poinames.localness import (
     UsageMatrix,
     geo_tfidf,
-    jsd,
     mean_pairwise_jsd,
     top_local_terms,
     usage_distributions,
@@ -47,13 +46,14 @@ class TestGeoTfidf:
         assert list(geo_tfidf(shuffled)) == ["a", "b", "c"]
 
     def test_single_region_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^geo-tfidf needs at least 2 regions$"):
             geo_tfidf(corpora_from({"a": ["x"]}))
 
     def test_unknown_variant(self):
         # the CLI spelling is the only one: "plus_one" is not a variant
         for variant in ("bm25", "plus_one"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^unknown IDF variant '{variant}'; expected one "
+                                                 r"of \('pure', 'plus-one'\)$"):
                 geo_tfidf(seven_region_corpora(), variant=variant)
 
     def test_matches_brute_force(self):
@@ -114,7 +114,7 @@ class TestTopLocalTerms:
                 assert bigger[region][: len(small[region])] == small[region]
 
     def test_k_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
             top_local_terms(geo_tfidf(corpora_from({"a": ["x"], "b": ["y"]})), k=0)
 
     @given(
@@ -194,7 +194,7 @@ class TestUsagePercentages:
             usage_percentages(subsets, {"a": terms("dune"), "b": terms("lake")})
 
     def test_missing_region_terms(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^no local terms supplied for region 'a'$"):
             usage_percentages({("a", "Food"): docs(["x"])}, {"b": terms("y")})
 
 
@@ -218,7 +218,8 @@ class TestNormalize:
         assert one_row([1, 0, 1], [2, 3, 2]) == pytest.approx([0.5, 0.0, 0.5])
 
     def test_zero_vector(self):
-        with pytest.raises(ValueError, match="zero vector"):
+        with pytest.raises(ValueError, match="^cannot normalize zero vector: region 'r' uses no "
+                                             "local term$"):
             one_row([0, 0], [4, 7])
 
 
@@ -234,34 +235,36 @@ def distribution(draw, size):
 
 class TestJsd:
     def test_identity_is_exactly_zero(self):
-        assert jsd([0.3, 0.7], [0.3, 0.7]) == 0.0
+        assert mean_pairwise_jsd([[0.3, 0.7], [0.3, 0.7]]) == (0.0, 0.0)
 
     def test_disjoint_supports(self):
-        assert jsd([1.0, 0.0], [0.0, 1.0]) == pytest.approx(LN2, rel=1e-12)
+        assert mean_pairwise_jsd([[1.0, 0.0], [0.0, 1.0]])[0] == pytest.approx(LN2, rel=1e-12)
 
     def test_base2_rescaling(self):
-        assert jsd([1.0, 0.0], [0.0, 1.0], base=2) == pytest.approx(1.0, rel=1e-12)
+        assert mean_pairwise_jsd([[1.0, 0.0], [0.0, 1.0]])[1] == pytest.approx(1.0, rel=1e-12)
 
     @given(st.integers(2, 6).flatmap(lambda n: st.tuples(distribution(n), distribution(n))))
     def test_bounds_and_symmetry(self, pq):
         p, q = pq
-        value = jsd(p, q)
-        assert 0.0 <= value <= LN2 + 1e-12
-        assert jsd(q, p) == value
+        nats, bits = mean_pairwise_jsd([p, q])
+        assert 0.0 <= nats <= LN2 + 1e-12
+        assert 0.0 <= bits <= 1.0 + 1e-12
+        assert mean_pairwise_jsd([q, p]) == (nats, bits)
 
     def test_sum_validation(self):
-        with pytest.raises(ValueError):
-            jsd([0.9, 0.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="distribution 0 sums to 0.9, expected 1"):
+            mean_pairwise_jsd([[0.9, 0.0], [0.5, 0.5]])
 
     def test_rows_a_rounding_apart_are_not_below_zero(self):
         # the two halves of the divergence sum to -2.8e-17 before the clamp
-        assert jsd([0.5, 0.5], [0.5, 0.49999999999999994]) == 0.0
+        assert mean_pairwise_jsd([[0.5, 0.5], [0.5, 0.49999999999999994]]) == (0.0, 0.0)
 
     def test_subnormal_mass_does_not_underflow_mixture(self):
         # (p + q) / 2 rounds 5e-324 to zero; the divergence must stay finite
         p, q = [0.0, 1.0, 5e-324], [0.0, 1.0, 0.0]
-        assert 0.0 <= jsd(p, q) <= 1e-300
-        assert jsd(q, p) == jsd(p, q)
+        nats, bits = mean_pairwise_jsd([p, q])
+        assert 0.0 <= nats <= 1e-300 and 0.0 <= bits <= 1e-300
+        assert mean_pairwise_jsd([q, p]) == (nats, bits)
 
 
 def normalized(row):
@@ -285,7 +288,7 @@ class TestMeanPairwiseJsd:
     def test_pair_count_seven_regions(self):
         rows = [normalized([1.0 + i, 2.0, 3.0 - 0.1 * i]) for i in range(7)]
         # 21 unordered pairs; verify through an explicit mean
-        values = [jsd(rows[i], rows[j]) for i in range(7) for j in range(i + 1, 7)]
+        values = [mean_pairwise_jsd([p, q])[0] for p, q in combinations(rows, 2)]
         assert len(values) == 21
         nats, bits = mean_pairwise_jsd(rows)
         assert nats == pytest.approx(sum(values) / 21, rel=1e-12)
@@ -296,17 +299,18 @@ class TestMeanPairwiseJsd:
 
     @given(rows_with_zeros_and_subnormals())
     def test_equals_the_mean_of_jsd_over_pairs_bit_for_bit(self, rows):
-        # the definition mean_pairwise_jsd replaces: one jsd call per pair and
-        # base, each added with +=, divided by the pair count
+        # the definition: the divergence of each pair in nats and in bits,
+        # each added with +=, divided by the pair count
         nats = bits = 0.0
         pairs = list(combinations(rows, 2))
         for p, q in pairs:
-            nats += jsd(p, q)
-            bits += jsd(p, q, base=2)
+            pair_nats, pair_bits = mean_pairwise_jsd([p, q])
+            nats += pair_nats
+            bits += pair_bits
         assert mean_pairwise_jsd(rows) == (nats / len(pairs), bits / len(pairs))
 
     def test_mismatched_support(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distributions must have the same support size"):
             mean_pairwise_jsd([[0.5, 0.5], [0.25, 0.25, 0.5]])
 
     @pytest.mark.parametrize("bad", [[0.5, 0.6], [1.5, -0.5], [0.25, 0.25]],
@@ -318,7 +322,7 @@ class TestMeanPairwiseJsd:
                 mean_pairwise_jsd(rows)
 
     def test_needs_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 2 distributions"):
             mean_pairwise_jsd([[1.0]])
 
 

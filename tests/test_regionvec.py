@@ -77,7 +77,7 @@ class TestTfidfVector:
         corpora, vocab = self._setup()
         table = geo_tfidf(corpora)
         other = corpora_from({"zz": ["common shop"]})["zz"]
-        with pytest.raises(ValueError, match="not covered"):
+        with pytest.raises(ValueError, match="^region 'zz' not covered by the TF-IDF table$"):
             tfidf_vector(other, vocab, table)
 
 
@@ -158,5 +158,11 @@ class TestSimilarityMatrix:
                 assert sim.values[i, j] == sim.values[j, i] == expected
 
     def test_duplicate_region_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="^duplicate region ids$"):
             similarity_matrix([vec([1.0], "a"), vec([2.0], "a")])
+
+    def test_norm_beyond_the_float_range_rejected(self):
+        # 1e200 squared overflows: the cosines would be nan
+        vectors = [vec([1.0, 2.0], "a"), vec([1e200, 1.0], "b"), vec([3.0, 1.0], "c")]
+        with pytest.raises(ValueError, match=r"^undefined similarity: non-finite norm for \['b'\]$"):
+            similarity_matrix(vectors)

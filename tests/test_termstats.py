@@ -34,6 +34,10 @@ class TestRankTerms:
     def test_descending(self):
         assert rank_terms({"p": 1, "q": 2}) == [("q", 2), ("p", 1)]
 
+    def test_empty(self):
+        with pytest.raises(EmptyCorpusError, match="^empty frequency table$"):
+            rank_terms({})
+
     def test_monotone_and_consecutive(self, records):
         from poinames.corpus import partition_by_region
         table = term_frequencies(partition_by_region(records, dedup=False).values())
