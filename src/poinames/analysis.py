@@ -12,11 +12,13 @@ import itertools
 import math
 import reprlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ._numpy import np
 from .linfit import LineFit, line_fit
 from .regionvec import RegionMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_PERMUTATIONS = 100_000
 # Permutation blocks hold at most PERMUTATION_BLOCK cells per observation and
@@ -54,6 +56,7 @@ class RegionPairs:
 
 def _refuse(pairs: RegionPairs, bad: np.ndarray, fault: str) -> None:
     """Raise ValueError if ``bad`` marks a pair, naming how many it marks and the first few."""
+    import numpy as np
     count = int(np.count_nonzero(bad))
     if count:
         first = list(itertools.islice(itertools.compress(pairs.names(), bad.tolist()), 6))
@@ -74,6 +77,7 @@ class CorrelationResult:
 
 def pair_observations(sim: RegionMatrix, dist: RegionMatrix) -> RegionPairs:
     """Every unordered region pair, in the lexicographic order of the sorted labels."""
+    import numpy as np
     regions = sorted(sim.regions)
     if regions != sorted(dist.regions):
         raise ValueError(f"mismatched region sets: {regions} vs {sorted(dist.regions)}")
@@ -91,6 +95,7 @@ def _pair_table(values: np.ndarray, pair_index: tuple[np.ndarray, np.ndarray]) -
 
     Raises ValueError unless the pairs are every pair of R regions, once each.
     """
+    import numpy as np
     first, second = (np.asarray(index) for index in pair_index)
     regions = (1 + math.isqrt(1 + 8 * values.size)) // 2  # R(R - 1)/2 <= n
     valid = (first.shape == second.shape == values.shape
@@ -130,6 +135,7 @@ def _permutation_p(
     p = (1 + hits) / (1 + permutations). The identity permutation is a hit
     either way, so p is in (0, 1].
     """
+    import numpy as np
     n = xc.size
     m = math.isqrt(values.size)
     count = 1
@@ -196,6 +202,7 @@ def pearson(
     (Mantel 1967). When the labels have at most ``permutations``
     permutations, the test takes each one once and its p-value is exact.
     """
+    import numpy as np
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape:
@@ -219,6 +226,7 @@ def pearson(
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
     """Ranks 1..n; tied values share the mean of their rank positions."""
+    import numpy as np
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="stable")
     ordered = values[order]

@@ -22,14 +22,13 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Callable, Iterable
 
-# numpy's OpenBLAS starts one worker thread per core when numpy executes,
-# which happens at a stage's first use of numpy (see _numpy.py). Every BLAS
+# numpy's OpenBLAS starts one worker thread per core when numpy is imported,
+# which only the cmd_* functions of the stages that use numpy do. Every BLAS
 # call the CLI makes is small or memory-bound and stages run one at a time,
 # so the pool only burns CPU. Run BLAS on one thread unless the user set it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
-from ._numpy import load_numpy, np
 from .analysis import (
     DEFAULT_PERMUTATIONS,
     fit_distance_decay,
@@ -210,6 +209,7 @@ def _table_lines(labels, columns, rows) -> list[str]:
 
 def _read_matrix(path: Path) -> RegionMatrix:
     """Read a square matrix written by _table_lines, rejecting any other shape."""
+    import numpy as np
     lines = [line for _, line in read_lines(path, artifact=True)]
     if not lines:
         raise IngestError(f"{path}: empty matrix file")
@@ -420,7 +420,8 @@ def cmd_vectors(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    load_numpy()
+    # first, so numpy's import is timed as the stage's own and not as its first library call's
+    import numpy  # noqa: F401
     (records,), read = _read_inputs(args, {CORPUS_ARTIFACT: ("ingest", read_corpus)})
     corpora = partition_by_region(records, dedup=False)
     vocab = build_vocabulary(corpora.values())
@@ -453,7 +454,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_similarity(args: argparse.Namespace) -> int:
-    load_numpy()
+    # first, so numpy's import is timed as the stage's own and not as its first library call's
+    import numpy  # noqa: F401
     inputs = {CORPUS_ARTIFACT: ("ingest", read_corpus)}
     if args.method == "embedding":
         inputs[MODEL_ARTIFACT] = ("embed", load_model)
@@ -495,7 +497,8 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 
 
 def cmd_decay(args: argparse.Namespace) -> int:
-    load_numpy()
+    # first, so numpy's import is timed as the stage's own and not as its first library call's
+    import numpy as np
     command = f"similarity --method {args.method}"
     # every similarity run rewrites distances.tsv, so this method's run must have written it
     (sim, dist, _), read = _read_inputs(args, {

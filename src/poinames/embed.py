@@ -21,11 +21,13 @@ import os
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from ._numpy import np
 from .corpus import RegionCorpus, Vocabulary, parse_numbers, read_lines, write_lines
 from .errors import EmptyCorpusError, IngestError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +76,7 @@ def sigmoid(x):
     Where e^-x overflows (x below about -709) the result is 0.0, as with
     scipy.special.expit.
     """
+    import numpy as np
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
 
@@ -100,6 +103,7 @@ def build_training_pairs(corpora: Mapping[str, RegionCorpus], vocab: Vocabulary)
     is left out of ``regions``. Corpora should be built with dedup=False so
     pair frequencies reflect real-world name frequencies.
     """
+    import numpy as np
     regions: list[str] = []
     sizes: list[int] = []
     words: list[str] = []
@@ -133,6 +137,7 @@ class NoiseDistribution:
     """
 
     def __init__(self, pairs: TrainingPairs, vocab_size: int) -> None:
+        import numpy as np
         counts = np.bincount(pairs.word_ids, minlength=vocab_size).tolist()
         # Python's float power: numpy's power need not give the same bits
         weights = np.array([float(c) ** NOISE_POWER for c in counts], dtype=np.float64)
@@ -171,6 +176,7 @@ class NoiseDistribution:
         the whole vocabulary, as a region's own terms are never its
         candidates.
         """
+        import numpy as np
         out = np.empty((region_of.size, k), dtype=np.int64)
         uniforms = rng.random(out.shape)
         for r, (idx, cum) in enumerate(self.tables):
@@ -212,6 +218,7 @@ def sgns_batch(
     w_pos and grad_w_negs may be w_negs: each input is read in full before
     its buffer is overwritten.
     """
+    import numpy as np
     b, k, d = w_negs.shape
     if out is None:
         out = (np.empty((b, d)), np.empty((b, d)), np.empty((b, k, d)))
@@ -235,6 +242,7 @@ class _Workspace:
     pairs, allocated once per train() call and reused by every batch."""
 
     def __init__(self, d: int, k: int) -> None:
+        import numpy as np
         self.regions = np.empty((BATCH_PAIRS, d))
         self.words = np.empty((BATCH_PAIRS, d))
         self.negs = np.empty((BATCH_PAIRS * k, d))
@@ -244,6 +252,7 @@ class _Workspace:
 
     def subtract_rows(self, matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
         """matrix[rows[i]] -= values[i] for every i, accumulating repeated rows."""
+        import numpy as np
         d = self.cols.size
         flat = self.flat[: rows.size * d]
         np.add((rows * d)[:, None], self.cols, out=flat.reshape(rows.size, d))
@@ -268,6 +277,7 @@ def _sgd_step(
     train() checks them, so mode="clip" never clips, and it lets np.take
     gather straight into the workspace instead of through a temporary.
     """
+    import numpy as np
     b, k = neg_rows.shape
     d = word_vecs.shape[1]
     negs = neg_rows.ravel()
@@ -300,8 +310,10 @@ def train(
     rows, and uses the learning rate of its midpoint step. All randomness
     (initialization, shuffling, negative draws) comes from one generator
     seeded with config.seed, so identical inputs produce an identical model.
-    A region or word id outside its table raises ValueError before training.
+    A region or word id outside its table raises ValueError before training;
+    a non-finite loss, or a vector whose norm overflows, raises RuntimeError.
     """
+    import numpy as np
     if not pairs:
         raise EmptyCorpusError("no training pairs")
     n_pairs = len(pairs)
@@ -358,8 +370,18 @@ def train(
                 )
             epoch_losses.append(mean_loss)
 
-    if not (np.isfinite(region_vecs).all() and np.isfinite(word_vecs).all()):
-        raise RuntimeError("training produced non-finite vectors (try a lower learning rate)")
+        # a finite loss can leave vectors whose norms overflow, and those have
+        # no cosine; the norms are computed as similarity_matrix computes them,
+        # BATCH_PAIRS rows at a time, so the check adds no copy of a table
+        for kind, names, vecs in (("region", pairs.regions, region_vecs),
+                                  ("word", vocab.terms, word_vecs)):
+            norms = itertools.chain.from_iterable(
+                np.sqrt(np.sum(rows * rows, axis=1)).tolist()
+                for rows in np.split(vecs, range(BATCH_PAIRS, len(vecs), BATCH_PAIRS)))
+            huge = [name for name, norm in zip(names, norms) if not math.isfinite(norm)]
+            if huge:
+                raise RuntimeError(f"training diverged: non-finite norm for {kind} vectors "
+                                   f"{reprlib.repr(huge)} (try a lower learning rate)")
 
     return EmbeddingModel(
         region_vectors=dict(zip(pairs.regions, region_vecs)),
@@ -402,6 +424,7 @@ def load_model(path: str | Path) -> EmbeddingModel:
     once, and variant must be MODEL_VARIANT. Every row must be a region
     (``r``) row, each region given once; ``word_vectors`` comes back empty.
     """
+    import numpy as np
     region_vectors: dict[str, np.ndarray] = {}
     lines = read_lines(path, artifact=True)
     _, first = next(lines, (1, ""))

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from math import atan, atan2, cos, fsum, radians, sin, sqrt, tan
 from typing import Mapping, Sequence
 
-from ._numpy import np
 from .corpus import PoiRecord
 from .regionvec import RegionMatrix
 
@@ -114,6 +113,7 @@ def vincenty_distance(a: GeoPoint, b: GeoPoint) -> float:
 
 def distance_matrix(centroids: Mapping[str, GeoPoint]) -> RegionMatrix:
     """Pairwise Vincenty distances in meters between region centroids, zero diagonal."""
+    import numpy as np
     if len(centroids) < 2:
         raise ValueError("distance matrix needs at least 2 regions")
     regions = tuple(sorted(centroids))

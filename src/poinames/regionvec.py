@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ._numpy import np
 from .corpus import RegionCorpus, Vocabulary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +32,7 @@ class RegionMatrix:
 
 def _fill(region_id: str, vocab: Vocabulary, by_term: Mapping[str, float]) -> RegionVector:
     """Place each term's value in its vocabulary slot; absent terms stay zero."""
+    import numpy as np
     values = np.zeros(len(vocab), dtype=np.float64)
     for term, value in by_term.items():
         slot = vocab.index.get(term)
@@ -69,6 +72,7 @@ def similarity_matrix(vectors: Sequence[RegionVector]) -> RegionMatrix:
     Each norm is computed once. Sums run in ascending index order so results
     are stable across runs.
     """
+    import numpy as np
     if len(vectors) < 2:
         raise ValueError("similarity matrix needs at least 2 regions")
     regions = tuple(v.region_id for v in vectors)

@@ -5,7 +5,7 @@ other than a manifest, and the stdout of each stage, is compared by sha256
 with tests/data/text_stage_digests.json. They run on the C10 fixture, and
 on the benchmark's text-12k corpus at seed 1 (10 regions, Unicode names),
 which bench/gen.py writes; that corpus's digests are keyed "text-12k/...".
-These stages execute no numpy. The C10 fixture is ASCII, so its digests
+These stages import no numpy. The C10 fixture is ASCII, so its digests
 hold on every supported Python; the text-12k names are tokenized with the
 Unicode data of the running Python.
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import poinames
 import poinames.cli
 from poinames.cli import VECTOR_METHODS, build_parser, main
 from poinames.corpus import load_pois, read_corpus, tokenize, write_lines
+from poinames.embed import train
 from poinames.errors import IngestError
 
 from conftest import write_dataset
@@ -88,9 +90,16 @@ def test_text_stage_modules_load_no_numpy():
     assert fresh_python(code) == "False"
 
 
+def test_no_module_imports_numpy():
+    # numpy is imported inside the functions that use it, never by a module
+    modules = ", ".join(f"poinames.{m.name}" for m in pkgutil.iter_modules(poinames.__path__))
+    assert "poinames.cli" in modules
+    assert fresh_python(f"import sys, {modules}; print('numpy' in sys.modules)") == "False"
+
+
 # runs the CLI on its arguments, then prints the exit code and how many
-# numpy submodules are loaded; 'numpy' itself is in sys.modules as soon as a
-# numpy-backed module is imported, but its submodules appear only once it runs
+# numpy submodules are loaded; neither 'numpy' nor its submodules are in
+# sys.modules until a stage that uses numpy imports it
 NUMPY_PROBE = """
 import sys
 from poinames.cli import main
@@ -122,28 +131,45 @@ def test_text_stages_never_execute_numpy(tmp_path, dataset):
 
 
 def test_cli_import_runs_blas_on_one_thread():
-    # numpy starts its BLAS threads when it executes, which importing the
-    # CLI alone does not do; load_numpy runs it as a numpy stage would
-    code = ("import os, poinames.cli; poinames.cli.load_numpy(); "
+    # numpy starts its BLAS threads when it is imported, which importing the
+    # CLI alone does not do; a stage that uses numpy imports it after the CLI
+    code = ("import os, poinames.cli, numpy; "
             "print(os.environ['OPENBLAS_NUM_THREADS']); "
             "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)")
     assert fresh_python(code).split() == ["1", "1"]
 
 
-def test_failed_numpy_import_is_raised_again(tmp_path):
-    # a numpy whose import fails must not stay half-run in sys.modules
+def test_failed_numpy_import_is_raised_again(tmp_path, dataset):
+    # a numpy whose import fails stops only the stages that use numpy, each
+    # with that error, and an import after them raises it again
     (tmp_path / "numpy").mkdir()
     (tmp_path / "numpy" / "__init__.py").write_text("raise ImportError('broken numpy')\n")
+    input_path, mapping_path = dataset
+    ingest = ["ingest", "--input", str(input_path), "--mapping", str(mapping_path)]
+    out = ["--out", str(tmp_path / "artifacts")]
+    stages = [["--version"]] + [argv + out for argv in [ingest] + STAGES]
     code = """
-import poinames.cli
-for attempt in (poinames.cli.load_numpy, lambda: __import__("numpy")):
+import json, sys
+from poinames.cli import main
+for argv in json.loads(sys.argv[1]):
     try:
-        attempt()
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     except ImportError as exc:
-        print(exc)
+        code = repr(exc)
+    print("exit", code)
+try:
+    import numpy
+except ImportError as exc:
+    print("exit", repr(exc))
 """
     pythonpath = os.pathsep.join([str(tmp_path), str(Path(poinames.__file__).resolve().parents[1])])
-    assert fresh_python(code, PYTHONPATH=pythonpath).splitlines() == ["broken numpy"] * 2
+    lines = fresh_python(code, json.dumps(stages), PYTHONPATH=pythonpath).splitlines()
+    broken = "ImportError('broken numpy')"
+    expected = [broken if argv[0] in ("embed", "similarity", "decay") else "0" for argv in stages]
+    assert [line[5:] for line in lines if line.startswith("exit ")] == [*expected, broken]
+    assert expected.count("0") == 7
 
 
 def test_cli_import_keeps_a_preset_blas_thread_count():
@@ -931,11 +957,19 @@ class TestSimilarityAndDecay:
         assert err.count(str(path)) == 1
         assert sorted(pipeline_dir.iterdir()) == before
 
-    def test_similarity_rejects_a_model_whose_norms_overflow(self, pipeline_dir, capsys):
+    def test_similarity_rejects_a_model_whose_norms_overflow(self, pipeline_dir, capsys,
+                                                             monkeypatch):
         # a finite model, but the squares of its largest values overflow, so
-        # their cosines would be nan
-        assert run("embed", "--out", pipeline_dir, "--dim", "4", "--epochs", "1",
-                   "--learning-rate", "1e60") == 0
+        # their cosines would be nan; train refuses to return such a model,
+        # so this one is scaled after training
+        def overflowing(*args):
+            model = train(*args)
+            for region in ("hillton", "lakecity"):
+                model.region_vectors[region] *= 1e160
+            return model
+
+        monkeypatch.setattr(poinames.cli, "train", overflowing)
+        assert run("embed", "--out", pipeline_dir, "--dim", "4", "--epochs", "1") == 0
         before = snapshot(pipeline_dir)
         capsys.readouterr()
         assert run("similarity", "--out", pipeline_dir, "--method", "embedding") == 1
@@ -1028,6 +1062,18 @@ class TestEmbedStage:
         err = capsys.readouterr().err
         assert err == ("error: training diverged at epoch 0: non-finite loss "
                        "(try a lower learning rate)\n")
+        assert snapshot(pipeline_dir) == before
+
+    def test_training_whose_norms_overflow_prints_one_error_line_and_no_warning(
+            self, pipeline_dir, capsys):
+        # the loss stays finite, but the squares of the largest values overflow
+        before = snapshot(pipeline_dir)
+        capsys.readouterr()
+        assert run("embed", "--out", pipeline_dir, "--dim", "4", "--epochs", "1",
+                   "--learning-rate", "1e55") == 1
+        assert capsys.readouterr().err == (
+            "error: training diverged: non-finite norm for region vectors "
+            "['hillton', 'lakecity'] (try a lower learning rate)\n")
         assert snapshot(pipeline_dir) == before
 
 
