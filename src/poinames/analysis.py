@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 import reprlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
+from .corpus import FrozenRecord
 from .linfit import LineFit, line_fit
 from .regionvec import RegionMatrix
 
@@ -28,22 +28,22 @@ PERMUTATION_BLOCK = 1024
 PERMUTATION_CELLS = 1024 * 1225
 
 
-@dataclass(frozen=True, eq=False)
-class RegionPairs:
+class RegionPairs(FrozenRecord):
     """Collective similarity and geodesic distance for each region pair.
 
     Pair k joins ``regions[first[k]]`` and ``regions[second[k]]``. A
-    distance of 0 or below raises ValueError.
+    distance of 0 or below raises ValueError. Pairs compare by identity:
+    an array comparison has no single truth value.
     """
 
-    regions: tuple[str, ...]
-    first: np.ndarray
-    second: np.ndarray
-    similarity: np.ndarray
-    distance_m: np.ndarray
+    __slots__ = ("regions", "first", "second", "similarity", "distance_m")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        _refuse(self, self.distance_m <= 0.0, "a non-positive distance")
+    def __init__(self, regions: tuple[str, ...], first: np.ndarray, second: np.ndarray,
+                 similarity: np.ndarray, distance_m: np.ndarray) -> None:
+        self._init(regions, first, second, similarity, distance_m)
+        _refuse(self, distance_m <= 0.0, "a non-positive distance")
 
     def __len__(self) -> int:
         return self.similarity.size
@@ -64,8 +64,7 @@ def _refuse(pairs: RegionPairs, bad: np.ndarray, fault: str) -> None:
                          f"among them {reprlib.repr(first)}")
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     """A coefficient and its p-value over ``permutations`` permutations,
     which are every permutation of the labels when ``exact``."""
 

@@ -272,10 +272,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if tokenless:
         raise IngestError(f"{input_path}: no name in region(s) {tokenless} has any tokens")
 
+    # json.dumps with these options would build a new encoder for each record
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     pois_lines = (
-        json.dumps({"name": r.name, "region": r.region_id, "latitude": r.latitude,
-                    "longitude": r.longitude, "categories": sorted(r.categories)},
-                   sort_keys=True, ensure_ascii=False)
+        encode({"name": r.name, "region": r.region_id, "latitude": r.latitude,
+                "longitude": r.longitude, "categories": sorted(r.categories)})
         for r in result.records
     )
     rejection_lines = ["line\treason"]
@@ -656,7 +657,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one stage; the only place an exception becomes an exit code and an error line.
 
     An error of this package or of the file system (any OSError, such as an
-    artifact's name taken by a directory) exits 2; a computation error exits 1.
+    artifact's name taken by a directory) exits 2; a computation error, or a
+    numpy that cannot be imported, exits 1.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -666,6 +668,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ImportError as exc:  # numpy, which only the stages that use it import
+        reason = " ".join(str(exc).split())  # numpy's own message can run over many lines
+        print(f"error: cannot import numpy, which this stage needs: {reason}", file=sys.stderr)
         return 1
 
 

@@ -19,9 +19,8 @@ import reprlib
 import sys
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyCorpusError, IngestError
 
@@ -81,8 +80,40 @@ def _check_no_surrogate(text: str, what: str) -> None:
                          "which is not valid Unicode")
 
 
-@dataclass(frozen=True, slots=True)
-class PoiRecord:
+class FrozenRecord:
+    """Base of a slotted record whose own __init__ validates or derives a field.
+
+    __init__ fills every slot once, through _init; setting or deleting an
+    attribute later raises AttributeError. Records of one class compare and
+    hash by their slot values, in slot order.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+
+class PoiRecord(NamedTuple):
     """One point of interest: raw name, region label, coordinates, categories, tokens.
 
     ``tokens`` is ``tokenize(name)``, computed once at ingest. Records loaded
@@ -98,42 +129,42 @@ class PoiRecord:
     tokens: tuple[str, ...]
 
 
-@dataclass
-class RegionCorpus:
-    """Tokenized POI-name documents for one region, one token tuple per name."""
+class RegionCorpus(FrozenRecord):
+    """Tokenized POI-name documents for one region, one token tuple per name.
 
-    region_id: str
-    documents: list[tuple[str, ...]]
-    # each token's occurrences over the documents, counted once at construction
-    counts: Counter[str] = field(init=False, repr=False)
+    ``counts`` holds each token's occurrences over the documents, counted
+    once at construction.
+    """
 
-    def __post_init__(self) -> None:
-        self.counts = Counter(token for doc in self.documents for token in doc)
+    __slots__ = ("region_id", "documents", "counts")
+
+    def __init__(self, region_id: str, documents: list[tuple[str, ...]]) -> None:
+        self._init(region_id, documents,
+                   Counter(token for doc in documents for token in doc))
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(FrozenRecord):
     """Lexicographically ordered set of all terms, with term -> index lookup."""
 
-    terms: tuple[str, ...]
-    index: Mapping[str, int]
+    __slots__ = ("terms", "index")
+
+    def __init__(self, terms: tuple[str, ...], index: Mapping[str, int]) -> None:
+        self._init(terms, index)
 
     def __len__(self) -> int:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class RejectedRecord:
+class RejectedRecord(NamedTuple):
     line: int
     reason: str
 
 
-@dataclass
-class LoadResult:
+class LoadResult(NamedTuple):
     """Accepted records plus a per-record rejection report."""
 
     records: list[PoiRecord]
-    rejections: list[RejectedRecord] = field(default_factory=list)
+    rejections: list[RejectedRecord]
 
     @property
     def accepted(self) -> int:
@@ -286,7 +317,7 @@ def load_pois(
         lines, where = read_lines(source, artifact=False), f"{source}:"
     else:
         lines, where = enumerate(source, start=1), "input line "
-    result = LoadResult(records=[])
+    result = LoadResult(records=[], rejections=[])
     # One table per kind of shared value: a label and a categories string
     # that are equal must still give a str and a frozenset respectively.
     labels: dict[str, str] = {}
@@ -299,7 +330,7 @@ def load_pois(
         except ValueError as exc:
             raise IngestError(f"{where}{lineno}: {exc}") from None
         if reason is not None:
-            result.rejections.append(RejectedRecord(line=lineno, reason=reason))
+            result.rejections.append(RejectedRecord(lineno, reason))
     return result
 
 
@@ -340,16 +371,8 @@ def _load_one(
         return reason
 
     name = name.strip()
-    out.append(
-        PoiRecord(
-            name=name,
-            region_id=_label(region, labels),
-            latitude=lat,
-            longitude=lon,
-            categories=_categories(raw.get("categories"), category_sets),
-            tokens=tokenize(name),
-        )
-    )
+    out.append(PoiRecord(name, _label(region, labels), lat, lon,
+                         _categories(raw.get("categories"), category_sets), tokenize(name)))
     return None
 
 

@@ -15,21 +15,17 @@ the region does not use. Training with a fixed seed is bit-reproducible.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import os
 import reprlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .corpus import RegionCorpus, Vocabulary, parse_numbers, read_lines, write_lines
+from .corpus import FrozenRecord, RegionCorpus, Vocabulary, parse_numbers, read_lines, write_lines
 from .errors import EmptyCorpusError, IngestError
 
 if TYPE_CHECKING:
     import numpy as np
-
-log = logging.getLogger(__name__)
 
 MODEL_VARIANT = "sgns"
 
@@ -41,27 +37,23 @@ FINAL_LEARNING_RATE = 1e-4
 NOISE_POWER = 0.75
 
 
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    dimension: int = 300
-    negatives: int = 5
-    learning_rate: float = 0.025
-    epochs: int = 20
-    seed: int = 0
+class EmbeddingConfig(FrozenRecord):
+    __slots__ = ("dimension", "negatives", "learning_rate", "epochs", "seed")
 
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.negatives < 1:
-            raise ValueError(f"negatives must be >= 1, got {self.negatives}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+    def __init__(self, dimension: int = 300, negatives: int = 5, learning_rate: float = 0.025,
+                 epochs: int = 20, seed: int = 0) -> None:
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        if negatives < 1:
+            raise ValueError(f"negatives must be >= 1, got {negatives}")
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
+        self._init(dimension, negatives, learning_rate, epochs, seed)
 
 
-@dataclass
-class EmbeddingModel:
+class EmbeddingModel(NamedTuple):
     """Learned region and word vectors plus training metadata."""
 
     region_vectors: dict[str, np.ndarray]
@@ -81,16 +73,21 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-@dataclass(frozen=True, eq=False)
-class TrainingPairs:
+class TrainingPairs(FrozenRecord):
     """One (region, word) pair per token occurrence.
 
-    Pair i is region ``regions[region_ids[i]]`` and vocabulary term ``word_ids[i]``.
+    Pair i is region ``regions[region_ids[i]]`` and vocabulary term
+    ``word_ids[i]``. Pairs compare by identity: an array comparison has no
+    single truth value.
     """
 
-    regions: tuple[str, ...]
-    region_ids: np.ndarray
-    word_ids: np.ndarray
+    __slots__ = ("regions", "region_ids", "word_ids")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, regions: tuple[str, ...], region_ids: np.ndarray,
+                 word_ids: np.ndarray) -> None:
+        self._init(regions, region_ids, word_ids)
 
     def __len__(self) -> int:
         return self.word_ids.size
@@ -148,7 +145,8 @@ class NoiseDistribution:
         for region, region_used in zip(pairs.regions, used):
             candidates = has_mass & ~region_used
             if not candidates.any():
-                log.warning(
+                import logging
+                logging.getLogger(__name__).warning(
                     "region %r uses the entire vocabulary; sampling negatives from "
                     "the full vocabulary instead",
                     region,

@@ -6,11 +6,10 @@ fails only near antipodal points, which never occur between US metros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import atan, atan2, cos, fsum, radians, sin, sqrt, tan
 from typing import Mapping, Sequence
 
-from .corpus import PoiRecord
+from .corpus import FrozenRecord, PoiRecord
 from .regionvec import RegionMatrix
 
 WGS84_A = 6378137.0
@@ -21,16 +20,15 @@ _CONVERGENCE = 1e-12
 _MAX_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    latitude: float
-    longitude: float
+class GeoPoint(FrozenRecord):
+    __slots__ = ("latitude", "longitude")
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude out of range: {self.latitude}")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude out of range: {self.longitude}")
+    def __init__(self, latitude: float, longitude: float) -> None:
+        if not -90.0 <= latitude <= 90.0:
+            raise ValueError(f"latitude out of range: {latitude}")
+        if not -180.0 <= longitude <= 180.0:
+            raise ValueError(f"longitude out of range: {longitude}")
+        self._init(latitude, longitude)
 
 
 def region_centroid(pois: Sequence[PoiRecord]) -> GeoPoint:

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import RegionCorpus
 
 IDF_VARIANTS = ("pure", "plus-one")
 
 
-@dataclass
-class UsageMatrix:
+class UsageMatrix(NamedTuple):
     """Names per (region, category) and how many contain a local term.
 
     Rows are the sorted regions and columns the sorted categories. Every

@@ -2,28 +2,22 @@
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .corpus import RegionCorpus, Vocabulary
 
 if TYPE_CHECKING:
     import numpy as np
 
-log = logging.getLogger(__name__)
 
-
-@dataclass
-class RegionVector:
+class RegionVector(NamedTuple):
     """Dense vector for one region (vocabulary counts, TF-IDF, or embedding)."""
 
     region_id: str
     values: np.ndarray
 
 
-@dataclass
-class RegionMatrix:
+class RegionMatrix(NamedTuple):
     """Symmetric region-by-region matrix: cosine similarities or distances in meters."""
 
     regions: tuple[str, ...]
@@ -53,7 +47,9 @@ def count_vector(corpus: RegionCorpus, vocab: Vocabulary) -> RegionVector:
     """
     vector = _fill(corpus.region_id, vocab, corpus.counts)
     if not vector.values.any():
-        log.warning("region %r produced an all-zero count vector", corpus.region_id)
+        import logging
+        logging.getLogger(__name__).warning("region %r produced an all-zero count vector",
+                                            corpus.region_id)
     return vector
 
 

@@ -97,6 +97,16 @@ def test_no_module_imports_numpy():
     assert fresh_python(f"import sys, {modules}; print('numpy' in sys.modules)") == "False"
 
 
+def test_no_module_imports_dataclasses_or_logging():
+    # each costs every stage start-up time: dataclasses with what it loads
+    # (inspect, ast, dis, tokenize), logging on its own. The two paths that
+    # warn import logging when they do.
+    modules = ", ".join(f"poinames.{m.name}" for m in pkgutil.iter_modules(poinames.__path__))
+    code = (f"import sys, {modules}; "
+            "print([m for m in ('dataclasses', 'logging') if m in sys.modules])")
+    assert fresh_python(code) == "[]"
+
+
 # runs the CLI on its arguments, then prints the exit code and how many
 # numpy submodules are loaded; neither 'numpy' nor its submodules are in
 # sys.modules until a stage that uses numpy imports it
@@ -141,7 +151,8 @@ def test_cli_import_runs_blas_on_one_thread():
 
 def test_failed_numpy_import_is_raised_again(tmp_path, dataset):
     # a numpy whose import fails stops only the stages that use numpy, each
-    # with that error, and an import after them raises it again
+    # with exit 1 and one error line naming the import, and an import after
+    # them raises it again
     (tmp_path / "numpy").mkdir()
     (tmp_path / "numpy" / "__init__.py").write_text("raise ImportError('broken numpy')\n")
     input_path, mapping_path = dataset
@@ -149,27 +160,28 @@ def test_failed_numpy_import_is_raised_again(tmp_path, dataset):
     out = ["--out", str(tmp_path / "artifacts")]
     stages = [["--version"]] + [argv + out for argv in [ingest] + STAGES]
     code = """
-import json, sys
+import contextlib, io, json, sys
 from poinames.cli import main
 for argv in json.loads(sys.argv[1]):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    except ImportError as exc:
-        code = repr(exc)
-    print("exit", code)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print("exit", json.dumps([code, err.getvalue()]))
 try:
     import numpy
 except ImportError as exc:
-    print("exit", repr(exc))
+    print("raised", repr(exc))
 """
     pythonpath = os.pathsep.join([str(tmp_path), str(Path(poinames.__file__).resolve().parents[1])])
     lines = fresh_python(code, json.dumps(stages), PYTHONPATH=pythonpath).splitlines()
-    broken = "ImportError('broken numpy')"
-    expected = [broken if argv[0] in ("embed", "similarity", "decay") else "0" for argv in stages]
-    assert [line[5:] for line in lines if line.startswith("exit ")] == [*expected, broken]
-    assert expected.count("0") == 7
+    error = "error: cannot import numpy, which this stage needs: broken numpy\n"
+    expected = [[1, error] if argv[0] in ("embed", "similarity", "decay") else [0, ""]
+                for argv in stages]
+    assert [json.loads(line[5:]) for line in lines if line.startswith("exit ")] == expected
+    assert lines[-1] == "raised ImportError('broken numpy')"
+    assert expected.count([0, ""]) == 7
 
 
 def test_cli_import_keeps_a_preset_blas_thread_count():
@@ -1292,7 +1304,7 @@ def test_only_main_maps_errors_to_exit_codes():
         if isinstance(function, ast.FunctionDef):
             handlers[function.name] += sum(isinstance(node, ast.ExceptHandler)
                                            for node in ast.walk(function))
-    assert +handlers == {"main": 2, "_read_matrix": 1, "_write_stage": 1,
+    assert +handlers == {"main": 3, "_read_matrix": 1, "_write_stage": 1,
                          "_int_at_least": 1, "_positive_float": 1}
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from poinames.analysis import CorrelationResult
 from poinames.corpus import (
     PoiRecord,
     RejectedRecord,
@@ -20,7 +21,9 @@ from poinames.corpus import (
     tokenize,
     typed_subsets,
 )
+from poinames.embed import EmbeddingConfig
 from poinames.errors import EmptyCorpusError, IngestError
+from poinames.geo import GeoPoint
 
 
 def rec(name, region="a", lat=35.0, lon=-80.0, categories=()):
@@ -576,3 +579,36 @@ class TestVocabulary:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpusError):
             build_vocabulary([])
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record, field", [
+        (rec("desert pizza"), "name"),
+        (GeoPoint(33.4, -112.1), "latitude"),
+        (EmbeddingConfig(), "dimension"),
+        (CorrelationResult(0.5, 0.01, 99, False), "p_value"),
+    ], ids=["PoiRecord", "GeoPoint", "EmbeddingConfig", "CorrelationResult"])
+    def test_fields_cannot_be_set_or_deleted(self, record, field):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, before)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, field) == before
+
+    def test_positional_and_keyword_records_are_equal(self):
+        positional = PoiRecord("Desert Pizza", "a", 35.0, -80.0, frozenset({"Food"}),
+                               ("desert", "pizza"))
+        keyword = PoiRecord(name="Desert Pizza", region_id="a", latitude=35.0, longitude=-80.0,
+                            categories=frozenset({"Food"}), tokens=("desert", "pizza"))
+        assert positional == keyword
+        assert hash(positional) == hash(keyword)
+
+    def test_validated_records_compare_and_hash_by_value(self):
+        assert GeoPoint(33.4, -112.1) == GeoPoint(33.4, -112.1) != GeoPoint(33.4, -112.2)
+        assert hash(GeoPoint(33.4, -112.1)) == hash(GeoPoint(33.4, -112.1))
+        assert EmbeddingConfig(seed=1) == EmbeddingConfig(seed=1) != EmbeddingConfig(seed=2)
+        assert hash(EmbeddingConfig(seed=1)) == hash(EmbeddingConfig(seed=1))
+        assert GeoPoint(0.0, 0.0) != (0.0, 0.0)
