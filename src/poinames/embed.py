@@ -129,21 +129,22 @@ class NoiseDistribution:
     For a region the candidate pool is every vocabulary term the region
     does not use; if that pool is empty (a region uses the whole
     vocabulary) sampling falls back to the full vocabulary with the
-    positive term excluded, logged once per region. ``tables[r]`` holds
-    region r's (candidate indices, cumulative probabilities).
+    positive term excluded, logged once per region. Only the term weights
+    and the R x V mask ``candidates`` are held; a region's table of
+    (candidate indices, cumulative probabilities) is built each time it is
+    used.
     """
 
     def __init__(self, pairs: TrainingPairs, vocab_size: int) -> None:
         import numpy as np
         counts = np.bincount(pairs.word_ids, minlength=vocab_size).tolist()
         # Python's float power: numpy's power need not give the same bits
-        weights = np.array([float(c) ** NOISE_POWER for c in counts], dtype=np.float64)
-        has_mass = weights > 0.0
-        used = np.zeros((len(pairs.regions), vocab_size), dtype=bool)
-        used[pairs.region_ids, pairs.word_ids] = True
-        self.tables: list[tuple[np.ndarray, np.ndarray]] = []
-        for region, region_used in zip(pairs.regions, used):
-            candidates = has_mass & ~region_used
+        self.weights = np.array([float(c) ** NOISE_POWER for c in counts], dtype=np.float64)
+        has_mass = self.weights > 0.0
+        self.candidates = np.ones((len(pairs.regions), vocab_size), dtype=bool)
+        self.candidates[pairs.region_ids, pairs.word_ids] = False
+        self.candidates &= has_mass
+        for region, candidates in zip(pairs.regions, self.candidates):
             if not candidates.any():
                 import logging
                 logging.getLogger(__name__).warning(
@@ -151,11 +152,15 @@ class NoiseDistribution:
                     "the full vocabulary instead",
                     region,
                 )
-                candidates = has_mass
-            idx = np.flatnonzero(candidates)
-            cum = np.cumsum(weights[idx])
-            cum /= cum[-1]
-            self.tables.append((idx, cum))
+                candidates[:] = has_mass
+
+    def table(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Region r's candidate indices and their cumulative probabilities."""
+        import numpy as np
+        idx = np.flatnonzero(self.candidates[r])
+        cum = np.cumsum(self.weights[idx])
+        cum /= cum[-1]
+        return idx, cum
 
     def sample_rows(
         self,
@@ -166,25 +171,29 @@ class NoiseDistribution:
     ) -> np.ndarray:
         """k negative indices for each of n rows, shape (n, k).
 
-        Row i is drawn from ``tables[region_of[i]]``. All n*k uniforms come
+        Row i is drawn from ``table(region_of[i])``. All n*k uniforms come
         from one ``rng.random((n, k))``; each region maps its rows through
-        its table with one searchsorted. Entries equal to ``positives[i]``
-        are redrawn from the row's table, all at once per round, until none
-        is left. In training that happens only in regions whose table is
-        the whole vocabulary, as a region's own terms are never its
-        candidates.
+        its table with one searchsorted, and the indices overwrite the
+        uniforms' buffer, as regions own disjoint rows and a region's
+        uniforms are copied out before its rows are written. Entries equal
+        to ``positives[i]`` are redrawn from the row's table, all at once
+        per round, until none is left. In training that happens only in
+        regions whose table is the whole vocabulary, as a region's own
+        terms are never its candidates.
         """
         import numpy as np
-        out = np.empty((region_of.size, k), dtype=np.int64)
-        uniforms = rng.random(out.shape)
-        for r, (idx, cum) in enumerate(self.tables):
+        uniforms = rng.random((region_of.size, k))
+        out = uniforms.view(np.int64)
+        for r in range(len(self.candidates)):
             rows = np.flatnonzero(region_of == r)
-            out[rows] = idx[np.searchsorted(cum, uniforms[rows], side="right")]
+            if rows.size:
+                idx, cum = self.table(r)
+                out[rows] = idx[np.searchsorted(cum, uniforms[rows], side="right")]
         rows, cols = np.nonzero(out == positives[:, None])
         while rows.size:
             fresh = rng.random(rows.size)
             for r in np.unique(region_of[rows]).tolist():
-                idx, cum = self.tables[r]
+                idx, cum = self.table(r)
                 if idx.size == 1:
                     raise ValueError(
                         "cannot sample negatives: only the positive term has probability mass"
@@ -245,16 +254,25 @@ class _Workspace:
         self.words = np.empty((BATCH_PAIRS, d))
         self.negs = np.empty((BATCH_PAIRS * k, d))
         self.grad_r = np.empty((BATCH_PAIRS, d))
-        self.flat = np.empty(BATCH_PAIRS * k * d, dtype=np.int64)
+        self.flat = np.empty(BATCH_PAIRS * d, dtype=np.int64)
         self.cols = np.arange(d)
 
     def subtract_rows(self, matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-        """matrix[rows[i]] -= values[i] for every i, accumulating repeated rows."""
+        """matrix[rows[i]] -= values[i] for every i, accumulating repeated rows.
+
+        The updates go BATCH_PAIRS rows at a time, in order, so the index
+        buffer holds one block; subtract.at applies its updates in index
+        order, so the blocks give the bits of one call over all rows.
+        """
         import numpy as np
         d = self.cols.size
-        flat = self.flat[: rows.size * d]
-        np.add((rows * d)[:, None], self.cols, out=flat.reshape(rows.size, d))
-        np.subtract.at(matrix.reshape(-1), flat, values.reshape(-1))
+        target = matrix.reshape(-1)
+        values = values.reshape(-1, d)
+        for start in range(0, rows.size, BATCH_PAIRS):
+            block = rows[start : start + BATCH_PAIRS]
+            flat = self.flat[: block.size * d]
+            np.add((block * d)[:, None], self.cols, out=flat.reshape(block.size, d))
+            np.subtract.at(target, flat, values[start : start + block.size].reshape(-1))
 
 
 def _sgd_step(
@@ -303,11 +321,12 @@ def train(
     """Minibatch SGD over shuffled pairs for the configured number of epochs.
 
     Each epoch draws one permutation and the negatives of every pair, then
-    steps through BATCH_PAIRS pairs at a time. A batch takes its gradients
-    at the parameters from before the batch, sums the updates of repeated
-    rows, and uses the learning rate of its midpoint step. All randomness
-    (initialization, shuffling, negative draws) comes from one generator
-    seeded with config.seed, so identical inputs produce an identical model.
+    steps through BATCH_PAIRS pairs at a time; one epoch's draws are held at
+    a time. A batch takes its gradients at the parameters from before the
+    batch, sums the updates of repeated rows, and uses the learning rate of
+    its midpoint step. All randomness (initialization, shuffling, negative
+    draws) comes from one generator seeded with config.seed, so identical
+    inputs produce an identical model.
     A region or word id outside its table raises ValueError before training;
     a non-finite loss, or a vector whose norm overflows, raises RuntimeError.
     """
@@ -344,6 +363,7 @@ def train(
             order = rng.permutation(n_pairs)
             epoch_regions = pairs.region_ids[order]
             epoch_words = pairs.word_ids[order]
+            del order
             epoch_negs = noise.sample_rows(epoch_regions, k, rng, positives=epoch_words)
             loss_sum = 0.0
             for start in range(0, n_pairs, BATCH_PAIRS):
@@ -359,6 +379,8 @@ def train(
                     work,
                 )
                 step += stop - start
+            # one epoch's draws at a time: these go before the next are drawn
+            del epoch_regions, epoch_words, epoch_negs
 
             mean_loss = loss_sum / n_pairs
             if not math.isfinite(mean_loss):

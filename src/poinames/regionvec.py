@@ -9,6 +9,9 @@ from .corpus import RegionCorpus, Vocabulary
 if TYPE_CHECKING:
     import numpy as np
 
+# Bytes of the products that similarity_matrix forms at a time.
+SIMILARITY_BLOCK_BYTES = 1 << 20
+
 
 class RegionVector(NamedTuple):
     """Dense vector for one region (vocabulary counts, TF-IDF, or embedding)."""
@@ -66,7 +69,9 @@ def similarity_matrix(vectors: Sequence[RegionVector]) -> RegionMatrix:
     """Pairwise cosine in [-1, 1] over all vectors; symmetric with exact unit diagonal.
 
     Each norm is computed once. Sums run in ascending index order so results
-    are stable across runs.
+    are stable across runs. Products are formed a block of rows at a time,
+    at most SIMILARITY_BLOCK_BYTES, and each row still sums its own values,
+    so the result does not depend on the block size.
     """
     import numpy as np
     if len(vectors) < 2:
@@ -75,8 +80,21 @@ def similarity_matrix(vectors: Sequence[RegionVector]) -> RegionMatrix:
     if len(set(regions)) != len(regions):
         raise ValueError("duplicate region ids")
     x = np.stack([v.values for v in vectors])
+    n = len(vectors)
+    step = max(1, SIMILARITY_BLOCK_BYTES // max(x[0].nbytes, 1))
+    block = np.empty((min(step, n), x.shape[1]), dtype=x.dtype)
+
+    def dots(start: int, row: np.ndarray | None = None) -> np.ndarray:
+        """x[j] . row for every j >= start; x[j] . x[j] when row is None."""
+        out = np.empty(n - start)
+        for i in range(start, n, step):
+            rows = x[i : i + step]
+            products = np.multiply(rows if row is None else row, rows, out=block[: len(rows)])
+            out[i - start : i - start + len(rows)] = np.sum(products, axis=1)
+        return out
+
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.sum(x * x, axis=1))
+        norms = np.sqrt(dots(0))
     zero = [r for r, norm in zip(regions, norms) if norm == 0.0]
     if zero:
         raise ValueError(f"undefined similarity: zero-norm vector for {zero}")
@@ -84,9 +102,8 @@ def similarity_matrix(vectors: Sequence[RegionVector]) -> RegionMatrix:
     huge = [r for r, norm in zip(regions, norms) if not np.isfinite(norm)]
     if huge:
         raise ValueError(f"undefined similarity: non-finite norm for {huge}")
-    n = len(vectors)
     values = np.eye(n, dtype=np.float64)
     for i in range(n - 1):
-        row = np.sum(x[i] * x[i + 1 :], axis=1) / (norms[i] * norms[i + 1 :])
+        row = dots(i + 1, x[i]) / (norms[i] * norms[i + 1 :])
         values[i, i + 1 :] = values[i + 1 :, i] = np.clip(row, -1.0, 1.0)
     return RegionMatrix(regions=regions, values=values)

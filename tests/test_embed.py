@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -180,6 +181,71 @@ class TestNegativeSampling:
         assert counts["aa"] == 0
 
 
+    def test_matches_tables_built_up_front(self):
+        # "a" uses the whole vocabulary and falls back; a positive that is one
+        # of its row's candidates is redrawn, in every region
+        _, vocab, pairs = toy_setup({"a": ["aa bb cc dd", "ee ff gg"], "b": ["aa bb", "cc"],
+                                     "c": ["dd ee ff gg"], "d": ["aa"]})
+        rng = np.random.default_rng(12)
+        region_of = rng.integers(0, len(pairs.regions), 3000)
+        positives = rng.integers(0, len(vocab), 3000)
+        got = NoiseDistribution(pairs, len(vocab)).sample_rows(
+            region_of, 5, np.random.default_rng(8), positives=positives)
+        expected = tabled_sample_rows(pairs, len(vocab), region_of, 5,
+                                      np.random.default_rng(8), positives)
+        assert got.dtype == np.int64 and got.shape == (3000, 5)
+        assert np.array_equal(got, expected)
+
+    def test_holds_a_mask_not_tables(self):
+        rng = np.random.default_rng(50)
+        n_regions, vocab_size = 50, 2000
+        region_ids = np.sort(rng.integers(0, n_regions, 20_000))
+        pairs = TrainingPairs(tuple(f"r{i:02d}" for i in range(n_regions)), region_ids,
+                              rng.integers(0, vocab_size, 20_000))
+        tracemalloc.start()
+        try:
+            noise = NoiseDistribution(pairs, vocab_size)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a byte per (region, term) and the term weights; a table per region
+        # would hold 16 bytes per candidate, about 1.3 MB here
+        assert held < n_regions * vocab_size + 32 * vocab_size, (held, noise)
+
+
+def tabled_sample_rows(pairs, vocab_size, region_of, k, rng, positives):
+    """sample_rows with every region's table built before the draws and the
+    indices in their own array, not in the uniforms' buffer."""
+    counts = np.bincount(pairs.word_ids, minlength=vocab_size).tolist()
+    weights = np.array([float(c) ** NOISE_POWER for c in counts])
+    used = np.zeros((len(pairs.regions), vocab_size), dtype=bool)
+    used[pairs.region_ids, pairs.word_ids] = True
+    tables = []
+    for region_used in used:
+        candidates = (weights > 0.0) & ~region_used
+        if not candidates.any():
+            candidates = weights > 0.0
+        idx = np.flatnonzero(candidates)
+        cum = np.cumsum(weights[idx])
+        cum /= cum[-1]
+        tables.append((idx, cum))
+    out = np.empty((region_of.size, k), dtype=np.int64)
+    uniforms = rng.random(out.shape)
+    for r, (idx, cum) in enumerate(tables):
+        rows = np.flatnonzero(region_of == r)
+        out[rows] = idx[np.searchsorted(cum, uniforms[rows], side="right")]
+    rows, cols = np.nonzero(out == positives[:, None])
+    while rows.size:
+        fresh = rng.random(rows.size)
+        for r in np.unique(region_of[rows]).tolist():
+            idx, cum = tables[r]
+            sel = region_of[rows] == r
+            out[rows[sel], cols[sel]] = idx[np.searchsorted(cum, fresh[sel], side="right")]
+        still = out[rows, cols] == positives[rows]
+        rows, cols = rows[still], cols[still]
+    return out
+
+
 class TestPairLoss:
     """sgns_batch on a batch of one pair: the objective."""
 
@@ -309,6 +375,35 @@ class TestSgnsBatch:
         np.testing.assert_allclose(word_vecs, expected_w, rtol=1e-12, atol=1e-14)
 
 
+class TestWorkspace:
+    def test_blocks_give_the_bits_of_one_scatter(self):
+        d, k, b = 7, 5, 100
+        rng = np.random.default_rng(37)
+        # 500 rows in blocks of 128, 128, 128 and 116; each of the four
+        # matrix rows repeats across every block boundary
+        rows = rng.integers(0, 4, b * k)
+        rows[BATCH_PAIRS - 1] = rows[BATCH_PAIRS] = 2
+        values = rng.normal(size=(b, k, d)) * 10.0 ** rng.integers(-8, 8, size=(b, k, 1))
+        matrix = rng.normal(size=(4, d))
+        expected = matrix.copy()
+        np.subtract.at(expected.reshape(-1), (rows[:, None] * d + np.arange(d)).ravel(),
+                       values.ravel())
+        _Workspace(d, k).subtract_rows(matrix, rows, values)
+        assert np.array_equal(matrix, expected)
+
+    def test_index_buffer_holds_one_batch(self):
+        d, k = 300, 5
+        tracemalloc.start()
+        try:
+            work = _Workspace(d, k)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # gathers and region gradients: (3 + k) rows of d floats per pair;
+        # the scatter index: d indices per pair, not k * d
+        assert held < (4 + k) * BATCH_PAIRS * d * 8 + 16 * 1024, (held, work)
+
+
 def reference_train(pairs, vocab, config):
     """The per-pair SGD trainer of poinames 0.1.0: one pair per update."""
     noise = NoiseDistribution(pairs, len(vocab))
@@ -397,6 +492,23 @@ class TestTrain:
         assert np.array_equal(np.array([model.region_vectors[r] for r in pairs.regions]),
                               region_vecs)
         assert np.array_equal(np.array([model.word_vectors[t] for t in vocab.terms]), word_vecs)
+
+    def test_second_epoch_holds_no_more_than_the_first(self):
+        rnd = random.Random(9)
+        terms = [f"t{j:03d}" for j in range(400)]
+        _, vocab, pairs = toy_setup({f"r{i}": [" ".join(rnd.choices(terms, k=5))
+                                               for _ in range(400)] for i in range(10)})
+        peaks = []
+        for epochs in (1, 2):
+            config = EmbeddingConfig(dimension=8, negatives=5, epochs=epochs, seed=2)
+            tracemalloc.start()
+            try:
+                train(pairs, vocab, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the first epoch's draws, kept into the second, would add 40 bytes a pair
+        assert peaks[1] - peaks[0] < 4 * len(pairs), (peaks, len(pairs))
 
     def test_agrees_with_per_pair_reference(self):
         _, vocab, pairs = toy_setup(line_of_regions(seed=0))

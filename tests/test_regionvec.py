@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from poinames import regionvec
 from poinames.corpus import build_vocabulary
 from poinames.localness import geo_tfidf
 from poinames.regionvec import (
@@ -166,3 +168,49 @@ class TestSimilarityMatrix:
         vectors = [vec([1.0, 2.0], "a"), vec([1e200, 1.0], "b"), vec([3.0, 1.0], "c")]
         with pytest.raises(ValueError, match=r"^undefined similarity: non-finite norm for \['b'\]$"):
             similarity_matrix(vectors)
+
+
+def unblocked_similarity(x):
+    """similarity_matrix's arithmetic with whole-matrix products, no blocks."""
+    norms = np.sqrt(np.sum(x * x, axis=1))
+    n = len(x)
+    values = np.eye(n)
+    for i in range(n - 1):
+        row = np.sum(x[i] * x[i + 1 :], axis=1) / (norms[i] * norms[i + 1 :])
+        values[i, i + 1 :] = values[i + 1 :, i] = np.clip(row, -1.0, 1.0)
+    return values
+
+
+class TestSimilarityBlocks:
+    @pytest.mark.parametrize("regions", [2, 9, 40])
+    @pytest.mark.parametrize("kind", ["float", "integer"])
+    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, kind, regions):
+        rng = np.random.default_rng(regions)
+        if kind == "float":
+            x = rng.normal(size=(regions, 301)) * rng.uniform(1e-3, 1e3, size=(regions, 1))
+        else:  # counts, as count_vector gives them: integers in float64
+            x = rng.poisson(rng.uniform(0.1, 50.0, size=301), size=(regions, 301)).astype(float)
+            x[:, 0] = 0.0
+            x[:, 1] = 1.0  # no zero-norm row
+        expected = unblocked_similarity(x)
+        vectors = [vec(row, region=f"r{i}") for i, row in enumerate(x)]
+        # one row, three rows, a block bigger than the matrix and the default
+        for rows in (1, 3, regions + 1, None):
+            if rows is not None:
+                monkeypatch.setattr(regionvec, "SIMILARITY_BLOCK_BYTES", rows * x[0].nbytes)
+            assert np.array_equal(similarity_matrix(vectors).values, expected)
+
+    def test_memory_at_1000_regions_is_the_matrix_plus_one_block(self):
+        rng = np.random.default_rng(1000)
+        vectors = [vec(rng.uniform(0.0, 1.0, size=400), region=f"r{i:04d}") for i in range(1000)]
+        stacked = 1000 * 400 * 8
+        result = 1000 * 1000 * 8
+        tracemalloc.start()
+        try:
+            similarity_matrix(vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a product of the first row with the 999 others would add 3.2 MB
+        bound = stacked + result + regionvec.SIMILARITY_BLOCK_BYTES + 256 * 1024
+        assert peak < bound, (peak, bound)
