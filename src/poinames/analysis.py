@@ -29,20 +29,25 @@ PERMUTATION_CELLS = 1024 * 1225
 
 
 class RegionPairs(FrozenRecord):
-    """Collective similarity and geodesic distance for each region pair.
+    """Collective similarity and geodesic distance for every pair of ``regions``.
 
-    Pair k joins ``regions[first[k]]`` and ``regions[second[k]]``. A
-    distance of 0 or below raises ValueError. Pairs compare by identity:
-    an array comparison has no single truth value.
+    Pair k is the k-th of ``itertools.combinations(regions, 2)``. Arrays that
+    do not hold R(R - 1)/2 values, or a distance of 0 or below, raise
+    ValueError. Pairs compare by identity: an array comparison has no single
+    truth value.
     """
 
-    __slots__ = ("regions", "first", "second", "similarity", "distance_m")
+    __slots__ = ("regions", "similarity", "distance_m")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, regions: tuple[str, ...], first: np.ndarray, second: np.ndarray,
-                 similarity: np.ndarray, distance_m: np.ndarray) -> None:
-        self._init(regions, first, second, similarity, distance_m)
+    def __init__(self, regions: tuple[str, ...], similarity: np.ndarray,
+                 distance_m: np.ndarray) -> None:
+        self._init(regions, similarity, distance_m)
+        count = math.comb(len(regions), 2)
+        if similarity.shape != (count,) or distance_m.shape != (count,):
+            raise ValueError(f"{len(regions)} regions have {count} pairs, got "
+                             f"{similarity.size} similarities and {distance_m.size} distances")
         _refuse(self, distance_m <= 0.0, "a non-positive distance")
 
     def __len__(self) -> int:
@@ -50,8 +55,7 @@ class RegionPairs(FrozenRecord):
 
     def names(self) -> Iterator[tuple[str, str]]:
         """The two region labels of each pair, in pair order."""
-        for i, j in zip(self.first.tolist(), self.second.tolist()):
-            yield self.regions[i], self.regions[j]
+        return itertools.combinations(self.regions, 2)
 
 
 def _refuse(pairs: RegionPairs, bad: np.ndarray, fault: str) -> None:
@@ -86,48 +90,45 @@ def pair_observations(sim: RegionMatrix, dist: RegionMatrix) -> RegionPairs:
         order = np.array(sorted(range(len(regions)), key=matrix.regions.__getitem__))
         return matrix.values[order[first], order[second]]
 
-    return RegionPairs(tuple(regions), first, second, upper_triangle(sim), upper_triangle(dist))
+    return RegionPairs(tuple(regions), upper_triangle(sim), upper_triangle(dist))
 
 
-def _pair_table(values: np.ndarray, pair_index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The symmetric R x R matrix, flattened, with values[k] at (first[k], second[k]).
+def _observations(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray, int]:
+    """x and y as float arrays, and the R regions whose pairs they hold.
 
-    Raises ValueError unless the pairs are every pair of R regions, once each.
+    Raises ValueError unless x and y each hold one finite value per pair of
+    R regions, at least 3 in all.
     """
     import numpy as np
-    first, second = (np.asarray(index) for index in pair_index)
-    regions = (1 + math.isqrt(1 + 8 * values.size)) // 2  # R(R - 1)/2 <= n
-    valid = (first.shape == second.shape == values.shape
-             and first.dtype.kind in "iu" and second.dtype.kind in "iu"
-             and min(first.min(), second.min()) >= 0
-             and max(first.max(), second.max()) < regions)
-    if valid:
-        # n distinct pairs of two regions mark 2n cells; a repeated pair, or a
-        # region paired with itself, marks fewer
-        marks = np.zeros((regions, regions), dtype=bool)
-        marks[first, second] = marks[second, first] = True
-        valid = int(np.count_nonzero(marks)) == 2 * values.size
-    if not valid:
-        raise ValueError("pair_index must hold every pair of R regions once")
-    table = np.zeros((regions, regions))
-    table[first, second] = table[second, first] = values
-    return table.ravel()
+    xa = np.asarray(x, dtype=np.float64)
+    ya = np.asarray(y, dtype=np.float64)
+    if xa.ndim != 1 or xa.shape != ya.shape:
+        raise ValueError("x and y must have equal length, in one dimension")
+    n = xa.size
+    if n < 3:
+        raise ValueError(f"need at least 3 observations, got {n}")
+    regions = (1 + math.isqrt(1 + 8 * n)) // 2  # R(R - 1)/2 <= n
+    if math.comb(regions, 2) != n:
+        raise ValueError(f"need one value per pair of R regions, R(R - 1)/2 in all, got {n}")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValueError("x and y must be finite")
+    return xa, ya, regions
 
 
 def _permutation_p(
     xc: np.ndarray,
-    values: np.ndarray,
+    yc: np.ndarray,
+    regions: int,
     denom: float,
     r_obs: float,
     permutations: int,
     seed: int,
-    pair_index: tuple[np.ndarray, np.ndarray],
 ) -> CorrelationResult:
     """Two-sided Mantel test of the correlation of centred x and y.
 
-    ``values`` is ``_pair_table`` of centred y, and a permutation p of the
-    m = R region labels gives observation k the value at
-    (p[first[k]], p[second[k]]).
+    Pair k joins regions (first[k], second[k]), the k-th pair of
+    ``combinations(range(m), 2)`` with m = ``regions``. A permutation p of
+    the labels gives pair k the y value of the pair (p[first[k]], p[second[k]]).
 
     When m! is at most ``permutations``, every permutation is tested and
     p = hits / m!, exactly. Otherwise ``permutations`` are drawn and
@@ -135,8 +136,12 @@ def _permutation_p(
     either way, so p is in (0, 1].
     """
     import numpy as np
-    n = xc.size
-    m = math.isqrt(values.size)
+    n, m = xc.size, regions
+    first, second = np.triu_indices(m, 1)
+    # y as the symmetric m x m matrix, flattened
+    table = np.zeros((m, m))
+    table[first, second] = table[second, first] = yc
+    values = table.ravel()
     count = 1
     for k in range(2, m + 1):
         count *= k
@@ -172,11 +177,11 @@ def _permutation_p(
             rng.permuted(perms, axis=1, out=perms)
         # mode="clip" spares the copy of ``out`` that the default mode makes;
         # every index is in range
-        second = gathered.view(np.intp)
-        np.take(perms, pair_index[1], axis=1, out=second, mode="clip")
+        permuted_second = gathered.view(np.intp)
+        np.take(perms, second, axis=1, out=permuted_second, mode="clip")
         perms *= m
-        np.take(perms, pair_index[0], axis=1, out=index, mode="clip")
-        index += second
+        np.take(perms, first, axis=1, out=index, mode="clip")
+        index += permuted_second
         np.take(values, index, out=gathered, mode="clip")
         r_perm = (gathered @ xc) / denom
         hits += int(np.count_nonzero(np.abs(r_perm) >= threshold))
@@ -189,26 +194,19 @@ def pearson(
     y: Sequence[float],
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
-    *,
-    pair_index: tuple[np.ndarray, np.ndarray],
 ) -> CorrelationResult:
     """Sample Pearson correlation with a two-sided Mantel p-value.
 
-    ``pair_index = (first, second)`` says that observation k belongs to the
-    region pair (first[k], second[k]), as ``RegionPairs`` holds them; the
-    pairs must be every pair of R regions once. The test permutes the R
-    region labels of y, since pairs that share a region are not independent
-    (Mantel 1967). When the labels have at most ``permutations``
-    permutations, the test takes each one once and its p-value is exact.
+    x and y hold one value per pair of R regions, in the order of
+    ``itertools.combinations(regions, 2)``, as ``RegionPairs`` holds them.
+    A length that is not R(R - 1)/2, or a value that is not finite, raises
+    ValueError. The test permutes the R region labels of y, since pairs that
+    share a region are not independent (Mantel 1967). When the labels have
+    at most ``permutations`` permutations, the test takes each one once and
+    its p-value is exact.
     """
     import numpy as np
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape:
-        raise ValueError("x and y must have equal length")
-    n = xa.size
-    if n < 3:
-        raise ValueError(f"need at least 3 observations, got {n}")
+    xa, ya, regions = _observations(x, y)
     if permutations < 1:
         raise ValueError(f"permutations must be at least 1, got {permutations}")
     xc = xa - xa.mean()
@@ -219,14 +217,12 @@ def pearson(
         raise ValueError("degenerate correlation: zero variance")
     denom = math.sqrt(sxx * syy)
     r = min(max(float(np.sum(xc * yc)) / denom, -1.0), 1.0)
-    return _permutation_p(xc, _pair_table(yc, pair_index), denom, r, permutations, seed,
-                          pair_index)
+    return _permutation_p(xc, yc, regions, denom, r, permutations, seed)
 
 
-def _average_ranks(values: Sequence[float]) -> np.ndarray:
+def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n; tied values share the mean of their rank positions."""
     import numpy as np
-    values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     # each tie group holds sorted positions starts[g]..ends[g] - 1 and gets
@@ -243,16 +239,15 @@ def spearman(
     y: Sequence[float],
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
-    *,
-    pair_index: tuple[np.ndarray, np.ndarray],
 ) -> CorrelationResult:
     """Spearman rank correlation: pearson on average ranks, with the same draws.
 
-    The ranks of permuted values are the permuted ranks, so the permutations
-    reorder the ranks of y.
+    x and y are checked as pearson checks them, before ranking, which would
+    hide a value that is not finite. The ranks of permuted values are the
+    permuted ranks, so the permutations reorder the ranks of y.
     """
-    return pearson(_average_ranks(x), _average_ranks(y), permutations, seed,
-                   pair_index=pair_index)
+    xa, ya, _ = _observations(x, y)
+    return pearson(_average_ranks(xa), _average_ranks(ya), permutations, seed)
 
 
 def fit_distance_decay(pairs: RegionPairs) -> LineFit:

@@ -510,11 +510,8 @@ def cmd_decay(args: argparse.Namespace) -> int:
     pairs = pair_observations(sim, dist)
 
     similarities, distances = pairs.similarity.tolist(), pairs.distance_m.tolist()
-    structure = (pairs.first, pairs.second)
-    pearson_res = pearson(distances, similarities, permutations=args.permutations,
-                          seed=args.seed, pair_index=structure)
-    spearman_res = spearman(distances, similarities, permutations=args.permutations,
-                            seed=args.seed, pair_index=structure)
+    pearson_res = pearson(distances, similarities, args.permutations, args.seed)
+    spearman_res = spearman(distances, similarities, args.permutations, args.seed)
     # the fit takes ln(similarity) of every pair
     non_positive = int(np.count_nonzero(pairs.similarity <= 0.0))
     if non_positive:

@@ -124,8 +124,9 @@ def _check_distributions(rows: Sequence[Sequence[float]]) -> None:
     for i, p in enumerate(rows):
         if len(p) != len(rows[0]):
             raise ValueError("distributions must have the same support size")
-        if any(v < 0 for v in p):
-            raise ValueError(f"distribution {i} has negative entries")
+        # NaN fails every comparison, so each entry must pass one
+        if not all(0.0 <= v < math.inf for v in p):
+            raise ValueError(f"distribution {i} has an entry that is not a finite number >= 0")
         total = math.fsum(p)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"distribution {i} sums to {total!r}, expected 1")

@@ -260,9 +260,8 @@ def test_c08_distance_decay_on_dataset(yelp_records):
         assert len(count_obs) == 21
         x = count_obs.distance_m.tolist()
         y = count_obs.similarity.tolist()
-        count_structure = (count_obs.first, count_obs.second)
-        count_pearson = pearson(x, y, seed=8, pair_index=count_structure)
-        count_spearman = spearman(x, y, seed=8, pair_index=count_structure)
+        count_pearson = pearson(x, y, seed=8)
+        count_spearman = spearman(x, y, seed=8)
         count_fit = fit_distance_decay(count_obs)
         assert count_pearson.coefficient == pytest.approx(-0.612, abs=0.05)
         assert count_spearman.coefficient == pytest.approx(-0.626, abs=0.05)
@@ -280,9 +279,8 @@ def test_c08_distance_decay_on_dataset(yelp_records):
         embed_obs = pair_observations(embed_sim, dist)
         ex = embed_obs.distance_m.tolist()
         ey = embed_obs.similarity.tolist()
-        embed_structure = (embed_obs.first, embed_obs.second)
-        embed_pearson = pearson(ex, ey, seed=8, pair_index=embed_structure)
-        embed_spearman = spearman(ex, ey, seed=8, pair_index=embed_structure)
+        embed_pearson = pearson(ex, ey, seed=8)
+        embed_spearman = spearman(ex, ey, seed=8)
         embed_fit = fit_distance_decay(embed_obs)
         assert embed_pearson.coefficient == pytest.approx(-0.963, abs=0.05)
         assert embed_spearman.coefficient == pytest.approx(-0.917, abs=0.07)
@@ -298,9 +296,8 @@ def test_c09_decay_fit_fixture():
 
         a_true, beta_true = 2.5, 0.075
         distances = np.array([2e4, 9e4, 4e5, 1.1e6, 2.8e6, 4.4e6])
-        # six pairs of four regions p0..p3, in upper-triangle order
-        first, second = np.triu_indices(4, 1)
-        observations = RegionPairs(("p0", "p1", "p2", "p3"), first, second,
+        # the six pairs of four regions p0..p3, in combinations order
+        observations = RegionPairs(("p0", "p1", "p2", "p3"),
                                    a_true * distances ** (-beta_true), distances)
         fit = fit_distance_decay(observations)
         assert abs(fit.slope - (-beta_true)) < 1e-9

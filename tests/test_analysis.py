@@ -44,13 +44,6 @@ def correlated(n, r, seed=0):
     return x, r * xc / np.linalg.norm(xc) + math.sqrt(1.0 - r * r) * z / np.linalg.norm(z)
 
 
-def every_pair(n):
-    """``pair_index`` for n observations: every pair of the R regions with R(R - 1)/2 = n."""
-    regions = (1 + math.isqrt(1 + 8 * n)) // 2
-    assert regions * (regions - 1) // 2 == n, n
-    return np.triu_indices(regions, 1)
-
-
 class TestPairObservations:
     @pytest.mark.parametrize("n,expected", [(2, 1), (3, 3), (7, 21)])
     def test_pair_counts(self, n, expected):
@@ -101,12 +94,12 @@ class TestPairObservations:
 class TestPearson:
     def test_perfect_linear(self):
         x = [1.0, 2.0, 3.0]
-        result = pearson(x, [2 * v + 1 for v in x], pair_index=every_pair(3))
+        result = pearson(x, [2 * v + 1 for v in x])
         assert result.coefficient == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_negative(self):
         x = [1.0, 2.0, 3.0]
-        result = pearson(x, [-v for v in x], pair_index=every_pair(3))
+        result = pearson(x, [-v for v in x])
         assert result.coefficient == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_independent_formula(self):
@@ -114,7 +107,7 @@ class TestPearson:
         for _ in range(20):
             x = rng.normal(size=10)
             y = rng.normal(size=10)
-            got = pearson(x, y, permutations=1, pair_index=every_pair(10))
+            got = pearson(x, y, permutations=1)
             ref_r, _ = stats.pearsonr(x, y)
             assert got.coefficient == pytest.approx(float(ref_r), rel=1e-12, abs=1e-12)
 
@@ -122,50 +115,57 @@ class TestPearson:
         rng = np.random.default_rng(43)
         x = rng.normal(size=15)
         y = rng.normal(size=15)
-        base = pearson(x, y, permutations=1, pair_index=every_pair(15)).coefficient
+        base = pearson(x, y, permutations=1).coefficient
         for a, b in [(2.5, 1.0), (-3.0, 4.0), (0.001, -7.0)]:
-            r = pearson(a * x + b, y, permutations=1, pair_index=every_pair(15)).coefficient
+            r = pearson(a * x + b, y, permutations=1).coefficient
             assert r == pytest.approx(math.copysign(1.0, a) * base, rel=1e-12, abs=1e-12)
 
     def test_permutation_p_is_deterministic(self):
         rng = np.random.default_rng(44)
         x = rng.normal(size=21)
         y = -0.4 * x + rng.normal(size=21)
-        first = pearson(x, y, permutations=2000, seed=5, pair_index=every_pair(21))
-        second = pearson(x, y, permutations=2000, seed=5, pair_index=every_pair(21))
+        first = pearson(x, y, permutations=2000, seed=5)
+        second = pearson(x, y, permutations=2000, seed=5)
         assert first.p_value == second.p_value
         assert 0.0 < first.p_value <= 1.0
 
     def test_permutation_p_detects_strong_correlation(self):
         x = np.arange(21.0)
         y = -x + 0.01 * np.sin(x)
-        result = pearson(x, y, permutations=20000, seed=1, pair_index=every_pair(21))
+        result = pearson(x, y, permutations=20000, seed=1)
         assert result.p_value < 0.001
 
     def test_degenerate_variance(self):
         with pytest.raises(ValueError, match="degenerate"):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], permutations=1, pair_index=every_pair(3))
+            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], permutations=1)
 
     @pytest.mark.parametrize("correlate", [pearson, spearman])
     @pytest.mark.parametrize("permutations", [-5, -1, 0])
     def test_permutations_below_one_rejected(self, correlate, permutations):
         x, y = [1.0, 2.0, 3.0], [2.0, 1.0, 3.0]
         with pytest.raises(ValueError, match="permutations must be at least 1"):
-            correlate(x, y, permutations=permutations, pair_index=every_pair(3))
+            correlate(x, y, permutations=permutations)
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match="need at least 3 observations, got 2"):
-            pearson([1.0, 2.0], [1.0, 2.0], pair_index=(np.array([0, 0]), np.array([1, 2])))
-
-    @pytest.mark.parametrize("correlate", [pearson, spearman])
-    def test_pair_index_is_required(self, correlate):
-        with pytest.raises(TypeError, match="pair_index"):
-            correlate([1.0, 2.0, 3.0], [2.0, 1.0, 3.0], 10, 0)
+            pearson([1.0, 2.0], [1.0, 2.0])
 
     @pytest.mark.parametrize("correlate", [pearson, spearman])
     def test_unequal_lengths_rejected(self, correlate):
-        with pytest.raises(ValueError, match="x and y must have equal length"):
-            correlate([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0], pair_index=every_pair(3))
+        # the pairs' values are one flat list each, so a 2-D row is refused too
+        for x, y in (([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]),
+                     ([[1.0, 2.0, 3.0]], [[2.0, 1.0, 3.0]])):
+            with pytest.raises(ValueError, match="x and y must have equal length"):
+                correlate(x, y)
+
+    @pytest.mark.parametrize("correlate", [pearson, spearman])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, correlate, bad):
+        # a nan gives pearson r = nan and p = 0, outside (0, 1]; ranking puts
+        # it last, so spearman must check before it ranks
+        for x, y in (([1.0, 2.0, bad], [1.0, 3.0, 2.0]), ([1.0, 3.0, 2.0], [1.0, 2.0, bad])):
+            with pytest.raises(ValueError, match="x and y must be finite"):
+                correlate(x, y, 10)
 
 
 def region_effect_null(regions, trial):
@@ -181,13 +181,13 @@ def region_effect_null(regions, trial):
     distance = np.hypot(*(points[first] - points[second]).T)
     effect = rng.normal(size=regions)
     similarity = effect[first] + effect[second] + 0.5 * rng.normal(size=first.size)
-    return distance, similarity, (first, second)
+    return distance, similarity
 
 
-def brute_force_p(x, y, pair_index, correlate):
+def brute_force_p(x, y, correlate):
     """The exact two-sided p-value over every permutation of the region labels."""
-    first, second = pair_index
-    regions = int(second.max()) + 1
+    regions = (1 + math.isqrt(1 + 8 * len(x))) // 2
+    first, second = np.triu_indices(regions, 1)
     table = np.zeros((regions, regions))
     table[first, second] = table[second, first] = y
     observed = abs(correlate(x, y)) - 1e-12
@@ -209,9 +209,9 @@ class TestMantel:
         trials, bound = 200, 20
         rejected = {"pearson": 0, "spearman": 0}
         for trial in range(trials):
-            x, y, pair_index = region_effect_null(10, trial)
+            x, y = region_effect_null(10, trial)
             for name, correlate in (("pearson", pearson), ("spearman", spearman)):
-                p = correlate(x, y, 499, trial, pair_index=pair_index).p_value
+                p = correlate(x, y, 499, trial).p_value
                 rejected[name] += p <= 0.05
         assert rejected["pearson"] <= bound and rejected["spearman"] <= bound, rejected
 
@@ -221,21 +221,21 @@ class TestMantel:
         (spearman, lambda x, y: stats.spearmanr(x, y).statistic),
     ], ids=["pearson", "spearman"])
     def test_exact_p_equals_brute_force_enumeration(self, regions, correlate, statistic):
-        x, y, pair_index = region_effect_null(regions, regions)
+        x, y = region_effect_null(regions, regions)
         count = math.factorial(regions)
-        result = correlate(x, y, count, 0, pair_index=pair_index)
+        result = correlate(x, y, count, 0)
         assert (result.exact, result.permutations) == (True, count)
-        assert result.p_value == brute_force_p(x, y, pair_index, statistic)
+        assert result.p_value == brute_force_p(x, y, statistic)
         # one permutation fewer than there are, and they are drawn at random
-        drawn = correlate(x, y, count - 1, 0, pair_index=pair_index)
+        drawn = correlate(x, y, count - 1, 0)
         assert (drawn.exact, drawn.permutations) == (False, count - 1)
 
     @pytest.mark.parametrize("regions,permutations", [(10, 2 * 1024 + 357), (6, 720)],
                              ids=["drawn", "exact"])
     def test_blocks_of_1024_7_and_1_rows_give_one_p_value(self, monkeypatch, regions,
                                                           permutations):
-        x, y, pair_index = region_effect_null(regions, 3)
-        first, second = pair_index
+        x, y = region_effect_null(regions, 3)
+        first, second = np.triu_indices(regions, 1)
         if permutations < math.factorial(regions):
             # reference: every label permutation drawn at once as one matrix
             whole = np.random.default_rng(9).permuted(
@@ -246,7 +246,7 @@ class TestMantel:
             hits = int(np.count_nonzero(np.abs(r_perm) >= abs(np.corrcoef(x, y)[0, 1]) - 1e-12))
             expected = (1 + hits) / (1 + permutations)
         else:
-            expected = brute_force_p(x, y, pair_index, lambda a, b: np.corrcoef(a, b)[0, 1])
+            expected = brute_force_p(x, y, lambda a, b: np.corrcoef(a, b)[0, 1])
         assert 0.01 < expected < 0.99
         # a block row holds the labels, the pair index and the gathered values
         cells = regions + 2 * len(x)
@@ -254,35 +254,29 @@ class TestMantel:
         monkeypatch.setattr(analysis, "PERMUTATION_BLOCK", 1024 * cells)
         for budget in (1024 * cells, 7 * cells + cells - 1, cells - 1):
             monkeypatch.setattr(analysis, "PERMUTATION_CELLS", budget)
-            assert pearson(x, y, permutations, 9, pair_index=pair_index).p_value == expected
+            assert pearson(x, y, permutations, 9).p_value == expected
 
     def test_memory_is_one_block(self):
         # 1,225 pairs (50 regions) fill one block of PERMUTATION_BLOCK rows
-        x, y, pair_index = region_effect_null(50, 1)
+        x, y = region_effect_null(50, 1)
         block_bytes = analysis.PERMUTATION_BLOCK * x.size * x.itemsize
         tracemalloc.start()
         try:
-            pearson(x, y, permutations=3 * analysis.PERMUTATION_BLOCK, seed=1,
-                    pair_index=pair_index)
+            pearson(x, y, permutations=3 * analysis.PERMUTATION_BLOCK, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * block_bytes, (peak, block_bytes)
 
-    @pytest.mark.parametrize("pair_index", [
-        (np.array([0, 0, 1, 0]), np.array([1, 2, 2, 3])),   # 4 pairs are all pairs of no R
-        (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 1])),  # (1, 2) twice, no (2, 3)
-        (np.array([0, 0, 1]), np.array([0, 2, 2])),         # region 0 paired with itself
-        (np.array([0, 0, 1]), np.array([1, 3, 2])),         # region 3 of 3
-        (np.array([0, 0, 1]), np.array([1, -1, 2])),        # a negative label
-        (np.array([0, 0, 1]), np.array([1, 2, 2])[None]),   # another shape
-        (np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 2.0])),
-    ], ids=["not-triangular", "repeated", "self-pair", "out-of-range", "negative", "shape",
-            "float"])
-    def test_pair_index_must_hold_every_pair_once(self, pair_index):
-        x = np.arange(1.0, 1.0 + pair_index[0].size)
-        with pytest.raises(ValueError, match="every pair of R regions once"):
-            pearson(x, x[::-1], 10, pair_index=pair_index)
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    @pytest.mark.parametrize("build", [
+        pearson, spearman, lambda x, y: RegionPairs(("a", "b", "c"), x, y),
+    ], ids=["pearson", "spearman", "region-pairs-of-3"])
+    def test_values_are_one_per_pair_of_the_regions(self, build, n):
+        # 3 and 6 values are the pairs of 3 and 4 regions; 4, 5 and 7 are the pairs of none
+        x = np.arange(1.0, 1.0 + n)
+        with pytest.raises(ValueError, match="pair"):
+            build(x, 1e5 * x[::-1])
 
 
 class TestStudentTTail:
@@ -295,7 +289,7 @@ class TestStudentTTail:
         # 3, 6, 28, 1,225 and 100,128
         regions = next(k for k in itertools.count(3) if k * (k - 1) // 2 >= n)
         x, y = correlated(regions * (regions - 1) // 2, r)
-        result = pearson(x, y, permutations=99, seed=n, pair_index=np.triu_indices(regions, 1))
+        result = pearson(x, y, permutations=99, seed=n)
         assert result.coefficient == pytest.approx(r, abs=1e-9)
         assert 1.0 / 100 <= result.p_value <= 1.0
 
@@ -303,16 +297,16 @@ class TestStudentTTail:
 class TestSpearman:
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match="need at least 3 observations, got 2"):
-            spearman([1.0, 2.0], [1.0, 2.0], pair_index=(np.array([0, 0]), np.array([1, 2])))
+            spearman([1.0, 2.0], [1.0, 2.0])
 
     def test_monotone_increasing(self):
         x = [1.0, 2.0, 5.0]
-        result = spearman(x, [math.exp(v) for v in x], permutations=1, pair_index=every_pair(3))
+        result = spearman(x, [math.exp(v) for v in x], permutations=1)
         assert result.coefficient == 1.0
 
     def test_monotone_decreasing(self):
         x = [1.0, 2.0, 5.0]
-        result = spearman(x, [1.0 / v for v in x], permutations=1, pair_index=every_pair(3))
+        result = spearman(x, [1.0 / v for v in x], permutations=1)
         assert result.coefficient == -1.0
 
     def test_ties_match_reference(self):
@@ -321,7 +315,7 @@ class TestSpearman:
             ([1.0, 2.0, 2.0, 2.0, 3.0, 3.0], [1.0, 3.0, 2.0, 3.0, 5.0, 4.0]),
         ]
         for x, y in cases:
-            got = spearman(x, y, permutations=1, pair_index=every_pair(len(x))).coefficient
+            got = spearman(x, y, permutations=1).coefficient
             ref = stats.spearmanr(x, y).statistic
             assert got == pytest.approx(float(ref), rel=1e-12)
 
@@ -329,8 +323,8 @@ class TestSpearman:
         rng = np.random.default_rng(45)
         x = rng.normal(size=10)
         y = rng.normal(size=10)
-        base = spearman(x, y, permutations=1, pair_index=every_pair(10)).coefficient
-        transformed = spearman(np.exp(x), y, permutations=1, pair_index=every_pair(10)).coefficient
+        base = spearman(x, y, permutations=1).coefficient
+        transformed = spearman(np.exp(x), y, permutations=1).coefficient
         assert transformed == base
 
     def test_random_against_reference(self):
@@ -338,7 +332,7 @@ class TestSpearman:
         for _ in range(10):
             x = rng.normal(size=10)
             y = rng.normal(size=10)
-            got = spearman(x, y, permutations=1, pair_index=every_pair(10)).coefficient
+            got = spearman(x, y, permutations=1).coefficient
             ref = stats.spearmanr(x, y).statistic
             assert got == pytest.approx(float(ref), rel=1e-12)
 
@@ -350,9 +344,8 @@ class TestSpearman:
         values = np.array([-1.5, -0.0, 0.0, 0.0, 2.0, 7.25])
         x, y = rng.choice(values, n), rng.choice(values, n)
         x[:3], y[:3] = [-0.0, 0.0, 2.0], [7.25, -0.0, -0.0]  # x and y vary even at n = 3
-        got = spearman(x, y, permutations=999, seed=n, pair_index=every_pair(n))
-        ref = pearson(analysis._average_ranks(x), analysis._average_ranks(y), 999, n,
-                      pair_index=every_pair(n))
+        got = spearman(x, y, permutations=999, seed=n)
+        ref = pearson(analysis._average_ranks(x), analysis._average_ranks(y), 999, n)
         assert got.coefficient.hex() == ref.coefficient.hex()
         assert got.p_value.hex() == ref.p_value.hex()
 
@@ -366,16 +359,16 @@ class TestSpearman:
 
 
 def obs(pairs):
-    """Pair i joins regions a<i> and b<i>, with the given similarity and distance."""
-    regions = tuple(label for i in range(len(pairs)) for label in (f"a{i}", f"b{i}"))
-    first = np.arange(0, len(regions), 2)
+    """Every pair of regions r0..r<R - 1>, in combinations order, with the given
+    (similarity, distance) each; R(R - 1)/2 is the number of pairs."""
+    regions = (1 + math.isqrt(1 + 8 * len(pairs))) // 2
     similarity, distance_m = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
-    return RegionPairs(regions, first, first + 1, similarity, distance_m)
+    return RegionPairs(tuple(f"r{i}" for i in range(regions)), similarity, distance_m)
 
 
 class TestFitDistanceDecay:
     def test_exact_power_law(self):
-        distances = [1e4, 5e4, 1e5, 7e5, 3e6]
+        distances = [1e4, 5e4, 1e5, 7e5, 3e6, 4.5e6]
         data = obs([(3.0 * d ** (-0.09), d) for d in distances])
         fit = fit_distance_decay(data)
         assert fit.slope == pytest.approx(-0.09, abs=1e-9)
@@ -390,7 +383,7 @@ class TestFitDistanceDecay:
 
     def test_non_positive_similarity_lists_offenders(self):
         data = obs([(0.5, 1e4), (0.0, 2e4), (0.3, 3e4)])
-        with pytest.raises(ValueError, match="a1"):
+        with pytest.raises(ValueError, match="'r0', 'r2'"):
             fit_distance_decay(data)
 
     def test_many_offenders_give_a_short_message_with_their_count(self):
@@ -410,13 +403,14 @@ class TestFitDistanceDecay:
         assert len(message) < 1024
 
     def test_needs_three(self):
-        with pytest.raises(ValueError):
-            fit_distance_decay(obs([(0.5, 1e4), (0.4, 2e4)]))
+        with pytest.raises(ValueError, match="need at least 3 observations, got 1"):
+            fit_distance_decay(obs([(0.5, 1e4)]))
 
     def test_matches_reference_ols(self):
         rng = np.random.default_rng(47)
         for _ in range(10):
-            n = int(rng.integers(3, 26))
+            regions = int(rng.integers(3, 8))
+            n = regions * (regions - 1) // 2
             d = rng.uniform(1e4, 5e6, size=n)
             s = np.exp(rng.uniform(-3.0, -0.1, size=n))
             fit = fit_distance_decay(obs(list(zip(s, d))))

@@ -71,39 +71,17 @@ def fresh_python(code, *args, **env):
     return proc.stdout.strip()
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency: a fresh interpreter importing the CLI
-    # must not load it
-    code = ("import sys, poinames.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert fresh_python(code) == "[]"
-
-
-def test_package_import_loads_no_numpy():
-    assert fresh_python("import sys, poinames; print('numpy' in sys.modules)") == "False"
-
-
-def test_text_stage_modules_load_no_numpy():
-    # ingest, zipf, local-terms and type-usage run on these modules alone
-    code = ("import sys, poinames.corpus, poinames.termstats, poinames.linfit, "
-            "poinames.localness; print('numpy' in sys.modules)")
-    assert fresh_python(code) == "False"
-
-
-def test_no_module_imports_numpy():
-    # numpy is imported inside the functions that use it, never by a module
+def test_importing_every_module_loads_no_numpy_scipy_dataclasses_or_logging():
+    # numpy is imported inside the functions that use it, so the package
+    # import and the text stages (ingest, zipf, local-terms, type-usage) load
+    # none of it; scipy is a test-only dependency; dataclasses (with inspect,
+    # ast, dis and tokenize) and logging cost every stage start-up time, and
+    # the two paths that warn import logging when they do. Every module at
+    # once covers each subset of them a stage imports.
     modules = ", ".join(f"poinames.{m.name}" for m in pkgutil.iter_modules(poinames.__path__))
-    assert "poinames.cli" in modules
-    assert fresh_python(f"import sys, {modules}; print('numpy' in sys.modules)") == "False"
-
-
-def test_no_module_imports_dataclasses_or_logging():
-    # each costs every stage start-up time: dataclasses with what it loads
-    # (inspect, ast, dis, tokenize), logging on its own. The two paths that
-    # warn import logging when they do.
-    modules = ", ".join(f"poinames.{m.name}" for m in pkgutil.iter_modules(poinames.__path__))
-    code = (f"import sys, {modules}; "
-            "print([m for m in ('dataclasses', 'logging') if m in sys.modules])")
+    assert "poinames.cli" in modules and "poinames.corpus" in modules
+    code = (f"import sys, {modules}; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('numpy', 'scipy', 'dataclasses', 'logging')))")
     assert fresh_python(code) == "[]"
 
 

@@ -321,6 +321,12 @@ class TestMeanPairwiseJsd:
             with pytest.raises(ValueError):
                 mean_pairwise_jsd(rows)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -0.5])
+    def test_an_entry_that_is_not_a_finite_number_at_least_0_raises(self, entry):
+        # NaN fails both v < 0 and |sum - 1| > 1e-9, so neither check alone rejects it
+        with pytest.raises(ValueError, match="distribution 0 has an entry that is not a finite"):
+            mean_pairwise_jsd([[0.5, entry], [0.5, 0.5]])
+
     def test_needs_two(self):
         with pytest.raises(ValueError, match="need at least 2 distributions"):
             mean_pairwise_jsd([[1.0]])
