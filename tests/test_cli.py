@@ -71,18 +71,55 @@ def fresh_python(code, *args, **env):
     return proc.stdout.strip()
 
 
-def test_importing_every_module_loads_no_numpy_scipy_dataclasses_or_logging():
-    # numpy is imported inside the functions that use it, so the package
-    # import and the text stages (ingest, zipf, local-terms, type-usage) load
-    # none of it; scipy is a test-only dependency; dataclasses (with inspect,
-    # ast, dis and tokenize) and logging cost every stage start-up time, and
-    # the two paths that warn import logging when they do. Every module at
-    # once covers each subset of them a stage imports.
+# the package-level modules a stage must not load at import: numpy is imported
+# inside the functions that use it; scipy is a test-only dependency;
+# dataclasses (with inspect, ast, dis and tokenize) and logging cost every
+# stage start-up time, and the two paths that warn import logging when they do
+UNLOADED = ("numpy", "scipy", "dataclasses", "logging")
+# ingest, zipf, local-terms and type-usage run on these modules alone
+TEXT_STAGE_MODULES = "poinames.corpus, poinames.termstats, poinames.linfit, poinames.localness"
+
+
+@pytest.fixture(scope="module")
+def loaded_at_import():
+    """Which of UNLOADED one fresh interpreter holds after each import, in order.
+
+    Each import adds to the one before (the package, the text-stage modules,
+    the CLI, every module), so one child stands for a fresh interpreter per step.
+    """
     modules = ", ".join(f"poinames.{m.name}" for m in pkgutil.iter_modules(poinames.__path__))
-    assert "poinames.cli" in modules and "poinames.corpus" in modules
-    code = (f"import sys, {modules}; print(sorted(m for m in sys.modules if m.split('.')[0] "
-            "in ('numpy', 'scipy', 'dataclasses', 'logging')))")
-    assert fresh_python(code) == "[]"
+    assert "poinames.cli" in modules
+    steps = {"package": "poinames", "text_stages": TEXT_STAGE_MODULES,
+             "cli": "poinames.cli", "every_module": modules}
+    code = ("import importlib, json, sys\n"
+            f"steps = {steps!r}\n"
+            "loaded = {}\n"
+            "for step, names in steps.items():\n"
+            "    for name in names.split(', '):\n"
+            "        importlib.import_module(name)\n"
+            f"    loaded[step] = sorted(m for m in sys.modules if m.split('.')[0] in {UNLOADED!r})\n"
+            "print(json.dumps(loaded))")
+    return json.loads(fresh_python(code))
+
+
+def test_cli_import_loads_no_scipy(loaded_at_import):
+    assert [m for m in loaded_at_import["cli"] if m.split(".")[0] == "scipy"] == []
+
+
+def test_package_import_loads_no_numpy(loaded_at_import):
+    assert "numpy" not in loaded_at_import["package"]
+
+
+def test_text_stage_modules_load_no_numpy(loaded_at_import):
+    assert "numpy" not in loaded_at_import["text_stages"]
+
+
+def test_no_module_imports_numpy(loaded_at_import):
+    assert "numpy" not in loaded_at_import["every_module"]
+
+
+def test_no_module_imports_dataclasses_or_logging(loaded_at_import):
+    assert [m for m in ("dataclasses", "logging") if m in loaded_at_import["every_module"]] == []
 
 
 # runs the CLI on its arguments, then prints the exit code and how many
